@@ -4,13 +4,30 @@ Over base((t)) an element P/Q expands into residue field coefficients X_i by
 the linear recursion Q_0 X_i = P_i - sum_{j>=1} Q_j X_{i-j}; normalization
 makes Q_0 a unit of the integer ring one level down, so every X_i is exact.
 Over Qp{{t}} and Qp the expansion runs along p instead, peeling one digit per
-step with a section of the reduction map; the plain integer section keeps all
-arithmetic in Q.  Jets are finite windows of such expansions.
+step with the plain section of the reduction map: y -> (y - lift(d))/p with
+d = residue(y), the lift reduced over F_p with integer coefficients in
+[0, p).  Jets are finite windows of such expansions.
+
+Over Qp{{t}} that loop runs on integer polynomials: y = t^a*N / t^b*Q with
+N and Q dense int lists over one scale prime to p.  A digit is N mod p over
+Q mod p, unreduced, exactly as residue() returns it; its lift comes from a
+gcd over F_p on int lists; subtracting it cross-multiplies Q by the lift's
+denominator, as Element arithmetic does, so the digits keep their value and
+their representation.  The section fixes the digits: lifting over the fixed
+denominator Q instead would be another section, with other digits from the
+second on.  Under the plain section the reduced digits themselves grow about
+1.7x per level (denominator degrees 2, 3, 5, 8, 13, 24, 43, 76 for
+(1 + t)/(1 - 3*t - t^2)), and Q gathers all of them, so the cost of a jet
+follows the size of its digits, geometric in their count: no exact
+algorithm for these digits is linear in the count.  What the loop saves is
+the constant: big products go through one int multiply each (Kronecker
+substitution), and the F_p gcd, quadratic in the digit size, dominates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .coeff import UNKNOWN, rational_mod_p, teichmuller_exact
 from .elements import Element
@@ -106,9 +123,9 @@ def expand(x, terms):
     if isinstance(f, SeriesExt):
         return _expand_series(x, terms)
     if isinstance(f, MixedExt):
-        return _expand_p(x, terms, _mixed_residue, _mixed_lift_plain)
+        return _expand_mixed(x, terms)
     if isinstance(f, QpBase):
-        return _expand_p(x, terms, _qp_residue, _qp_lift_plain)
+        return _expand_p(x, terms)
     raise UnsupportedFieldError("no uniformizer to expand along in %r" % f)
 
 
@@ -131,7 +148,7 @@ def _expand_series(x, terms):
     return Jet(f, i0, [xs[i] for i in range(i0, i0 + terms)], var)
 
 
-def _expand_p(x, terms, res, lift):
+def _expand_p(x, terms):
     f = x.field
     p = f.prime()
     var = str(p)
@@ -141,10 +158,167 @@ def _expand_p(x, terms, res, lift):
     y = x * Element.from_coeff(f, Fraction(p) ** -k0)
     out = []
     for _ in range(terms):
-        d = res(y)
+        d = _qp_residue(y)
         out.append(d)
-        y = (y - lift(f, d)) * Element.from_coeff(f, Fraction(1, p))
+        y = (y - _qp_lift_plain(f, d)) * Element.from_coeff(f, Fraction(1, p))
     return Jet(f, k0, out, var)
+
+
+def _expand_mixed(x, terms):
+    f = x.field
+    p = f.prime()
+    var = str(p)
+    if x.is_zero():
+        return Jet(f, 0, [], var)
+    k0 = x.val_vector()[-1]
+    rf = f.residue()
+    fq = rf.fq()
+    # y = x/p^k0 = t^ns*N / t^qs*Q over one integer scale prime to p; Q's
+    # first coefficient prime to p sits at t^0, as Element.make keeps it
+    num = {k: c * Fraction(p) ** -k0 for (k,), c in x.num.items()}
+    den = {k: c for (k,), c in x.den.items()}
+    scale = lcm(*(c.denominator for c in (*num.values(), *den.values())))
+    N, ns = _int_list(num, scale)
+    Q, qs = _int_list(den, scale)
+    out = []
+    for _ in range(terms):
+        if not N:
+            out.append(Element.zero(rf))
+            continue
+        nbar, nbs = _ztrim([c % p for c in N], ns)
+        qbar, _ = _ztrim([c % p for c in Q[-qs:]], 0)
+        out.append(Element.make(rf, {(nbs + i,): fq(c) for i, c in enumerate(nbar) if c},
+                                {(i,): fq(c) for i, c in enumerate(qbar) if c}))
+        if nbar:
+            # the plain lift of the digit, as lift() builds it
+            nt, dt = _fp_lowest_terms(nbar, qbar, p)
+            # y - lift over the denominator Element.__sub__ picks: Q when it
+            # equals the lift's, else the product
+            u = Q[0]
+            if qs == 0 and Q == [u * c for c in dt]:
+                N, ns = _zadd(N, ns, [-u * c for c in nt], nbs)
+            else:
+                N, ns = _zadd(_zmul(N, dt), ns, [-c for c in _zmul(nt, Q)], nbs + qs)
+                Q = _zmul(Q, dt)
+        N = [c // p for c in N]
+        g = gcd(*N, *Q)
+        if g > 1:
+            N = [c // g for c in N]
+            Q = [c // g for c in Q]
+    return Jet(f, k0, out, var)
+
+
+# --- dense polynomials: int lists, lowest degree first ----------------------
+
+def _int_list(lp, scale):
+    lo = min(lp)
+    out = [0] * (max(lp) - lo + 1)
+    for k, c in lp.items():
+        out[k - lo] = int(c * scale)
+    return out, lo
+
+
+def _ztrim(a, shift):
+    """Drop zero coefficients at both ends; (list, exponent of its head)."""
+    lo = 0
+    while lo < len(a) and not a[lo]:
+        lo += 1
+    hi = len(a)
+    while hi > lo and not a[hi - 1]:
+        hi -= 1
+    return a[lo:hi], shift + lo
+
+
+def _zadd(a, sa, b, sb):
+    lo = min(sa, sb)
+    out = [0] * (max(sa + len(a), sb + len(b)) - lo)
+    for i, c in enumerate(a, sa - lo):
+        out[i] = c
+    for i, c in enumerate(b, sb - lo):
+        out[i] += c
+    return _ztrim(out, lo)
+
+
+def _zmul(a, b):
+    """Product over Z.  Past a dozen terms on each side, by Kronecker
+    substitution: pack each list into one int with slots wide enough for
+    every product coefficient, multiply once, unpack with a bias."""
+    if min(len(a), len(b)) <= 12:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, e in enumerate(b, i):
+                    out[j] += c * e
+        return out
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    w = bits // 8 + 1
+    half = 1 << (8 * w - 1)
+    n = len(a) + len(b) - 1
+    c = _pack(a, w, half) * _pack(b, w, half) + _bias(n, w, half)
+    raw = c.to_bytes(n * w, "little")
+    return [int.from_bytes(raw[i:i + w], "little") - half
+            for i in range(0, n * w, w)]
+
+
+def _bias(n, w, half):
+    return int.from_bytes(half.to_bytes(w, "little") * n, "little")
+
+
+def _pack(a, w, half):
+    # sum a_i X^i at X = 256^w, given every |a_i| < half = X/2
+    raw = b"".join((c + half).to_bytes(w, "little") for c in a)
+    return int.from_bytes(raw, "little") - _bias(len(a), w, half)
+
+
+def _fp_rem(a, b, p):
+    """Remainder of a by monic b over F_p; both trimmed."""
+    a = list(a)
+    m = len(b) - 1
+    while len(a) > m:
+        c = a.pop()
+        if c:
+            off = len(a) - m
+            a[off:] = [(x - c * y) % p for x, y in zip(a[off:], b)]
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _fp_monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _fp_lowest_terms(a, b, p):
+    """a/b over F_p with the gcd removed and b's constant term 1; a and b
+    trimmed, b[0] nonzero."""
+    g = _fp_gcd(a, b, p)
+    if len(g) > 1:
+        a, b = _fp_quo(a, g, p), _fp_quo(b, g, p)
+    inv = pow(b[0], -1, p)
+    return [c * inv % p for c in a], [c * inv % p for c in b]
+
+
+def _fp_gcd(a, b, p):
+    a, b = _fp_monic(a, p), _fp_monic(b, p)
+    while b:
+        a, b = b, _fp_rem(a, b, p)
+        if b:
+            b = _fp_monic(b, p)
+    return a
+
+
+def _fp_quo(a, b, p):
+    """Exact quotient a/b over F_p, b monic."""
+    a = list(a)
+    m = len(b) - 1
+    q = [0] * (len(a) - m)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + m]
+        if c:
+            a[k:k + m] = [(x - c * y) % p for x, y in zip(a[k:k + m], b)]
+    return q
 
 
 # --- residue maps ------------------------------------------------------------
@@ -241,12 +415,19 @@ def canonical_fraction(x):
     ds = min(k[0] for k in x.den)
     np = _poly_list(x.num, ns)
     dp = _poly_list(x.den, ds)
-    g = _upoly_gcd(list(np), list(dp))
-    if len(g) > 1:
-        np, _ = _upoly_divmod(np, g)
-        dp, _ = _upoly_divmod(dp, g)
-        _upoly_trim(np)
-        _upoly_trim(dp)
+    fq = f.residue().field
+    if fq.deg == 1:
+        # prime fields, the residue fields of Qp{{t}} among them, reduce on ints
+        np, dp = _fp_lowest_terms([c.as_int() for c in np],
+                                  [c.as_int() for c in dp], fq.p)
+        np, dp = [fq(c) for c in np], [fq(c) for c in dp]
+    else:
+        g = _upoly_gcd(list(np), list(dp))
+        if len(g) > 1:
+            np, _ = _upoly_divmod(np, g)
+            dp, _ = _upoly_divmod(dp, g)
+            _upoly_trim(np)
+            _upoly_trim(dp)
     num = {(ns + i,): c for i, c in enumerate(np) if not c.is_zero()}
     den = {(ds + i,): c for i, c in enumerate(dp) if not c.is_zero()}
     return Element.make(f, num, den)

@@ -796,7 +796,12 @@ def subgroup_shaped(U):
         return True
     if not isinstance(U, LevelsOpen):
         return False
-    probe = range(U.lo - 8, U.cutoff)
+    span = 8
+    if isinstance(U.below, PeriodicRule):
+        # a cycle repeats below the floor: two whole periods show every
+        # step between consecutive levels, the wrap-around included
+        span = max(span, 2 * len(U.below.cycle) + 1)
+    probe = range(U.lo - span, U.cutoff)
     if not all(subgroup_shaped(U.level(i)) for i in probe):
         return False
     if isinstance(U.field, SeriesExt):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ Q5M = parse_field("Qp(5){{t}}")
 F5T = parse_field("Fq(5)((t))")
 F5UT = parse_field("Fq(5)((u))((t))")
 F3T = parse_field("Fq(3)((t))")
+F4T = parse_field("Fq(4;w^2+w+1)((t))")
 
 
 def _consts(jet):
@@ -69,6 +71,91 @@ def test_mixed_digit_towers():
     assert j.start == 0
     assert j.coeffs == [parse_element(R, "t^2"), parse_element(R, "t^-7"),
                         Element.zero(R)]
+
+
+# Digits along p over Qp(3){{t}} under the plain section, pinned in value
+# and in representation: each digit is the unreduced fraction the recursion
+# y -> (y - lift(residue(y)))/3 leaves, not a reduced one.
+MIXED_PINNED = {
+    "(1 + t)/(1 - 3*t - t^2)": (
+        "((1 + t)/(1 + 2*t^2)) + ((2*t + t^2)/(1 + 2*t + 2*t^2 + t^3))*3"
+        " + ((t^2 + 2*t^4)/(1 + 2*t + t^2 + 2*t^3 + t^4 + 2*t^5))*3^2"
+        " + ((t^4 + t^5 + 2*t^6 + 2*t^7)/(1 + t + t^2 + 2*t^6 + 2*t^7"
+        " + 2*t^8))*3^3 + O(3^4)",
+        "db992bef2ceb3303"),
+    "(2 + t)/(1 + t^2 - 3*t^3)": (
+        "((2 + t)/(1 + t^2)) + ((2*t^3 + t^4)/(1 + 2*t^2 + t^4))*3"
+        " + ((2*t^6 + t^7 + 2*t^8 + t^9)/(1 + t^2 + t^6 + t^8))*3^2"
+        " + ((t^8 + t^9 + t^11 + t^12 + 2*t^13 + 2*t^15 + t^16)/(1 + t^2"
+        " + 2*t^6 + 2*t^8 + t^12 + t^14))*3^3 + O(3^4)",
+        "b7e0983389c7fd6f"),
+}
+
+
+def test_mixed_digits_pinned():
+    for text, (four, sha10) in MIXED_PINNED.items():
+        x = parse_element(Q3M, text)
+        assert repr(expand(x, 4)) == four
+        ten = repr(expand(x, 10)).encode()
+        assert hashlib.sha256(ten).hexdigest()[:16] == sha10
+
+
+def _rand_mixed(rng):
+    """A fraction over Qp(3){{t}} with 3-unit denominators in its
+    coefficients, negative t-powers and a p-valuation in [-2, 2]."""
+    def poly(lo, hi):
+        out = Element.zero(Q3M)
+        for k in range(lo, hi + 1):
+            c = Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 4, 5, 7]))
+            out = out + Element.monomial(Q3M, c, t=k)
+        return out
+    while True:
+        lo = rng.randint(-2, 0)
+        num, den = poly(lo, lo + rng.randint(0, 2)), poly(lo, lo + 1)
+        if not (num.is_zero() or den.is_zero()):
+            return num / den * Element.from_coeff(Q3M, Fraction(3) ** rng.randint(-2, 2))
+
+
+def _mod_lp(x, m):
+    """num and den of x as {t exponent: int mod m}; needs 3-unit
+    denominators in the coefficients."""
+    conv = lambda lp: {k: c.numerator * pow(c.denominator, -1, m) % m
+                       for (k,), c in lp.items()}
+    return conv(x.num), conv(x.den)
+
+
+def _mod_mul(a, b, m):
+    out = {}
+    for i, c in a.items():
+        for j, e in b.items():
+            out[i + j] = (out.get(i + j, 0) + c * e) % m
+    return out
+
+
+def test_mixed_digits_match_the_plain_section():
+    rng = random.Random(2024)
+    m = 3 ** 13
+    for _ in range(16):
+        x = _rand_mixed(rng)
+        jet = expand(x, 12)
+        assert jet.start == x.val_vector()[-1]
+        # the first digits are the ones residue and lift give, verbatim
+        y = x * Element.from_coeff(Q3M, Fraction(3) ** -jet.start)
+        for d in jet.coeffs[:6]:
+            assert residue(y) == d and repr(residue(y)) == repr(d)
+            y = (y - lift(Q3M, d)) * Element.from_coeff(Q3M, Fraction(1, 3))
+        # y - sum lift(d_i)*3^i = A/P with P a 3-adic unit, so the top
+        # valuation of x - sum lift(d_i)*3^(start+i) is that of A: A must
+        # vanish mod 3^k after k digits
+        A, P = _mod_lp(x * Element.from_coeff(Q3M, Fraction(3) ** -jet.start), m)
+        for k, d in enumerate(jet.coeffs):
+            assert all(c % 3 ** k == 0 for c in A.values())
+            nt, dt = _mod_lp(lift(Q3M, d), m)
+            A = _mod_mul(A, dt, m)
+            for e, c in _mod_mul(nt, P, m).items():
+                A[e] = (A.get(e, 0) - 3 ** k * c) % m
+            P = _mod_mul(P, dt, m)
+        assert all(c % 3 ** 12 == 0 for c in A.values())
 
 
 def test_jet_multiplication_matches_expansion():
@@ -178,12 +265,13 @@ def test_teichmuller_section_needs_small_p():
 
 
 def test_canonical_fraction_reduces_gcd():
-    x = parse_element(F5T, "(1 - t^2)/(1 - t)")
-    c = canonical_fraction(x)
-    assert c == x
-    one = Element.one(F5T)
-    assert c.den == one.den
-    assert c == parse_element(F5T, "1 + t")
+    for field, text, want in ((F5T, "(1 - t^2)/(1 - t)", "1 + t"),
+                              (F4T, "(w^2 + t^2)/(w + t)", "w + t")):
+        x = parse_element(field, text)
+        c = canonical_fraction(x)
+        assert c == x
+        assert c.den == Element.one(field).den
+        assert repr(c) == repr(parse_element(field, want))
 
 
 def test_canonical_fraction_laurent_shifts():

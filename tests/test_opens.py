@@ -250,6 +250,17 @@ def test_subgroup_shaped():
                 assert falling.contains(a + b)
 
 
+def test_subgroup_shaped_sees_a_long_period():
+    # the cycle's one deep entry sits ten levels below the floor, past a
+    # fixed eight-level probe; x is in U while x + x is not
+    base = Q3M.residue()
+    U = LevelsOpen(Q3M, 0, {},
+                   PeriodicRule([ball_at(base, 0)] * 9 + [ball_at(base, 5)]))
+    x = e(Q3M, "2*3^-11")
+    assert U.contains(x) and not U.contains(x + x)
+    assert not subgroup_shaped(U)
+
+
 def test_residue_image():
     img = residue_image(deep_ball(F5UT, 2))
     assert not img.is_full()
