@@ -1,16 +1,19 @@
-"""Exact coefficient domains: finite fields and tracked p-adic approximations.
+"""Exact coefficient domains: finite fields and p-adic valuations of rationals.
 
-Finite fields F_q are F_p[w]/(m(w)) with an explicit monic modulus; the prime
-field skips the polynomial layer.  PAdicApprox keeps an integer unit part, an
-exact exponent of p and a digit count, with a three-state exactness flag so
-that cancellation degrades the state instead of silently lying.
+Finite fields F_q are F_p[w]/(m(w)) with an explicit monic modulus; the
+prime field is the case m = w, and every field multiplies through the same
+schoolbook product and reduction.  Polynomials over F_p are int lists,
+lowest degree first, and one kernel (remainder, gcd, exact quotient)
+serves both the field arithmetic here and the digit lifts of expansion.
+Rationals carry their p-adic valuation and residue exactly; there is no
+truncated p-adic type.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FieldMismatchError, PrecisionExhaustedError, ZeroElementError
+from .errors import FieldMismatchError, ZeroElementError
 
 
 class _Unknown:
@@ -25,6 +28,22 @@ class _Unknown:
 UNKNOWN = _Unknown()
 
 
+def power(x, k, one):
+    """x**k for an int k >= 0 by square-and-multiply, starting from one."""
+    if k < 0:
+        raise ValueError("negative exponent %d" % k)
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
+# --- F_p[x] on int lists, lowest degree first ---------------------------------
+
 def _poly_trim(cs):
     cs = list(cs)
     while cs and cs[-1] == 0:
@@ -32,35 +51,66 @@ def _poly_trim(cs):
     return cs
 
 
+def _fp_rem(a, b, p):
+    """Remainder of a by monic b over F_p; both trimmed."""
+    a = list(a)
+    m = len(b) - 1
+    while len(a) > m:
+        c = a.pop()
+        if c:
+            off = len(a) - m
+            a[off:] = [(x - c * y) % p for x, y in zip(a[off:], b)]
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _fp_monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _fp_gcd(a, b, p):
+    a, b = _fp_monic(a, p), _fp_monic(b, p)
+    while b:
+        a, b = b, _fp_rem(a, b, p)
+        if b:
+            b = _fp_monic(b, p)
+    return a
+
+
+def _fp_quo(a, b, p):
+    """Exact quotient a/b over F_p, b monic."""
+    a = list(a)
+    m = len(b) - 1
+    q = [0] * (len(a) - m)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + m]
+        if c:
+            a[k:k + m] = [(x - c * y) % p for x, y in zip(a[k:k + m], b)]
+    return q
+
+
+def _fp_lowest_terms(a, b, p):
+    """a/b over F_p with the gcd removed and b's constant term 1; a and b
+    trimmed, b[0] nonzero."""
+    g = _fp_gcd(a, b, p)
+    if len(g) > 1:
+        a, b = _fp_quo(a, g, p), _fp_quo(b, g, p)
+    inv = pow(b[0], -1, p)
+    return [c * inv % p for c in a], [c * inv % p for c in b]
+
+
 def _poly_mulmod(a, b, mod, p):
-    # schoolbook product then reduction by the monic modulus, all mod p
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
+    # schoolbook product of nonzero a and b, then the remainder by the monic
+    # modulus, all mod p
+    res = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
         for j, bj in enumerate(b):
             res[i + j] = (res[i + j] + ai * bj) % p
-    deg = len(mod) - 1
-    while len(res) > deg:
-        top = res.pop()
-        if top:
-            for k in range(deg):
-                res[len(res) - deg + k] = (res[len(res) - deg + k] - top * mod[k]) % p
-    return _poly_trim(res)
-
-
-def _poly_divmod(a, b, p):
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
-    while len(a) >= len(b) and _poly_trim(a):
-        shift = len(a) - len(b)
-        coef = a[-1] * inv_lead % p
-        q[shift] = coef
-        for k in range(len(b)):
-            a[shift + k] = (a[shift + k] - coef * b[k]) % p
-        a = _poly_trim(a)
-    return _poly_trim(q), a
+    return _fp_rem(res, mod, p)
 
 
 class FqField:
@@ -207,24 +257,8 @@ class FqElem:
         p = self.field.p
         if self.field.deg == 1:
             return FqElem(self.field, (pow(self.coeffs[0], p - 2, p),))
-        # extended euclid in F_p[w] against the modulus
-        r0, r1 = list(self.field.modulus), list(self.coeffs)
-        s0, s1 = [], [1]
-        while _poly_trim(r1):
-            q, r = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            prod = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                for j, sj in enumerate(s1):
-                    prod[i + j] = (prod[i + j] + qi * sj) % p
-            n = max(len(s0), len(prod))
-            s0, s1 = s1, _poly_trim(
-                [(s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0) for i in range(n)]
-            )
-        if len(r0) != 1:
-            raise ZeroDivisionError("element not invertible; modulus not irreducible?")
-        lead_inv = pow(r0[0], p - 2, p)
-        return FqElem(self.field, [c * lead_inv for c in s0])
+        # the unit group has order q - 1
+        return self ** (self.field.q - 2)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -238,16 +272,8 @@ class FqElem:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        x = self.inverse() if k < 0 else self
+        return power(x, abs(k), self.field.one())
 
     def as_int(self):
         """Integer representative, prime fields only."""
@@ -324,193 +350,13 @@ def _is_irreducible(modulus, p):
             yield list(tail) + [1]
     for d in range(2, deg // 2 + 1):
         for cand in monics(d):
-            _, r = _poly_divmod(list(modulus), cand, p)
-            if not r:
+            if not _fp_rem(modulus, cand, p):
                 return False
     return True
 
 
-# --- p-adics -----------------------------------------------------------------
-
-_ZERO, _UNIT, _UNSETTLED = "zero", "unit", "unsettled"
-
-
-class PAdicApprox:
-    """unit * p^exponent with `prec` certified digits of the unit.
-
-    States: exact zero, unit part known (valuation exact), or unsettled, which
-    means the value is only known to be divisible by p^bound with nothing
-    certified beyond that.
-    """
-
-    def __init__(self, p, state, unit=0, exponent=0, prec=0):
-        self.p = p
-        self.state = state
-        if state == _UNIT:
-            m = p ** prec
-            unit %= m
-            if unit % p == 0:
-                raise ValueError("unit part divisible by p")
-        self.unit = unit
-        self.exponent = exponent
-        self.prec = prec
-
-    # constructors
-
-    @classmethod
-    def zero(cls, p):
-        return cls(p, _ZERO)
-
-    @classmethod
-    def unsettled(cls, p, bound):
-        return cls(p, _UNSETTLED, exponent=bound)
-
-    @classmethod
-    def from_rational(cls, x, p, prec=20):
-        x = Fraction(x)
-        if x == 0:
-            return cls.zero(p)
-        k = padic_val(x, p)
-        num, den = x.numerator, x.denominator
-        if k > 0:
-            num //= p ** k
-        elif k < 0:
-            den //= p ** (-k)
-        m = p ** prec
-        unit = num * pow(den, -1, m) % m
-        return cls(p, _UNIT, unit=unit, exponent=k, prec=prec)
-
-    # queries
-
-    def is_exact_zero(self):
-        return self.state == _ZERO
-
-    def valuation(self):
-        """Exact valuation, or UNKNOWN when the digits cannot settle it."""
-        if self.state == _ZERO:
-            raise ZeroElementError("valuation of exact zero")
-        if self.state == _UNSETTLED:
-            return UNKNOWN
-        return self.exponent
-
-    def known_mod(self):
-        """The modulus p^k through which the value is certified."""
-        if self.state == _ZERO:
-            return None
-        if self.state == _UNSETTLED:
-            return self.p ** self.exponent
-        return self.p ** (self.exponent + self.prec) if self.exponent >= 0 else None
-
-    def residue(self):
-        """Image in F_p; needs a nonnegative certified valuation."""
-        if self.state == _ZERO:
-            return 0
-        if self.state == _UNSETTLED:
-            if self.exponent >= 1:
-                return 0
-            raise PrecisionExhaustedError("residue of an unsettled value")
-        if self.exponent > 0:
-            return 0
-        if self.exponent < 0:
-            raise ZeroElementError("residue of a value with negative valuation")
-        return self.unit % self.p
-
-    # arithmetic
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PAdicApprox.from_rational(other, self.p, max(self.prec, 20))
-        if isinstance(other, PAdicApprox):
-            if other.p != self.p:
-                raise FieldMismatchError("mixed primes %d / %d" % (self.p, other.p))
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        p = self.p
-        if self.state == _ZERO:
-            return other
-        if other.state == _ZERO:
-            return self
-        s = min(self._minexp(), other._minexp())
-        a, b = self._shift(-s), other._shift(-s)
-        # certified moduli after the shift; both exponents are now >= 0
-        floors = []
-        rep = 0
-        for x in (a, b):
-            if x.state == _UNSETTLED:
-                floors.append(x.exponent)
-            else:
-                floors.append(x.exponent + x.prec)
-                rep += x.unit * p ** x.exponent
-        floor = min(floors)
-        rep %= p ** floor
-        if rep == 0:
-            return PAdicApprox.unsettled(p, floor)._shift(s)
-        k = padic_val(rep, p)
-        if k >= floor:
-            return PAdicApprox.unsettled(p, floor)._shift(s)
-        out = PAdicApprox(p, _UNIT, unit=rep // p ** k, exponent=k, prec=floor - k)
-        return out._shift(s)
-
-    def _minexp(self):
-        return self.exponent if self.state != _ZERO else 0
-
-    def _shift(self, k):
-        """Multiply by p^k; exact on every state."""
-        if self.state == _ZERO:
-            return self
-        return PAdicApprox(self.p, self.state, unit=self.unit,
-                           exponent=self.exponent + k, prec=self.prec)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.state != _UNIT:
-            return self
-        return PAdicApprox(self.p, _UNIT, unit=-self.unit % self.p ** self.prec,
-                           exponent=self.exponent, prec=self.prec)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        p = self.p
-        if self.state == _ZERO or other.state == _ZERO:
-            return PAdicApprox.zero(p)
-        if self.state == _UNSETTLED or other.state == _UNSETTLED:
-            return PAdicApprox.unsettled(p, self._minexp() + other._minexp())
-        prec = min(self.prec, other.prec)
-        return PAdicApprox(p, _UNIT, unit=self.unit * other.unit % p ** prec,
-                           exponent=self.exponent + other.exponent, prec=prec)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        if self.state == _ZERO:
-            return "0 (exact)"
-        if self.state == _UNSETTLED:
-            return "O(%d^%d)" % (self.p, self.exponent)
-        return "%d*%d^%d + O(%d^%d)" % (
-            self.unit, self.p, self.exponent, self.p, self.exponent + self.prec)
-
-
 def padic_val(x, p):
-    """v_p of an exact rational, an int, or a PAdicApprox.
-
-    Returns UNKNOWN for an unsettled approximation; refuses exact zero.
-    """
-    if isinstance(x, PAdicApprox):
-        return x.valuation()
+    """v_p of an exact rational or an int; refuses zero."""
     x = Fraction(x)
     if x == 0:
         raise ZeroElementError("valuation of zero")
@@ -532,29 +378,6 @@ def rational_mod_p(x, p):
     if x.denominator % p == 0:
         raise ZeroElementError("denominator divisible by %d" % p)
     return x.numerator * pow(x.denominator, -1, p) % p
-
-
-def teichmuller(a, p, prec=20):
-    """Multiplicative representative of a in F_p, as a PAdicApprox mod p^prec.
-
-    Computed as the fixed point of x -> x^p starting from the residue; the
-    iteration is stationary after prec steps.
-    """
-    if isinstance(a, FqElem):
-        if a.field.deg != 1 or a.field.p != p:
-            raise FieldMismatchError("teichmuller needs an F_p residue")
-        a = a.as_int()
-    a %= p
-    if a == 0:
-        return PAdicApprox.zero(p)
-    m = p ** prec
-    x = a
-    while True:
-        y = pow(x, p, m)
-        if y == x:
-            break
-        x = y
-    return PAdicApprox(p, _UNIT, unit=x, exponent=0, prec=prec)
 
 
 def teichmuller_exact(a, p):

@@ -25,7 +25,7 @@ from .fields import MixedExt
 from .opens import (BallOpen, FullOpen, FullRule, LevelsOpen, QuadraticRule,
                     ZeroOpen, ball_at)
 from .sequences import _ZERO_FORM, SeqFamily, Term
-from .valuation import rank_valuation
+from .valuation import in_max_ideal, rank_valuation
 
 CONVERGES = "CONVERGES"
 DIVERGES = "DIVERGES"
@@ -80,6 +80,21 @@ class RankOneBall:
 
     def __repr__(self):
         return "v_top>=%d" % self.depth
+
+
+class MaxIdeal:
+    """v > 0 for the full valuation vector: the maximal ideal of the
+    higher local ring.  Not an open of the higher topology; a ratio minus
+    one that stays outside it never becomes a principal unit."""
+
+    def contains(self, x):
+        return in_max_ideal(x)
+
+    def to_data(self):
+        return {"kind": "max-ideal"}
+
+    def __repr__(self):
+        return "v>0"
 
 
 # --- certificates -------------------------------------------------------------
@@ -358,16 +373,6 @@ def _sinking_verdict(g, vf, start):
                     "digit depth falls behind a quadratic window")
 
 
-def _min_term(terms, field, n_ref):
-    best = None
-    best_key = None
-    for t in terms:
-        key = tuple(fm(n_ref) for fm in reversed(t.val_forms(field)))
-        if best is None or key < best_key:
-            best, best_key = t, key
-    return best
-
-
 def _top_form(t, field):
     return t.val_forms(field)[-1]
 
@@ -379,7 +384,7 @@ def _level_verdict(g, vf, n_cross):
 
     f = g.field
     n_ref = n_cross + 1
-    m = _min_term(g.den, f, n_ref)
+    m = g.min_term(g.den, n_ref)
     num = [t.div(m) for t in g.num]
     rest = [t.div(m) for t in g.den if t.key() != m.key()]
     flat, climb = [], []
@@ -715,17 +720,18 @@ def _decomposition_verdict(h):
     # strictly positive in the inverse lexicographic order
     if h.is_zero():
         return Verdict(CONVERGES, certificate=ZeroCert())
-    sign = 0
-    for form in reversed(h.val_form()):
-        s = form.a if form.a else form.b
-        if s:
-            sign = s
-            break
-    if sign <= 0:
-        return Verdict(DIVERGES,
-                       reason="ratio is not eventually a principal unit, so "
-                              "a discrete summand of the decomposition "
-                              "stays off the identity")
+    lead = next((form for form in reversed(h.val_form()) if form.a or form.b),
+                _ZERO_FORM)
+    if (lead.a or lead.b) <= 0:
+        # h_n stays outside v > 0: v(h_n) is 0, or its leading component
+        # is negative, a sinking one from past its zero on
+        start = h.crossing_bound() + 1
+        if lead.a < 0:
+            start = max(start, lead.b // -lead.a + 1)
+        return _diverge(h, MaxIdeal(), start,
+                        "ratio is not eventually a principal unit, so a "
+                        "discrete summand of the decomposition stays off "
+                        "the identity")
     sub = _higher_verdict(h)
     if sub.kind == DIVERGES:
         sub.witness.note = "principal part: " + sub.witness.note

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import FqElem
+from .coeff import FqElem, power
 from .errors import FieldMismatchError
 
 
@@ -219,16 +219,8 @@ class Element:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Element.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        x = self.inverse() if k < 0 else self
+        return power(x, abs(k), Element.one(self.field))
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .coeff import UNKNOWN, rational_mod_p, teichmuller_exact
+from .coeff import UNKNOWN, _fp_lowest_terms, rational_mod_p, teichmuller_exact
 from .elements import Element
 from .errors import NotIntegralError, PrecisionExhaustedError, UnsupportedFieldError
 from .fields import FiniteBase, MixedExt, QpBase, SeriesExt
@@ -269,56 +269,6 @@ def _pack(a, w, half):
     # sum a_i X^i at X = 256^w, given every |a_i| < half = X/2
     raw = b"".join((c + half).to_bytes(w, "little") for c in a)
     return int.from_bytes(raw, "little") - _bias(len(a), w, half)
-
-
-def _fp_rem(a, b, p):
-    """Remainder of a by monic b over F_p; both trimmed."""
-    a = list(a)
-    m = len(b) - 1
-    while len(a) > m:
-        c = a.pop()
-        if c:
-            off = len(a) - m
-            a[off:] = [(x - c * y) % p for x, y in zip(a[off:], b)]
-        while a and not a[-1]:
-            a.pop()
-    return a
-
-
-def _fp_monic(a, p):
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _fp_lowest_terms(a, b, p):
-    """a/b over F_p with the gcd removed and b's constant term 1; a and b
-    trimmed, b[0] nonzero."""
-    g = _fp_gcd(a, b, p)
-    if len(g) > 1:
-        a, b = _fp_quo(a, g, p), _fp_quo(b, g, p)
-    inv = pow(b[0], -1, p)
-    return [c * inv % p for c in a], [c * inv % p for c in b]
-
-
-def _fp_gcd(a, b, p):
-    a, b = _fp_monic(a, p), _fp_monic(b, p)
-    while b:
-        a, b = b, _fp_rem(a, b, p)
-        if b:
-            b = _fp_monic(b, p)
-    return a
-
-
-def _fp_quo(a, b, p):
-    """Exact quotient a/b over F_p, b monic."""
-    a = list(a)
-    m = len(b) - 1
-    q = [0] * (len(a) - m)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = a[k + m]
-        if c:
-            a[k:k + m] = [(x - c * y) % p for x, y in zip(a[k:k + m], b)]
-    return q
 
 
 # --- residue maps ------------------------------------------------------------

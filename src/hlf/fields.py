@@ -318,7 +318,3 @@ def _fq_from_text(q, modtext, fulltext):
         else:
             coeffs[0] += sign * int(term)
     return FqField(q, modulus=tuple(c % p for c in coeffs), gen=gen)
-
-
-def field_string(field):
-    return repr(field)

@@ -236,10 +236,6 @@ class LevelsOpen(Open):
         return all(self.level(i).contains(jet.coeff(i))
                    for i in range(i0, self.cutoff))
 
-    def free_level(self):
-        """Index from which upward every level is unconstrained."""
-        return self.cutoff
-
     def to_data(self):
         return {
             "kind": "levels",
@@ -415,7 +411,7 @@ def product_escape_witness(V1, V2, W):
     if not (isinstance(V1, (FullOpen, LevelsOpen))
             and isinstance(V2, (FullOpen, LevelsOpen))):
         return None
-    i0 = 0 if V1.is_full() else V1.free_level()
+    i0 = 0 if V1.is_full() else V1.cutoff
     nv = len(f.params())
     for s in range(64):
         target = W.cutoff - 1 - s

@@ -10,12 +10,13 @@ convergent sequences, and sequential saturation does not add any, so the
 componentwise verdict is the verdict.
 """
 
+from .coeff import power
 from .convergence import CONVERGES, DIVERGES, UNKNOWN, converges
 from .elements import Element
 from .errors import (ArityMismatchError, FieldMismatchError, ParseError,
                      TargetViolationError, UnsupportedFieldError)
 from .expansion import residue
-from .fields import field_string, parse_field
+from .fields import parse_field
 from .opens import residue_image
 from .parsing import ElementHandler, ExprParser
 from .sequences import SeqFamily
@@ -34,8 +35,7 @@ class BaseRing:
 
     Charted constructions need the ring to be local with open unit group
     and sequentially continuous inversion on units; every stop in the
-    tower satisfies all three, and the flags are stored so the guards
-    stay visible at the point of use."""
+    tower satisfies all three, so any rank may carry charts."""
 
     def __init__(self, field, rank=0):
         if rank < 0 or rank > field.dim:
@@ -43,9 +43,6 @@ class BaseRing:
                 "rank %d ring of a dimension %d field" % (rank, field.dim))
         self.field = field
         self.rank = rank
-        self.is_local = True
-        self.units_open = True
-        self.inversion_sequential = True
 
     def contains(self, x):
         if x.field != self.field:
@@ -59,14 +56,6 @@ class BaseRing:
         if self.rank == 0:
             return True
         return not any(rank_valuation(x, self.rank))
-
-    def check_chart_hypotheses(self):
-        for name, flag in (("a local base ring", self.is_local),
-                           ("an open unit group", self.units_open),
-                           ("sequentially continuous inversion",
-                            self.inversion_sequential)):
-            if not flag:
-                raise UnsupportedFieldError("charts need %s" % name)
 
     def samples(self):
         """Small deterministic elements of the ring, for homomorphism and
@@ -85,10 +74,10 @@ class BaseRing:
 
     def describe(self):
         if self.rank == 0:
-            return field_string(self.field)
+            return repr(self.field)
         if self.rank == self.field.dim:
-            return "ints(%s)" % field_string(self.field)
-        return "ints(%s, %d)" % (field_string(self.field), self.rank)
+            return "ints(%r)" % self.field
+        return "ints(%r, %d)" % (self.field, self.rank)
 
     def __eq__(self, other):
         return (isinstance(other, BaseRing) and other.field == self.field
@@ -177,10 +166,8 @@ class Poly:
         return Poly(self.field, terms)
 
     def __pow__(self, k):
-        out = Poly.const(self.field, Element.one(self.field))
-        for _ in range(k):
-            out = out * self
-        return out
+        # no inverse, so a negative k is refused
+        return power(self, k, Poly.const(self.field, Element.one(self.field)))
 
     def scale(self, c):
         return Poly(self.field, {k: v * c for k, v in self.terms.items()})
@@ -577,7 +564,6 @@ class ChartedScheme:
     rational point lands inside some chart."""
 
     def __init__(self, ring, charts, overlaps, probes=None):
-        ring.check_chart_hypotheses()
         self.ring = ring
         self.charts = list(charts)
         self.overlaps = {}

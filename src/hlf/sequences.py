@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .coeff import FqElem, padic_val
+from .coeff import FqElem, padic_val, power
 from .elements import Element
 from .errors import (FieldMismatchError, ParseError, UnsupportedFamilyError,
                      ZeroElementError)
@@ -186,13 +186,10 @@ class SeqFamily:
                     bound = max(bound, _pair_crossing(forms[i], forms[j]))
         return bound
 
-    def _min_forms(self, side, n_ref):
-        best = None
-        for t in side:
-            vf = t.val_forms(self.field)
-            if best is None or _vkey_at(vf, n_ref) < _vkey_at(best, n_ref):
-                best = vf
-        return best
+    def min_term(self, side, n_ref):
+        """The term of side (num or den) with the least valuation vector at
+        n_ref; the first one on a tie."""
+        return min(side, key=lambda t: _vkey_at(t.val_forms(self.field), n_ref))
 
     def val_form(self):
         """Affine forms of the valuation vector of F_n beyond the crossing
@@ -200,8 +197,8 @@ class SeqFamily:
         if self.is_zero():
             return None
         n_ref = self.crossing_bound() + 1
-        nf = self._min_forms(self.num, n_ref)
-        df = self._min_forms(self.den, n_ref)
+        nf = self.min_term(self.num, n_ref).val_forms(self.field)
+        df = self.min_term(self.den, n_ref).val_forms(self.field)
         return tuple(a - b for a, b in zip(nf, df))
 
     def top_val_form(self):
@@ -248,12 +245,8 @@ class SeqFamily:
         return self._binop(other, go)
 
     def __pow__(self, k):
-        if k < 0:
-            return SeqFamily(self.field, list(self.den), list(self.num)) ** (-k)
-        out = SeqFamily.constant(self.field, self.field.coeff_one())
-        for _ in range(k):
-            out = out * self
-        return out
+        x = SeqFamily(self.field, list(self.den), list(self.num)) if k < 0 else self
+        return power(x, abs(k), SeqFamily.constant(self.field, self.field.coeff_one()))
 
     @classmethod
     def constant(cls, field, coeff):

@@ -6,9 +6,10 @@ verdict is re-verified against concrete membership or arithmetic in the
 test body rather than trusted.
 """
 
+import hashlib
 import json
+import os
 import random
-import shutil
 import subprocess
 import sys
 import time
@@ -416,15 +417,23 @@ def test_criterion_11_reduction_of_models():
             assert img.contains(residue(x))
 
 
+# sha256 of the `hlf check --seed 0` report; a change to it is a change to
+# the seeded checks or to a verdict, never a refactor
+CHECK_SEED0_SHA256 = "1c650c1f44c765bb851f31828c3c007eb2c6afdb25f6c7d93c4eade8dfc71c82"
+
+
 def test_criterion_12_check_run_is_reproducible():
     t0 = time.perf_counter()
-    exe = shutil.which("hlf")
-    cmd = [exe] if exe else [sys.executable, "-m", "hlf.cli"]
-    cmd += ["check", "--seed", "0"]
-    first = subprocess.run(cmd, capture_output=True, timeout=120)
-    second = subprocess.run(cmd, capture_output=True, timeout=120)
+    # the CLI of this tree, never an installed copy
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "hlf.cli", "check", "--seed", "0"]
+    first = subprocess.run(cmd, capture_output=True, timeout=120, env=env)
+    second = subprocess.run(cmd, capture_output=True, timeout=120, env=env)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
+    assert hashlib.sha256(first.stdout).hexdigest() == CHECK_SEED0_SHA256
     rep = json.loads(first.stdout)
     assert rep["ok"] and len(rep["suites"]) == 5
     assert time.perf_counter() - t0 < 60.0

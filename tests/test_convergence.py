@@ -389,14 +389,22 @@ def test_unit_routes_agree(field, text, limit, want):
 
 
 def test_wild_unit_fails_on_the_discrete_summand():
-    # t^-1 u^n - 1 has top valuation -1 for every n, so the ratio never
-    # becomes principal and the witness is the reason text alone
+    # ratio - 1 = t^-1 u^n has top valuation -1 for every n, so the ratio
+    # never becomes principal: the witness is the maximal ideal v > 0
     fam = parse_family(F5UT, "1 + t^(-1)*u^(n)")
     one = parse_element(F5UT, "1")
     v = unit_converges(fam, one, route="decomposition")
     assert v.kind == DIVERGES
-    assert v.witness is None
-    assert "principal unit" in v.reason
+    assert v.witness is not None and v.witness.checked()
+    assert "principal unit" in v.witness.note
+    data = v.to_data()
+    assert data["witness"]["target"] == {"kind": "max-ideal"}
+    # a sinking top component is negative only from its zero on: t^(3-n)
+    # lies in v > 0 at n = 1, 2, so the witness starts past n = 3
+    v = unit_converges(parse_family(F5UT, "1 + t^(-n+3)"), one,
+                       route="decomposition")
+    assert v.kind == DIVERGES and v.witness.checked()
+    assert v.witness.start == 4
 
 
 def test_unit_route_name_is_validated():

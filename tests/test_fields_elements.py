@@ -13,7 +13,7 @@ from hlf.errors import (
     UnsupportedFieldError,
     ZeroElementError,
 )
-from hlf.fields import field_string, parse_field
+from hlf.fields import parse_field
 from hlf.parsing import parse_element
 
 
@@ -28,9 +28,9 @@ F4U = parse_field("Fq(4;w^2+w+1)((u))")
 
 def test_descriptor_round_trip():
     for s in ["Fq(5)((u))((t))", "Qp(3)((t))", "Qp(3){{t}}", "Q((t))", "Fq(7)((t))"]:
-        assert field_string(parse_field(s)) == s
+        assert repr(parse_field(s)) == s
     # modulus text is not canonical, the parsed field is
-    f = parse_field(field_string(F4U))
+    f = parse_field(repr(F4U))
     assert f == F4U
 
 
@@ -46,10 +46,10 @@ def test_parameter_systems():
 
 def test_residue_towers():
     r = F5UT.residue()
-    assert field_string(r) == "Fq(5)((u))"
-    assert field_string(r.residue()) == "Fq(5)"
-    assert field_string(Q3M.residue()) == "Fq(3)((t))"
-    assert field_string(Q3T.residue()) == "Qp(3)"
+    assert repr(r) == "Fq(5)((u))"
+    assert repr(r.residue()) == "Fq(5)"
+    assert repr(Q3M.residue()) == "Fq(3)((t))"
+    assert repr(Q3T.residue()) == "Qp(3)"
     assert F5UT.char() == 5 and Q3T.char() == 0
     assert Q3T.residue_char() == 3 and Q3M.residue_char() == 3
     assert F5UT.is_higher_local() and Q3T.is_higher_local() and Q3M.is_higher_local()

@@ -110,6 +110,17 @@ def test_generators_must_use_declared_variables():
     assert p.evaluate({"X": e("t")}) == e("u^-1*t^2 - t")
 
 
+def test_polynomial_powers():
+    Q3 = parse_field("Qp(3)")
+    p = parse_poly(Q3, ("X",), "X + 1")
+    assert (p ** 3).text() == "1 + 3*X + 3*X^2 + X^3"
+    assert (p ** 0).text() == "1"
+    # a polynomial has no inverse, so a negative power is refused rather
+    # than read as 1
+    with pytest.raises(ValueError):
+        p ** -1
+
+
 # --- point families -----------------------------------------------------------
 
 def test_family_verdict_is_the_componentwise_conjunction():
@@ -252,13 +263,6 @@ def test_bad_transitions_are_rejected():
                                     (1, 0): ("Y", ["Y"])})
     with pytest.raises(TargetViolationError):
         ChartedScheme(R, [a1, b1], {(0, 1): ("X", ["1/X"])})
-
-
-def test_chart_hypotheses_are_checked():
-    flaky = BaseRing(F, 0)
-    flaky.inversion_sequential = False
-    with pytest.raises(UnsupportedFieldError):
-        projective_line(flaky)
 
 
 def test_scheme_serialization_round_trip():
