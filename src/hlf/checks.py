@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .convergence import (CONVERGES, DIVERGES, UNKNOWN, converges,
+from .convergence import (CONVERGES, DIVERGES, converges,
                           product_continuity_check, seq_closed_check_C,
                           unit_converges)
 from .elements import Element
@@ -24,9 +24,9 @@ from .opens import (AffineRule, ConstRule, FullOpen, LevelsOpen, ZeroOpen,
                     subgroup_escape_witness, subgroup_shaped)
 from .parsing import parse_element
 from .points import (AffinePresentation, BaseRing, Point, PointSeqFamily,
-                     RingMorphism, YES, base_change_family, base_change_point,
-                     base_change_presentation, member_points,
-                     point_seq_converges, product_presentation)
+                     PointVerdict, RingMorphism, YES, base_change_family,
+                     base_change_point, base_change_presentation,
+                     member_points, point_seq_converges, product_presentation)
 from .sequences import AffineForm, SeqFamily, Term, parse_family
 from .valuation import monomial_with_valuation, rank_valuation
 from .weil import (MonogenicExt, ScalarExtPresentation, SExtFamily,
@@ -414,14 +414,6 @@ def _counterexample_checks(rng, battery):
 
 # --- points -------------------------------------------------------------------
 
-def _conjoin(kinds):
-    if DIVERGES in kinds:
-        return DIVERGES
-    if UNKNOWN in kinds:
-        return UNKNOWN
-    return CONVERGES
-
-
 def _residue_family(fam):
     """Pointwise residue of a denominator free integral family whose terms
     carry constant top exponents; terms with positive top exponent drop."""
@@ -457,8 +449,8 @@ def _points_checks(rng, battery):
         (fx, lx), (fy, ly) = rng.choice(_POINT_POOL), rng.choice(_POINT_POOL)
         famx, famy = parse_family(F, fx), parse_family(F, fy)
         Lx, Ly = parse_element(F, lx), parse_element(F, ly)
-        want = _conjoin((converges(famx, limit=Lx).kind,
-                         converges(famy, limit=Ly).kind))
+        want = PointVerdict.conjoin([converges(famx, limit=Lx),
+                                     converges(famy, limit=Ly)]).kind
         v = point_seq_converges(prod, PointSeqFamily((famx, famy),
                                                      Point((Lx, Ly))))
         if v.kind != want:

@@ -4,7 +4,8 @@ Single queries print a short answer line by default and a JSON report with
 --json; job files and check suites always print JSON.  Reports use sorted
 keys so identical inputs and seeds give identical bytes; wall time goes to
 stderr only.  Exit codes: 0 all pass, 1 expectation or property failure,
-2 input error.
+2 input error, 141 stdout closed before the output was written (as a
+shell reports a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -418,6 +419,11 @@ def main(argv=None):
     except HlfError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the flush at
+        # exit does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from .elements import Element
 from .errors import UnsupportedFamilyError, UnsupportedOpenError
 from .fields import MixedExt
 from .opens import (BallOpen, FullOpen, FullRule, LevelsOpen, QuadraticRule,
-                    ZeroOpen, ball_at)
+                    ZeroOpen, ball_at, first_nonneg)
 from .sequences import _ZERO_FORM, SeqFamily, Term
 from .valuation import in_max_ideal, rank_valuation
 
@@ -366,9 +366,7 @@ def _sinking_verdict(g, vf, start):
     qa = top.a * top.a
     qb = 2 * u * top.a + bottom.a
     qc = u * u + 1 - bottom.b
-    n1 = max(start, math.ceil(Fraction(qb, 2 * qa)))
-    while qa * n1 * n1 - qb * n1 + qc <= 0:
-        n1 += 1
+    n1 = first_nonneg(qa, -qb, qc - 1, start)
     return _diverge(g, target, n1,
                     "digit depth falls behind a quadratic window")
 
@@ -494,7 +492,7 @@ class _Slices:
             pre = max(len(p) for p, _ in streams)
             cyc = 1
             for _, c in streams:
-                cyc = cyc * len(c) // math.gcd(cyc, len(c))
+                cyc = math.lcm(cyc, len(c))
             self.period_base = self.max_const + pre
             self.period = cyc
             self.tail = "periodic"

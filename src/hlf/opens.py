@@ -16,7 +16,6 @@ and divergence certificates expressible at any dimension.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .elements import Element
 from .errors import (
@@ -303,19 +302,41 @@ def bottom_monomial(field, depth):
 
 
 def admitted_depth(U):
-    """Some d with bottom^d in U, found by probing upward from the
-    structural depth."""
-    d = _structural_depth(U)
-    d = min(d if d is not None else 0, 0)
-    for k in range(d, d + 500):
-        if U.contains(bottom_monomial(U.field, k)):
-            return k
-    raise UnsupportedOpenError("no admitted bottom depth found in %r" % U)
+    """The least d >= min(structural depth, 0) with bottom^d in U, read
+    off the descriptor."""
+    if isinstance(U, BallOpen):
+        return U.depth
+    if isinstance(U, LevelsOpen):
+        return _admitted_from(U, min(U.cutoff, 0))
+    return _admitted_from(U, 0)
+
+
+def _admitted_from(U, start):
+    if isinstance(U, FullOpen):
+        return start
+    if isinstance(U, BallOpen):
+        return max(start, U.depth)
+    if not isinstance(U, LevelsOpen):
+        raise UnsupportedOpenError("no admitted bottom depth in %r" % U)
+    if U.field.dim > 1:
+        # bottom^d is a unit along the top: its one digit sits at level 0
+        return start if U.cutoff <= 0 else _admitted_from(U.level(0), start)
+    # t^d is in U exactly where level d is full; below the floor one period
+    # of the rule shows every level, inside the window each level is either
+    # an entry or full
+    for d in range(start, min(U.lo, start + _period(U.below))):
+        if U.level(d).is_full():
+            return d
+    d = max(start, U.lo)
+    while d < U.cutoff and not U.level(d).is_full():
+        d += 1
+    return d
 
 
 def rejection_depth(U):
-    """d + 1 for some d with bottom^d outside U (and every deeper negative
-    exponent outside as well); None when no bottom power escapes."""
+    """d + 1 for the highest d with bottom^d outside U; None when no bottom
+    power escapes.  Deeper powers need not all escape: a cycle may let
+    some of them back in."""
     if isinstance(U, FullOpen):
         return None
     if isinstance(U, ZeroOpen):
@@ -324,7 +345,8 @@ def rejection_depth(U):
         return U.depth
     if isinstance(U, LevelsOpen):
         if U.field.dim == 1:
-            for d in range(U.cutoff - 1, U.lo - 64, -1):
+            # the window, then one period of the rule below it
+            for d in range(U.cutoff - 1, U.lo - 1 - _period(U.below), -1):
                 if isinstance(U.level(d), ZeroOpen):
                     return d + 1
             return None
@@ -334,12 +356,8 @@ def rejection_depth(U):
     raise UnsupportedOpenError("no rejection analysis for %r" % U)
 
 
-def _structural_depth(U):
-    if isinstance(U, BallOpen):
-        return U.depth
-    if isinstance(U, LevelsOpen):
-        return U.cutoff
-    return None
+def _period(rule):
+    return len(rule.cycle) if isinstance(rule, PeriodicRule) else 1
 
 
 # --- witnesses ----------------------------------------------------------------
@@ -522,6 +540,27 @@ def intersect_open(U, V):
 
 _INF = float("inf")
 
+# Widest window an intersection may spell out level by level; a deeper
+# threshold is refused rather than built.
+_MAX_WINDOW = 1024
+
+
+def first_nonneg(c2, c1, c0, start=1):
+    """The least integer n >= start, and past the vertex when c2 > 0, with
+    c2*n^2 + c1*n + c0 >= 0; the value stays nonnegative from there on.
+    None when the value is eventually negative."""
+    if c2 < 0 or (c2 == 0 and (c1 < 0 or (c1 == 0 and c0 < 0))):
+        return None
+    if c2 == 0:
+        return start if c1 == 0 else max(start, -(c0 // c1))
+    # round the larger root (-c1 + sqrt(disc)) / 2c2 up from isqrt, which
+    # falls short of sqrt(disc) by less than one: at most one step remains
+    disc = c1 * c1 - 4 * c2 * c0
+    n = -((c1 - math.isqrt(max(disc, 0))) // (2 * c2))
+    if c2 * n * n + c1 * n + c0 < 0:
+        n += 1
+    return max(start, n)
+
 
 def _entry_depth(U):
     """Position of U in the depth lattice of balls one dimension down: deep
@@ -534,199 +573,95 @@ def _entry_depth(U):
     return deep_depth(U)
 
 
-def _depth_form(rule, lo):
-    """Structured depth function of a rule whose every level is a deep ball,
-    in absolute level coordinates; None otherwise."""
+def _profile(rule, lo):
+    """Depth of the level d = lo - i >= 1 steps below the floor lo, for a
+    rule anchored at lo: a quadratic (c2, c1, c0) in d, or the list of slot
+    depths of a cycle; None where some level is no deep ball."""
     if isinstance(rule, AffineRule):
-        return ("affine", rule.a, rule.b)
-    if isinstance(rule, ConstRule):
-        d = _entry_depth(rule.entry)
-        return None if d is None else ("affine", 0, d)
-    if isinstance(rule, PeriodicRule):
-        ds = [_entry_depth(c) for c in rule.cycle]
-        if any(d is None for d in ds):
-            return None
-        return ("periodic", ds, lo)
+        return (0, -rule.a, rule.a * lo + rule.b)
     if isinstance(rule, QuadraticRule):
-        if rule.scale is not None:
-            return None
-        return ("quadratic", rule.a, rule.l, rule.c, lo)
-    return None
-
-
-def _form_at(form, i):
-    kind = form[0]
-    if kind == "affine":
-        return form[1] * i + form[2]
-    if kind == "periodic":
-        ds, lo = form[1], form[2]
-        return ds[(lo - 1 - i) % len(ds)]
-    a, l, c, lo = form[1], form[2], form[3], form[4]
-    d = lo - i
-    return a * d * d + l * d + c
-
-
-def _floor_div_point(num, den):
-    # largest integer i with den * i <= num, for den != 0 of either sign
-    return math.floor(Fraction(num, den))
-
-
-def _dominates_below(f1, f2, lo):
-    """A level I <= lo such that f1(i) >= f2(i) for every i < I, or None
-    when f1 does not eventually dominate.  Infinite slot depths are decided
-    by comparison, never fed into threshold arithmetic."""
-    k1, k2 = f1[0], f2[0]
-    if k1 == "periodic" and min(f1[1]) == _INF:
-        return lo
-    if k2 == "periodic" and max(f2[1]) == -_INF:
-        return lo
-    if k1 == "affine" and k2 == "affine":
-        a1, b1, a2, b2 = f1[1], f1[2], f2[1], f2[2]
-        if b1 == _INF or b2 == -_INF:
-            return lo
-        if b2 == _INF or b1 == -_INF:
-            return None
-        if a1 == a2:
-            return lo if b1 >= b2 else None
-        if a1 > a2:
-            return None
-        # a1*i + b1 >= a2*i + b2 holds for i <= (b2-b1)/(a1-a2)
-        return min(lo, _floor_div_point(b2 - b1, a1 - a2) + 1)
-    if k1 == "affine" and k2 == "periodic":
-        a, b, top = f1[1], f1[2], max(f2[1])
-        if top == _INF or a > 0:
-            return None
-        if a == 0:
-            return lo if b >= top else None
-        return min(lo, _floor_div_point(top - b, a) + 1)
-    if k1 == "periodic" and k2 == "affine":
-        a, b, bot = f2[1], f2[2], min(f1[1])
-        if bot == -_INF or a < 0:
-            return None
-        if a == 0:
-            return lo if bot >= b else None
-        return min(lo, _floor_div_point(bot - b, a) + 1)
-    if k1 == "periodic" and k2 == "periodic":
-        n = _lcm(len(f1[1]), len(f2[1]))
-        ok = all(_form_at(f1, lo - 1 - j) >= _form_at(f2, lo - 1 - j)
-                 for j in range(n))
-        return lo if ok else None
-    if k1 == "quadratic":
-        return _quadratic_dominates(f1, f2, lo)
-    return None
-
-
-def _quadratic_dominates(f1, f2, lo):
-    a1, l1, c1, lo1 = f1[1], f1[2], f1[3], f1[4]
-    # rewrite f2 in the d coordinate of f1: quadratic qa*d^2 + ql*d + qc
-    if f2[0] == "affine":
-        a2, b2 = f2[1], f2[2]
-        if b2 == _INF:
-            return None
-        if b2 == -_INF:
-            return lo
-        qa, ql, qc = 0, -a2, a2 * lo1 + b2
-    elif f2[0] == "periodic":
-        top = max(f2[1])
-        if top == _INF:
-            return None
-        qa, ql, qc = 0, 0, top
-    else:
-        a2, l2, c2, lo2 = f2[1], f2[2], f2[3], f2[4]
-        delta = lo2 - lo1
-        qa = a2
-        ql = 2 * a2 * delta + l2
-        qc = a2 * delta * delta + l2 * delta + c2
-    ga, gl, gc = a1 - qa, l1 - ql, c1 - qc
-    # need ga*d^2 + gl*d + gc >= 0 for all d >= d0, past the vertex
-    if ga < 0 or (ga == 0 and gl < 0):
-        return None
-    if ga == 0:
-        if gl == 0:
-            return lo if gc >= 0 else None
-        d0 = max(1, math.ceil(Fraction(-gc, gl)))
-        return min(lo, lo1 - d0 + 1)
-    d0 = max(1, math.ceil(Fraction(-gl, 2 * ga)))
-    guard = 0
-    while ga * d0 * d0 + gl * d0 + gc < 0:
-        d0 += 1
-        guard += 1
-        if guard > 10 ** 6:
-            return None
-    return min(lo, lo1 - d0 + 1)
-
-
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
-
-
-def _rule_is_full(rule):
+        return None if rule.scale is not None else (rule.a, rule.l, rule.c)
     if isinstance(rule, FullRule):
-        return True
-    if isinstance(rule, ConstRule):
-        return rule.entry.is_full()
-    if isinstance(rule, PeriodicRule):
-        return all(c.is_full() for c in rule.cycle)
-    return False
+        return [-_INF]
+    entries = [rule.entry] if isinstance(rule, ConstRule) else rule.cycle
+    slots = [_entry_depth(e) for e in entries]
+    return None if None in slots else slots
 
 
-def _slotwise_periodic(U, V, base, lo):
-    """Pointwise intersection of two bounded tails as one periodic cycle;
-    None when either side varies with the level."""
-    rules = []
-    ks = []
-    for W in (U, V):
-        r = _reanchored(W.below, W.lo, lo)
-        if isinstance(r, PeriodicRule):
-            ks.append(len(r.cycle))
-        elif isinstance(r, ConstRule) or (isinstance(r, AffineRule) and r.a == 0):
-            ks.append(1)
-        else:
+def _is_full(profile):
+    return isinstance(profile, list) and max(profile) == -_INF
+
+
+def _dominates(p1, p2):
+    """The least d >= 1 with p1 >= p2 at every depth from d down, or None
+    when p1 does not eventually dominate.  A cycle counts through its
+    weakest slot, infinite depths are decided by comparison."""
+    if isinstance(p1, list) and isinstance(p2, list):
+        n = math.lcm(len(p1), len(p2))
+        ok = all(p1[j % len(p1)] >= p2[j % len(p2)] for j in range(n))
+        return 1 if ok else None
+    if isinstance(p1, list):
+        weakest = min(p1)
+        if weakest == _INF:
+            return 1
+        if weakest == -_INF:
             return None
-        rules.append(r)
-    n = _lcm(ks[0], ks[1])
+        p1 = (0, 0, weakest)
+    if isinstance(p2, list):
+        strongest = max(p2)
+        if strongest == -_INF:
+            return 1
+        if strongest == _INF:
+            return None
+        p2 = (0, 0, strongest)
+    return first_nonneg(*(x - y for x, y in zip(p1, p2)))
+
+
+def _slotwise_periodic(rules, base, lo):
+    """Pointwise intersection of two bounded tails anchored at lo as one
+    periodic cycle; None when either side varies with the level."""
+    if not all(isinstance(r, (ConstRule, PeriodicRule))
+               or (isinstance(r, AffineRule) and r.a == 0) for r in rules):
+        return None
     return PeriodicRule([intersect_open(rules[0].at(base, lo - 1 - j, lo),
                                         rules[1].at(base, lo - 1 - j, lo))
-                         for j in range(n)])
+                         for j in range(math.lcm(*map(_period, rules)))])
 
 
 def _intersect_levels(U, V):
     f = U.field
     cutoff = max(U.cutoff, V.cutoff)
-    lo = min(U.lo, V.lo)
-    source = None
-    if _rule_is_full(U.below):
-        below, source = V.below, V
-    elif _rule_is_full(V.below):
-        below, source = U.below, U
-    elif isinstance(U.below, ConstRule) and isinstance(V.below, ConstRule):
-        below = ConstRule(intersect_open(U.below.entry, V.below.entry))
+    lo = floor = min(U.lo, V.lo)
+    ru = _reanchored(U.below, U.lo, floor)
+    rv = _reanchored(V.below, V.lo, floor)
+    pu, pv = _profile(ru, floor), _profile(rv, floor)
+    if _is_full(pu):
+        below = rv
+    elif _is_full(pv):
+        below = ru
+    elif isinstance(ru, ConstRule) and isinstance(rv, ConstRule):
+        below = ConstRule(intersect_open(ru.entry, rv.entry))
     else:
-        fu = _depth_form(U.below, U.lo)
-        fv = _depth_form(V.below, V.lo)
-        if fu is None or fv is None:
+        below = None
+        if pu is not None and pv is not None:
+            for r, p1, p2 in ((ru, pu, pv), (rv, pv, pu)):
+                d = _dominates(p1, p2)
+                if d is not None:
+                    below, lo = r, lo - d + 1
+                    break
+            else:
+                below = _slotwise_periodic((ru, rv), f.residue(), lo)
+        if below is None:
             raise UnsupportedOpenError(
                 "no finite intersection of %s and %s tails"
                 % (U.below.name, V.below.name))
-        dom = _dominates_below(fu, fv, lo)
-        if dom is not None:
-            below, source, lo = U.below, U, min(lo, dom)
-        else:
-            dom = _dominates_below(fv, fu, lo)
-            if dom is not None:
-                below, source, lo = V.below, V, min(lo, dom)
-            else:
-                below = _slotwise_periodic(U, V, f.residue(), lo)
-                if below is None:
-                    raise UnsupportedOpenError(
-                        "no finite intersection of %s and %s tails"
-                        % (U.below.name, V.below.name))
-    window = {}
-    for i in range(lo, cutoff):
-        window[i] = intersect_open(U.level(i), V.level(i))
-    if source is not None:
-        below = _reanchored(below, source.lo, min(window, default=cutoff))
-    return LevelsOpen(f, cutoff, window, below)
+    if cutoff - lo > _MAX_WINDOW:
+        raise UnsupportedOpenError(
+            "intersection window of %d levels exceeds %d"
+            % (cutoff - lo, _MAX_WINDOW))
+    window = {i: intersect_open(U.level(i), V.level(i))
+              for i in range(lo, cutoff)}
+    return LevelsOpen(f, cutoff, window, _reanchored(below, floor, lo))
 
 
 def _reanchored(rule, old_lo, new_lo):
@@ -792,12 +727,9 @@ def subgroup_shaped(U):
         return True
     if not isinstance(U, LevelsOpen):
         return False
-    span = 8
-    if isinstance(U.below, PeriodicRule):
-        # a cycle repeats below the floor: two whole periods show every
-        # step between consecutive levels, the wrap-around included
-        span = max(span, 2 * len(U.below.cycle) + 1)
-    probe = range(U.lo - span, U.cutoff)
+    # a cycle repeats below the floor: two whole periods show every step
+    # between consecutive levels, the wrap-around included
+    probe = range(U.lo - max(8, 2 * _period(U.below) + 1), U.cutoff)
     if not all(subgroup_shaped(U.level(i)) for i in probe):
         return False
     if isinstance(U.field, SeriesExt):

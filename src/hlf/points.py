@@ -493,6 +493,15 @@ class PointVerdict:
         self.parts = parts
         self.against = against
 
+    @classmethod
+    def conjoin(cls, parts):
+        """DIVERGES beats UNKNOWN beats CONVERGES; the first diverging part
+        is the one recorded."""
+        kinds = [p.kind for p in parts]
+        if DIVERGES in kinds:
+            return cls(DIVERGES, parts, kinds.index(DIVERGES))
+        return cls(UNKNOWN if UNKNOWN in kinds else CONVERGES, parts)
+
     def to_data(self):
         d = {"verdict": self.kind,
              "coordinates": [p.to_data() for p in self.parts]}
@@ -521,16 +530,8 @@ def point_seq_converges(X, f):
         if not val.is_zero():
             raise TargetViolationError(
                 "family leaves the scheme: %s does not vanish" % g.text())
-    parts = [converges(fam, limit=lim)
-             for fam, lim in zip(f.families, f.limit.coords)]
-    against = None
-    kind = CONVERGES
-    for i, p in enumerate(parts):
-        if p.kind == DIVERGES and against is None:
-            kind, against = DIVERGES, i
-        elif p.kind == UNKNOWN and kind != DIVERGES:
-            kind = UNKNOWN
-    return PointVerdict(kind, parts, against)
+    return PointVerdict.conjoin([converges(fam, limit=lim) for fam, lim
+                                 in zip(f.families, f.limit.coords)])
 
 
 def product_presentation(X, Y):

@@ -9,7 +9,7 @@ tests twist by theta before comparing to make that agreement exercise
 the module structure instead of restating the encoding.
 """
 
-from .convergence import CONVERGES, DIVERGES, UNKNOWN, converges
+from .convergence import converges
 from .elements import Element
 from .errors import ArityMismatchError, NotFreeError, UnsupportedScalarError
 from .points import (AffinePresentation, NO, Point, PointVerdict, Poly, YES,
@@ -237,8 +237,6 @@ def sext_converges(fams):
     twisting is a continuous automorphism-free shear, so this agrees with
     the plain product reading while exercising the module structure."""
     parts = []
-    kind = CONVERGES
-    against = None
     for f in fams:
         ext = f.ext
         comps, limit = list(f.comps), list(f.limit)
@@ -247,9 +245,4 @@ def sext_converges(fams):
                 parts.append(converges(c, limit=l))
             comps = _twist(ext, comps, SeqFamily.of_element)
             limit = _twist(ext, limit, lambda e: e)
-    for i, p in enumerate(parts):
-        if p.kind == DIVERGES and against is None:
-            kind, against = DIVERGES, i
-        elif p.kind == UNKNOWN and kind != DIVERGES:
-            kind = UNKNOWN
-    return PointVerdict(kind, parts, against)
+    return PointVerdict.conjoin(parts)

@@ -1,6 +1,9 @@
 """Command line answers, reports and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -73,6 +76,25 @@ def test_units_parshin_route(capsys):
     assert code == 0
     assert out.splitlines()[0] == "DIVERGES"
     assert "principal unit" in out
+
+
+def test_closed_stdout_exits_quietly():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hlf.cli", "units", "--field",
+             "Fq(5)((u))((t))", "--seq", "1 + t^(-1)*u^(n)", "--limit", "1",
+             "--topology", "parshin", "--json"],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 141
 
 
 def test_points_member_and_map(tmp_path, capsys):

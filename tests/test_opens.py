@@ -1,7 +1,10 @@
 """Basic opens: membership, scaling, intersection, witnesses, serialization."""
 
 import json
+import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +13,8 @@ from hlf.errors import (UnsupportedFieldError, UnsupportedOpenError,
 from hlf.fields import parse_field
 from hlf.opens import (AffineRule, ConstRule, FullOpen, FullRule, LevelsOpen,
                        PeriodicRule, QuadraticRule, ZeroOpen, admitted_depth,
-                       ball_at, deep_ball, excluding_ball, intersect_open,
+                       ball_at, deep_ball, excluding_ball, first_nonneg,
+                       intersect_open,
                        open_from_data, product_escape_witness, random_open,
                        rejection_depth, residue_image, scale_open,
                        subgroup_escape_witness, subgroup_shaped)
@@ -18,6 +22,7 @@ from hlf.parsing import parse_element
 from hlf.valuation import in_integer_ring
 
 F5UT = parse_field("Fq(5)((u))((t))")
+F5U = parse_field("Fq(5)((u))")
 Q3T = parse_field("Qp(3)((t))")
 Q3M = parse_field("Qp(3){{t}}")
 FIELDS = (F5UT, Q3T, Q3M)
@@ -81,6 +86,32 @@ def test_depth_probes():
     assert rejection_depth(deep_ball(F5UT, 2).level(0)) == 2
     assert rejection_depth(FullOpen(F5UT.residue())) is None
     assert admitted_depth(FullOpen(F5UT.residue())) == 0
+
+
+def test_admitted_depth_reads_the_descriptor():
+    # u^600 is in the ball, six hundred levels past any fixed probe count
+    assert admitted_depth(ball_at(F5U, 600)) == 600
+    assert admitted_depth(ball_at(F5U, -4)) == -4
+    base = F5U.residue()
+    cyc = LevelsOpen(F5U, 9, {8: ZeroOpen(base)},
+                     PeriodicRule([ZeroOpen(base)] * 5 + [FullOpen(base)]))
+    # below the floor 8 the cycle's one full slot falls on levels 2 and -4;
+    # the search starts at 0
+    assert admitted_depth(cyc) == 2
+    assert cyc.contains(e(F5U, "u^2")) and cyc.contains(e(F5U, "u^-4"))
+    assert not any(cyc.contains(e(F5U, "u^%d" % d)) for d in (-3, 0, 1, 3, 8))
+    U = LevelsOpen(F5UT, 2, {}, ConstRule(ball_at(F5U, 600)))
+    w = subgroup_escape_witness(U)
+    assert w is not None and w.checked()
+
+
+def test_rejection_depth_sees_a_long_period():
+    base = F5U.residue()
+    W = LevelsOpen(F5U, 0, {}, PeriodicRule([FullOpen(base)] * 70
+                                            + [ZeroOpen(base)]))
+    assert rejection_depth(W) == -70
+    assert not W.contains(e(F5U, "u^-71"))
+    assert W.contains(e(F5U, "u^-70"))
 
 
 def test_window_membership():
@@ -162,6 +193,75 @@ def test_intersection_quadratic_tail():
     for xs in ["u^4*t^-2", "u^3*t^-2", "u^7*t^-2", "t^2", "u^-1*t^-1"]:
         x = e(F5UT, xs)
         assert W.contains(x) == (U.contains(x) and V.contains(x))
+
+
+def _sinking_loop(qa, qb, qc, start):
+    # the walk from the vertex that first_nonneg replaced in convergence
+    n = max(start, math.ceil(Fraction(qb, 2 * qa)))
+    while qa * n * n - qb * n + qc <= 0:
+        n += 1
+    return n
+
+
+def _domination_loop(ga, gl, gc):
+    # the threshold search that first_nonneg replaced in intersect_open
+    if ga < 0 or (ga == 0 and gl < 0):
+        return None
+    if ga == 0:
+        if gl == 0:
+            return 1 if gc >= 0 else None
+        return max(1, math.ceil(Fraction(-gc, gl)))
+    d = max(1, math.ceil(Fraction(-gl, 2 * ga)))
+    while ga * d * d + gl * d + gc < 0:
+        d += 1
+    return d
+
+
+def test_first_nonneg_matches_the_search_loops():
+    for qa in range(1, 5):
+        for qb in range(-12, 13):
+            for qc in range(-30, 31):
+                for start in range(-3, 6):
+                    assert (first_nonneg(qa, -qb, qc - 1, start)
+                            == _sinking_loop(qa, qb, qc, start))
+    for ga in range(-1, 4):
+        for gl in range(-10, 11):
+            for gc in range(-40, 41):
+                assert first_nonneg(ga, gl, gc) == _domination_loop(ga, gl, gc)
+
+
+def test_first_nonneg_on_large_coefficients():
+    rng = random.Random(3)
+    for _ in range(300):
+        c2 = rng.randint(1, 10 ** 6)
+        c1 = rng.randint(-10 ** 20, 10 ** 20)
+        c0 = -rng.randint(0, 10 ** 40)
+        n = first_nonneg(c2, c1, c0)
+        assert c2 * n * n + c1 * n + c0 >= 0
+        past_vertex = n - 1 >= max(1, -(c1 // (2 * c2)))
+        assert not past_vertex or c2 * (n - 1) ** 2 + c1 * (n - 1) + c0 < 0
+    assert first_nonneg(1, 0, -(10 ** 40 + 1)) == 10 ** 20 + 1
+
+
+def test_zero_tail_closes_against_quadratic():
+    base = F5U.residue()
+    U = LevelsOpen(F5U, 0, {}, ConstRule(ZeroOpen(base)))
+    V = LevelsOpen(F5U, 1, {}, QuadraticRule(1, 0, 0))
+    for W in (intersect_open(U, V), intersect_open(V, U)):
+        for xs in ["u^-3", "u^-1", "1", "u", "1 + u^-2", "u^4", "0"]:
+            x = e(F5U, xs)
+            assert W.contains(x) == (U.contains(x) and V.contains(x))
+
+
+def test_intersection_window_is_bounded():
+    t0 = time.perf_counter()
+    with pytest.raises(UnsupportedOpenError):
+        intersect_open(ball_at(F5U, 10 ** 9), ball_at(F5U, 0))
+    deep = LevelsOpen(F5UT, 0, {}, ConstRule(ball_at(F5U, 10 ** 14)))
+    with pytest.raises(UnsupportedOpenError):
+        # the quadratic tail only dominates ~10**7 levels down
+        intersect_open(LevelsOpen(F5UT, 0, {}, QuadraticRule(1, 0, 0)), deep)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_json_round_trip_battery():
