@@ -91,12 +91,8 @@ def _digit_member(rng, U, at_zero=None):
             else _random_integral(rng, f)
     if not isinstance(U, LevelsOpen):
         return None
-    rf = f.residue()
-    zr = Element.zero(rf)
-    for i in range(min(U.lo, 0) - 6, 0):
-        # an integral member has zero digits below level 0
-        if not U.level(i).contains(zr):
-            return None
+    # an integral member has zero digits below level 0, which every open
+    # admits
     nv = len(f.params())
     x = Element.zero(f)
     hi = max(U.cutoff, 1 if at_zero is not None else 0)
@@ -104,7 +100,7 @@ def _digit_member(rng, U, at_zero=None):
         lev = U.level(i)
         if i == 0 and at_zero is not None:
             d = at_zero
-        elif lev.contains(zr) and rng.random() < 0.5:
+        elif rng.random() < 0.5:
             continue
         else:
             try:
@@ -235,14 +231,8 @@ def _flagship_checks(rng, battery, checks):
     if v1.kind != CONVERGES:
         fails.append("t^(-1)*u^(n) lost its higher verdict: %s" % v1.kind)
     else:
-        made = 0
-        for _ in range(battery * 4):
-            if made >= battery:
-                break
+        for _ in range(battery):
             U = random_open(rng, f)
-            if not U.contains(Element.zero(f)):
-                continue
-            made += 1
             try:
                 n0 = v1.certificate.entry_index(U)
             except (UnsupportedOpenError, UnsupportedFamilyError) as err:
@@ -252,8 +242,6 @@ def _flagship_checks(rng, battery, checks):
                 if not U.contains(fam1.evaluate(n)):
                     fails.append("t^(-1)*u^(n) escaped %r at n=%d"
                                  % (U, n))
-        if made < battery:
-            fails.append("only %d zero neighborhoods drawn" % made)
     vv = converges(fam1, topology="valuation")
     if vv.kind != DIVERGES or not vv.witness.checked():
         fails.append("t^(-1)*u^(n) should diverge in the valuation topology")

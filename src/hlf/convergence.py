@@ -244,6 +244,9 @@ class PairCert:
         return {"kind": self.kind, "forward": self.forward.to_data(),
                 "backward": self.backward.to_data()}
 
+    def __repr__(self):
+        return "pair(%r, %r)" % (self.forward, self.backward)
+
 
 # --- witnesses ----------------------------------------------------------------
 

@@ -394,30 +394,23 @@ def subgroup_escape_witness(U):
     f = U.field
     if f.dim < 2 or not isinstance(U, (FullOpen, LevelsOpen)):
         return None
+    # xp has top valuation a >= cutoff, so only level -a constrains the pair
+    if isinstance(U, FullOpen):
+        a = c = 1
+    else:
+        a = max(1, U.cutoff)
+        c = _admitted_from(U.level(-a), 1)
     nv = len(f.params())
-    a0 = max(1, U.cutoff if isinstance(U, LevelsOpen) else 0)
-    for a in range(a0, a0 + 16):
-        if isinstance(U, FullOpen):
-            cmin = 1
-        else:
-            lev = U.level(-a)
-            if isinstance(lev, ZeroOpen):
-                continue
-            cmin = max(1, 0 if lev.is_full() else admitted_depth(lev))
-        for c in range(cmin, cmin + 16):
-            xm = monomial_with_valuation(f, (c,) + (0,) * (nv - 2) + (-a,))
-            xp = monomial_with_valuation(f, (-c,) + (0,) * (nv - 2) + (a,))
-            if not (U.contains(xm) and U.contains(xp)):
-                continue
-            s = xm + xp
-            claims = [("negative side in U", U.contains(xm)),
-                      ("positive side in U", U.contains(xp)),
-                      ("mirror sum escapes the rank one integers",
-                       not in_integer_ring(s, 1))]
-            if subgroup_shaped(U):
-                claims.append(("mirror sum in U", U.contains(s)))
-            return EscapeWitness("subgroup-escape", [xm, xp, s], claims)
-    return None
+    xm = monomial_with_valuation(f, (c,) + (0,) * (nv - 2) + (-a,))
+    xp = monomial_with_valuation(f, (-c,) + (0,) * (nv - 2) + (a,))
+    s = xm + xp
+    claims = [("negative side in U", U.contains(xm)),
+              ("positive side in U", U.contains(xp)),
+              ("mirror sum escapes the rank one integers",
+               not in_integer_ring(s, 1))]
+    if subgroup_shaped(U):
+        claims.append(("mirror sum in U", U.contains(s)))
+    return EscapeWitness("subgroup-escape", [xm, xp, s], claims)
 
 
 def product_escape_witness(V1, V2, W):

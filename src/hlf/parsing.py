@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 
-from .coeff import FqElem
 from .elements import Element
 from .errors import ParseError, UnknownParameterError
 
@@ -43,8 +42,9 @@ def tokenize(text):
 
 
 class ExprParser:
-    """Recursive descent over a handler providing const/monomial/symbol_power
-    plus add/sub/mul/div/neg on its own node type."""
+    """Recursive descent over a handler that builds the leaves (const,
+    int_power, powered, node_power); the nodes carry their own + - * / and
+    unary minus, and a zero divisor is a ParseError."""
 
     def __init__(self, text, handler):
         self.text = text
@@ -76,7 +76,7 @@ class ExprParser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            node = self.h.neg(self.term())
+            node = -self.term()
         else:
             node = self.term()
         while True:
@@ -84,20 +84,25 @@ class ExprParser:
             if kind == "op" and val in "+-":
                 self.take()
                 rhs = self.term()
-                node = self.h.add(node, rhs) if val == "+" else self.h.sub(node, rhs)
+                node = node + rhs if val == "+" else node - rhs
             else:
                 return node
 
     def term(self):
         node = self.factor()
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.factor()
-                node = self.h.mul(node, rhs) if val == "*" else self.h.div(node, rhs)
-            else:
+            kind, val, pos = self.peek()
+            if kind != "op" or val not in "*/":
                 return node
+            self.take()
+            rhs = self.factor()
+            if val == "*":
+                node = node * rhs
+                continue
+            try:
+                node = node / rhs
+            except ZeroDivisionError:
+                raise ParseError("division by zero", self.text, pos)
 
     def factor(self):
         kind, val, pos = self.take()
@@ -189,11 +194,10 @@ class ExprParser:
 
 class ElementHandler:
     """Builds Elements; names resolve to series parameters or the finite
-    field generator, extra_symbols supplies anything else (scheme vars)."""
+    field generator."""
 
-    def __init__(self, field, extra_symbols=None):
+    def __init__(self, field):
         self.field = field
-        self.extra = extra_symbols or {}
 
     def const(self, k):
         return Element.from_coeff(self.field, k)
@@ -208,8 +212,6 @@ class ElementHandler:
             raise ParseError("n is only allowed in sequence exponents", pos=pos)
         if name in self.field.series_params():
             return Element.monomial(self.field, 1, **{name: b})
-        if name in self.extra:
-            return self._ipow(self.extra[name], b, pos)
         fq = self.field.fq()
         if fq is not None and fq.deg > 1 and name == fq.gen:
             return self._ipow(Element.from_coeff(self.field, fq.generator()), b, pos)
@@ -224,23 +226,6 @@ class ElementHandler:
         except ZeroDivisionError:
             raise ParseError("negative power of zero", pos=pos)
 
-    def add(self, x, y):
-        return x + y
 
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def div(self, x, y):
-        if hasattr(y, "is_zero") and y.is_zero():
-            raise ZeroDivisionError("division by zero in expression")
-        return x / y
-
-    def neg(self, x):
-        return -x
-
-
-def parse_element(field, text, extra_symbols=None):
-    return ExprParser(text, ElementHandler(field, extra_symbols)).parse()
+def parse_element(field, text):
+    return ExprParser(text, ElementHandler(field)).parse()

@@ -172,6 +172,12 @@ class Poly:
     def scale(self, c):
         return Poly(self.field, {k: v * c for k, v in self.terms.items()})
 
+    def __truediv__(self, other):
+        # only a constant divides; a zero one raises ZeroDivisionError
+        if not other.is_const():
+            raise ParseError("division by a polynomial in the variables")
+        return self.scale(other.const_value().inverse())
+
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -276,26 +282,6 @@ class PolyHandler:
             raise ParseError("negative power of a polynomial", pos=pos)
         return node ** b
 
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def div(self, x, y):
-        if not y.is_const():
-            raise ParseError("division by a polynomial in the variables")
-        c = y.const_value()
-        if c.is_zero():
-            raise ZeroDivisionError("division by zero in expression")
-        return x.scale(c.inverse())
-
-    def neg(self, x):
-        return -x
-
 
 def parse_poly(field, variables, text):
     return ExprParser(text, PolyHandler(field, variables)).parse()
@@ -309,6 +295,24 @@ class RatMap:
     def __init__(self, num, den):
         self.num = num
         self.den = den
+
+    def __add__(self, other):
+        return RatMap(self.num * other.den + other.num * self.den,
+                      self.den * other.den)
+
+    def __neg__(self):
+        return RatMap(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return RatMap(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        if other.num.is_zero():
+            raise ZeroDivisionError("division by zero")
+        return RatMap(self.num * other.den, self.den * other.num)
 
     def evaluate(self, env, lift=None):
         return self.num.evaluate(env, lift) / self.den.evaluate(env, lift)
@@ -359,23 +363,6 @@ class RatHandler:
                 raise ParseError("negative power of zero", pos=pos)
             return RatMap(node.den ** -b, node.num ** -b)
         return RatMap(node.num ** b, node.den ** b)
-
-    def add(self, x, y):
-        return RatMap(x.num * y.den + y.num * x.den, x.den * y.den)
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
-    def mul(self, x, y):
-        return RatMap(x.num * y.num, x.den * y.den)
-
-    def div(self, x, y):
-        if y.num.is_zero():
-            raise ZeroDivisionError("division by zero in expression")
-        return RatMap(x.num * y.den, x.den * y.num)
-
-    def neg(self, x):
-        return RatMap(-x.num, x.den)
 
 
 def parse_rat(field, variables, text):
@@ -562,28 +549,21 @@ class ChartedScheme:
     """Finitely many affine charts over a local base ring.  Points carry a
     chart index; a point transfers along a declared overlap exactly when
     the localizer is a unit at it, which over a local ring is how every
-    rational point lands inside some chart."""
+    rational point lands inside some chart.  overlaps maps (i, j) to the
+    texts (unit, [map, ...]) in the variables of chart i."""
 
-    def __init__(self, ring, charts, overlaps, probes=None):
+    def __init__(self, ring, charts, overlaps):
         self.ring = ring
         self.charts = list(charts)
         self.overlaps = {}
-        for (i, j), ov in overlaps.items():
-            src = self.charts[i]
-            unit = ov[0] if not isinstance(ov, Overlap) else ov.unit
-            maps = ov[1] if not isinstance(ov, Overlap) else ov.maps
-            unit = parse_poly(ring.field, src.variables, unit) \
-                if isinstance(unit, str) else unit
-            maps = [parse_rat(ring.field, src.variables, m)
-                    if isinstance(m, str) else m for m in maps]
-            maps = [m if isinstance(m, RatMap)
-                    else RatMap(m, Poly.const(ring.field,
-                                              Element.one(ring.field)))
-                    for m in maps]
-            self.overlaps[(i, j)] = Overlap(unit, maps)
-        self._check_transitions(probes or {})
+        for (i, j), (unit, maps) in overlaps.items():
+            variables = self.charts[i].variables
+            self.overlaps[(i, j)] = Overlap(
+                parse_poly(ring.field, variables, unit),
+                [parse_rat(ring.field, variables, m) for m in maps])
+        self._check_transitions()
 
-    def _check_transitions(self, probes):
+    def _check_transitions(self):
         for (i, j) in self.overlaps:
             if (j, i) not in self.overlaps:
                 raise TargetViolationError(
@@ -591,7 +571,7 @@ class ChartedScheme:
         for (i, j) in sorted(self.overlaps):
             if i > j:
                 continue
-            for x in self._probe_points(i, probes):
+            for x in self._probe_points(i):
                 if not in_principal_open(self.charts[i],
                                          self.overlaps[(i, j)].unit, x):
                     continue
@@ -601,9 +581,7 @@ class ChartedScheme:
                     raise TargetViolationError(
                         "transitions %d-%d fail to invert at %r" % (i, j, x))
 
-    def _probe_points(self, i, probes):
-        if i in probes:
-            return probes[i]
+    def _probe_points(self, i):
         chart = self.charts[i]
         if chart.gens:
             return []

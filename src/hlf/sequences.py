@@ -319,21 +319,6 @@ class FamilyHandler:
     def node_power(self, node, b, pos):
         return node ** b
 
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def div(self, x, y):
-        return x / y
-
-    def neg(self, x):
-        return -x
-
 
 def parse_family(field, text):
     return ExprParser(text, FamilyHandler(field)).parse()

@@ -78,6 +78,16 @@ def test_units_parshin_route(capsys):
     assert "principal unit" in out
 
 
+def test_units_certificate_line_is_stable(capsys):
+    # the two-sided certificate prints its parts, not an object address
+    code, out = run(capsys, "units", "--field", "Fq(5)((u))((t))",
+                    "--seq", "1 + u*t^(n)", "--limit", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "CONVERGES",
+        "certificate: pair(v_top=1*n+0 past 0, v_top=1*n+0 past 0)"]
+
+
 def test_closed_stdout_exits_quietly():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.join(root, "src")
@@ -160,6 +170,21 @@ def test_run_flags_a_missed_expectation(tmp_path, capsys):
     assert not json.loads(out)["ok"]
 
 
+def test_run_records_a_division_by_zero(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"tasks": [
+        {"id": "bad", "kind": "valuation", "field": "Fq(5)((u))",
+         "elem": "1/0"},
+        {"id": "good", "kind": "valuation", "field": "Fq(5)((u))",
+         "elem": "u^2", "expect": "(2,)"},
+    ]}))
+    code, out = run(capsys, "run", str(job))
+    assert code == 2
+    bad, good = json.loads(out)["tasks"]
+    assert bad["error"] == "division by zero (at position 1)"
+    assert good["pass"]
+
+
 def test_run_rejects_duplicate_ids(tmp_path, capsys):
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"tasks": [
@@ -174,7 +199,9 @@ def test_run_rejects_duplicate_ids(tmp_path, capsys):
     ("val", "--field", "Qp(3)((t))", "--elem", "t +* 2"),
     ("member", "--elem", "t", "--open", "does-not-exist.json"),
     ("units", "--field", "Qp(3)((t))", "--seq", "t^(n)", "--limit", "0"),
+    ("val", "--field", "Fq(5)((u))", "--elem", "1/0"),
 ])
 def test_input_errors_exit_two(argv, capsys):
     assert main(list(argv)) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -287,6 +287,15 @@ def test_subgroup_escape_witness_pairs():
         w = subgroup_escape_witness(U)
         assert [str(e) for e in w.elems[:2]] == ["u*t^-1", "u^-1*t"]
         assert w.checked()
+    # level -1 admits u^d only from d = 20 on
+    base = F5U.residue()
+    window = {i: ZeroOpen(base) for i in range(1, 20)}
+    window[0] = FullOpen(base)
+    lev = LevelsOpen(F5U, 20, window, ConstRule(ZeroOpen(base)))
+    U = LevelsOpen(F5UT, 1, {}, ConstRule(lev))
+    w = subgroup_escape_witness(U)
+    assert [str(x) for x in w.elems[:2]] == ["u^20*t^-1", "u^-20*t"]
+    assert w.checked()
 
 
 def test_subgroup_escape_witness_battery():

@@ -263,6 +263,9 @@ def test_bad_transitions_are_rejected():
                                     (1, 0): ("Y", ["Y"])})
     with pytest.raises(TargetViolationError):
         ChartedScheme(R, [a1, b1], {(0, 1): ("X", ["1/X"])})
+    with pytest.raises(ParseError, match="division by zero"):
+        ChartedScheme(R, [a1, b1], {(0, 1): ("X", ["1/(X - X)"]),
+                                    (1, 0): ("Y", ["1/Y"])})
 
 
 def test_scheme_serialization_round_trip():
