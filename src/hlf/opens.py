@@ -424,8 +424,18 @@ def product_escape_witness(V1, V2, W):
         return None
     i0 = 0 if V1.is_full() else V1.cutoff
     nv = len(f.params())
-    for s in range(64):
-        target = W.cutoff - 1 - s
+    # top-down, the first level rejecting a bottom power gives the witness:
+    # a window level, one period below the floor, or the first quadratic
+    # deep ball at depth >= 1 in every component above the bottom once
+    # shifted by the scale
+    rule = W.below
+    levels = sorted(W.window, reverse=True) \
+        + [W.lo - d for d in range(1, _period(rule) + 1)]
+    if isinstance(rule, QuadraticRule):
+        v = (0,) if rule.scale is None else rule.scale.val_vector()
+        s = min(v[1:], default=0)
+        levels.append(W.lo - first_nonneg(rule.a, rule.l, rule.c - 1 + s))
+    for target in levels:
         j = target - i0
         rej = rejection_depth(W.level(target))
         if rej is None:
@@ -524,8 +534,10 @@ def intersect_open(U, V):
         return U
     if isinstance(U, ZeroOpen) or isinstance(V, ZeroOpen):
         return ZeroOpen(U.field)
-    if isinstance(U, BallOpen) and isinstance(V, BallOpen):
-        return BallOpen(U.field, max(U.depth, V.depth))
+    du, dv = deep_depth(U), deep_depth(V)
+    if du is not None and dv is not None:
+        # deep balls are nested
+        return U if du >= dv else V
     if isinstance(U, LevelsOpen) and isinstance(V, LevelsOpen):
         return _intersect_levels(U, V)
     raise UnsupportedOpenError("cannot intersect %r with %r" % (U, V))

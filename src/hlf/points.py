@@ -10,6 +10,8 @@ convergent sequences, and sequential saturation does not add any, so the
 componentwise verdict is the verdict.
 """
 
+from itertools import product
+
 from .coeff import power
 from .convergence import CONVERGES, DIVERGES, UNKNOWN, converges
 from .elements import Element
@@ -20,7 +22,7 @@ from .fields import parse_field
 from .opens import residue_image
 from .parsing import ElementHandler, ExprParser
 from .sequences import SeqFamily
-from .valuation import in_integer_ring, monomial_with_valuation, rank_valuation
+from .valuation import in_integer_ring, rank_valuation
 
 YES = "YES"
 NO = "NO"
@@ -56,21 +58,6 @@ class BaseRing:
         if self.rank == 0:
             return True
         return not any(rank_valuation(x, self.rank))
-
-    def samples(self):
-        """Small deterministic elements of the ring, for homomorphism and
-        transition checks."""
-        f = self.field
-        out = [Element.one(f)]
-        n = len(f.params())
-        for k in range(n):
-            v = [0] * n
-            v[k] = 1
-            out.append(monomial_with_valuation(f, tuple(v)))
-        out.append(out[-1] + 1)
-        if n > 1:
-            out.append(out[1] + out[2])
-        return out
 
     def describe(self):
         if self.rank == 0:
@@ -199,16 +186,9 @@ class Poly:
 
     def substitute(self, repl):
         """Plug polynomials in for variables; unmapped names stay."""
-        total = Poly(self.field)
-        for key, c in self.terms.items():
-            part = Poly.const(self.field, c)
-            for name, e in key:
-                base = repl.get(name)
-                if base is None:
-                    base = Poly.var(self.field, name)
-                part = part * base ** e
-            total = total + part
-        return total
+        env = {n: repl.get(n, Poly.var(self.field, n))
+               for n in self.vars_used()}
+        return self.evaluate(env, lambda c: Poly.const(self.field, c))
 
     def map_coeffs(self, fn, field):
         return Poly(field, {k: fn(c) for k, c in self.terms.items()})
@@ -290,11 +270,19 @@ def parse_poly(field, variables, text):
 class RatMap:
     """Quotient of polynomials.  Chart transitions are polynomial only
     after localizing, so they evaluate through division and are defined
-    wherever the denominator is invertible in the value domain."""
+    wherever the denominator is invertible in the value domain.
+    Evaluating at RatMaps, with RatMap.of lifting the constants, composes
+    maps; equality is by cross-multiplication, so quotients are never
+    reduced."""
 
     def __init__(self, num, den):
         self.num = num
         self.den = den
+
+    @classmethod
+    def of(cls, p):
+        """p over 1."""
+        return cls(p, Poly.const(p.field, Element.one(p.field)))
 
     def __add__(self, other):
         return RatMap(self.num * other.den + other.num * self.den,
@@ -313,6 +301,15 @@ class RatMap:
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero")
         return RatMap(self.num * other.den, self.den * other.num)
+
+    def __pow__(self, k):
+        one = RatMap.of(Poly.const(self.num.field, Element.one(self.num.field)))
+        return power(one / self if k < 0 else self, abs(k), one)
+
+    def __eq__(self, other):
+        if not isinstance(other, RatMap):
+            return NotImplemented
+        return self.num * other.den == other.num * self.den
 
     def evaluate(self, env, lift=None):
         return self.num.evaluate(env, lift) / self.den.evaluate(env, lift)
@@ -335,34 +332,22 @@ class RatHandler:
 
     def __init__(self, field, variables):
         self.ph = PolyHandler(field, variables)
-        self.field = field
-
-    def _one(self):
-        return Poly.const(self.field, Element.one(self.field))
-
-    def _wrap(self, p):
-        return RatMap(p, self._one())
 
     def const(self, k):
-        return self._wrap(self.ph.const(k))
+        return RatMap.of(self.ph.const(k))
 
     def int_power(self, base, a, b, pos):
-        return self._wrap(self.ph.int_power(base, a, b, pos))
+        return RatMap.of(self.ph.int_power(base, a, b, pos))
 
     def powered(self, name, a, b, pos):
         if name in self.ph.vars and b < 0:
-            if a != 0:
-                raise ParseError("n is only allowed in sequence exponents",
-                                 pos=pos)
-            return RatMap(self._one(), Poly.var(self.field, name, -b))
-        return self._wrap(self.ph.powered(name, a, b, pos))
+            return self.powered(name, a, -b, pos) ** -1
+        return RatMap.of(self.ph.powered(name, a, b, pos))
 
     def node_power(self, node, b, pos):
-        if b < 0:
-            if node.num.is_zero():
-                raise ParseError("negative power of zero", pos=pos)
-            return RatMap(node.den ** -b, node.num ** -b)
-        return RatMap(node.num ** b, node.den ** b)
+        if b < 0 and node.num.is_zero():
+            raise ParseError("negative power of zero", pos=pos)
+        return node ** b
 
 
 def parse_rat(field, variables, text):
@@ -564,34 +549,39 @@ class ChartedScheme:
         self._check_transitions()
 
     def _check_transitions(self):
-        for (i, j) in self.overlaps:
+        """Exact gluing in the ambient polynomial rings.  With the identity
+        as phi_ii, every declared (i, j) and (j, k) with k == i or (i, k)
+        declared must have phi_jk o phi_ij == phi_ik: inverse pairs and the
+        cocycle at once.  The chart generators are ignored, which is
+        sufficient but refuses a gluing that holds only modulo them."""
+        field = self.ring.field
+        maps = {(i, i): tuple(RatMap.of(Poly.var(field, v))
+                              for v in c.variables)
+                for i, c in enumerate(self.charts)}
+        for (i, j), ov in self.overlaps.items():
             if (j, i) not in self.overlaps:
                 raise TargetViolationError(
                     "overlap %d-%d lacks its reverse transition" % (i, j))
-        for (i, j) in sorted(self.overlaps):
-            if i > j:
+            if len(ov.maps) != self.charts[j].arity:
+                raise ArityMismatchError(
+                    "transition %d-%d has %d maps for %d coordinates"
+                    % (i, j, len(ov.maps), self.charts[j].arity))
+            maps[(i, j)] = ov.maps
+        for (i, j), (j2, k) in product(sorted(self.overlaps), repeat=2):
+            if j2 != j or (i, k) not in maps:
                 continue
-            for x in self._probe_points(i):
-                if not in_principal_open(self.charts[i],
-                                         self.overlaps[(i, j)].unit, x):
-                    continue
-                y = self.transfer(x, j)
-                back = self.transfer(y, i)
-                if back == OUT_OF_CHART or back.coords != x.coords:
-                    raise TargetViolationError(
-                        "transitions %d-%d fail to invert at %r" % (i, j, x))
-
-    def _probe_points(self, i):
-        chart = self.charts[i]
-        if chart.gens:
-            return []
-        vals = self.ring.samples()
-        out = []
-        for k in range(min(3, len(vals))):
-            coords = tuple(vals[(k + d) % len(vals)]
-                           for d in range(chart.arity))
-            out.append(Point(coords, chart=i))
-        return out
+            env = dict(zip(self.charts[j].variables, maps[(i, j)]))
+            try:
+                composite = tuple(m.evaluate(env, lambda c: RatMap.of(
+                    Poly.const(field, c))) for m in maps[(j, k)])
+            except ZeroDivisionError:
+                raise TargetViolationError(
+                    "transitions %d-%d-%d: the composite's denominator "
+                    "vanishes" % (i, j, k)) from None
+            if composite != maps[(i, k)]:
+                raise TargetViolationError(
+                    "transitions %d-%d-%d do not compose to %d-%d"
+                    % (i, j, k, i, k))
 
     def transfer(self, x, j):
         """Point in chart j, or OUT_OF_CHART when the localizer fails to
@@ -607,7 +597,11 @@ class ChartedScheme:
         if not in_principal_open(src, ov.unit, x):
             return OUT_OF_CHART
         env = src.env(x.coords)
-        coords = tuple(m.evaluate(env) for m in ov.maps)
+        try:
+            coords = tuple(m.evaluate(env) for m in ov.maps)
+        except ZeroDivisionError:
+            raise TargetViolationError("transition %d-%d undefined at %r"
+                                       % (x.chart, j, x)) from None
         if member_points(self.charts[j], coords) != YES:
             raise TargetViolationError("transition image misses chart %d" % j)
         return Point(coords, chart=j)
@@ -660,14 +654,12 @@ def projective_line(ring):
 # --- base change --------------------------------------------------------------
 
 class RingMorphism:
-    """Inclusion up the tower, or the residue map one level down.  The
-    homomorphism property is verified on sample pairs at construction."""
+    """Inclusion up the tower, or the residue map one level down."""
 
     def __init__(self, kind, source, target):
         self.kind = kind
         self.source = source
         self.target = target
-        self._verify()
 
     @classmethod
     def inclusion(cls, source, target):
@@ -693,16 +685,6 @@ class RingMorphism:
         if self.kind == "inclusion":
             return p
         return p.map_coeffs(residue, self.target.field)
-
-    def _verify(self):
-        vals = self.source.samples()
-        pairs = [(vals[i], vals[(i + 1) % len(vals)]) for i in range(len(vals))]
-        for a, b in pairs:
-            if self.apply(a + b) != self.apply(a) + self.apply(b):
-                raise TargetViolationError("additivity fails at %r, %r" % (a, b))
-            if self.apply(a * b) != self.apply(a) * self.apply(b):
-                raise TargetViolationError(
-                    "multiplicativity fails at %r, %r" % (a, b))
 
     def __repr__(self):
         return "%s: %s -> %s" % (self.kind, self.source.describe(),

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from hlf import checks
 from hlf.checks import (_CONV_POOL, _digit_member, _mirror_family,
                         _random_element, _random_integral,
                         _random_subgroup_open, _sample_open_member)
@@ -437,3 +438,17 @@ def test_criterion_12_check_run_is_reproducible():
     rep = json.loads(first.stdout)
     assert rep["ok"] and len(rep["suites"]) == 5
     assert time.perf_counter() - t0 < 60.0
+
+
+# sha256 of the `hlf check --seed 1` and `--seed 2` reports, built in
+# process exactly as the CLI prints them
+CHECK_SHA256 = {
+    1: "569e3963f7141a0343d46f4062f754cda9c6abf2ed155be853b6045f02634d36",
+    2: "c95e5478b5445342713ecec021c380164375863c15cab6b76adeaae6a04e3860"}
+
+
+@pytest.mark.parametrize("seed", sorted(CHECK_SHA256))
+def test_criterion_12_seeded_reports_are_pinned(seed):
+    text = json.dumps(checks.run_all(seed, 100), indent=2, sort_keys=True)
+    assert hashlib.sha256((text + "\n").encode()).hexdigest() \
+        == CHECK_SHA256[seed]

@@ -125,6 +125,21 @@ def test_points_member_and_map(tmp_path, capsys):
     assert (code, out) == (0, "OUT_OF_CHART")
 
 
+def test_points_map_reports_an_undefined_transition(tmp_path, capsys):
+    # the localizer 1 is a unit at X = 0, where the map 1/X is undefined
+    p1 = tmp_path / "p1.json"
+    p1.write_text(json.dumps({
+        "ring": "Fq(5)((u))((t))",
+        "charts": [{"vars": ["X"], "gens": []}, {"vars": ["Y"], "gens": []}],
+        "overlaps": [{"from": 0, "to": 1, "unit": "1", "map": ["(1)/(X)"]},
+                     {"from": 1, "to": 0, "unit": "Y", "map": ["(1)/(Y)"]}]}))
+    code = main(["points-map", "--scheme", str(p1), "--elem", "0",
+                 "--chart", "0", "--to-chart", "1"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("error: transition 0-1 undefined at")
+
+
 def test_witness_subgroup_checked(tmp_path, capsys):
     path = open_file(tmp_path, "U.json", deep_ball(F5UT, 2))
     code, out = run(capsys, "witness-subgroup", "--open", path, "--json")

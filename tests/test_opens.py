@@ -13,7 +13,8 @@ from hlf.errors import (UnsupportedFieldError, UnsupportedOpenError,
 from hlf.fields import parse_field
 from hlf.opens import (AffineRule, ConstRule, FullOpen, FullRule, LevelsOpen,
                        PeriodicRule, QuadraticRule, ZeroOpen, admitted_depth,
-                       ball_at, deep_ball, excluding_ball, first_nonneg,
+                       ball_at, deep_ball, deep_depth, excluding_ball,
+                       first_nonneg,
                        intersect_open,
                        open_from_data, product_escape_witness, random_open,
                        rejection_depth, residue_image, scale_open,
@@ -255,12 +256,19 @@ def test_zero_tail_closes_against_quadratic():
 
 def test_intersection_window_is_bounded():
     t0 = time.perf_counter()
-    with pytest.raises(UnsupportedOpenError):
-        intersect_open(ball_at(F5U, 10 ** 9), ball_at(F5U, 0))
+    with pytest.raises(UnsupportedOpenError, match="999999999 levels exceeds 1024"):
+        intersect_open(LevelsOpen(F5UT, 0, {}, AffineRule(-1, 0)),
+                       LevelsOpen(F5UT, 0, {}, ConstRule(ball_at(F5U, 10 ** 9))))
     deep = LevelsOpen(F5UT, 0, {}, ConstRule(ball_at(F5U, 10 ** 14)))
     with pytest.raises(UnsupportedOpenError):
         # the quadratic tail only dominates ~10**7 levels down
         intersect_open(LevelsOpen(F5UT, 0, {}, QuadraticRule(1, 0, 0)), deep)
+    # deep balls are nested: no window is spelled out between them
+    for U, V in [(ball_at(F5U, 2000), ball_at(F5U, 0)),
+                 (deep_ball(F5UT, -3), deep_ball(F5UT, 10 ** 9)),
+                 (deep_ball(Q3M, 1), deep_ball(Q3M, 1))]:
+        deeper = U if deep_depth(U) >= deep_depth(V) else V
+        assert intersect_open(U, V) == deeper == intersect_open(V, U)
     assert time.perf_counter() - t0 < 0.5
 
 
@@ -332,6 +340,37 @@ def test_product_escape_witness_battery():
                 assert w.checked()
                 found += 1
     assert found > 100
+
+
+def test_product_escape_witness_below_a_long_window():
+    """Level -1 rejects u^2 under 70 full window levels, beyond a fixed
+    scan from the cutoff."""
+    full = FullOpen(F5UT)
+    W = LevelsOpen(F5UT, 70, {i: FullOpen(F5U) for i in range(70)},
+                   ConstRule(ball_at(F5U, 3)))
+    w = product_escape_witness(full, full, W)
+    assert w is not None and w.checked()
+    assert repr(w) == "product-escape(u^2, t^-1)"
+
+
+def test_product_escape_witness_at_the_first_quadratic_level():
+    # depth d^2 - 1 leaves level d = 1 full, so the first rejecting level
+    # lies past the window plus one period
+    F4 = parse_field("Fq(3)((v))((u))((t))")
+    full = FullOpen(F4)
+    w = product_escape_witness(full, full,
+                               LevelsOpen(F4, 0, {}, QuadraticRule(1, 0, -1)))
+    assert w.checked() and repr(w) == "product-escape(v^2, t^-2)"
+    # the scale v^-4*u^2 shifts the v component by -4: depth d^2 - 5 must
+    # reach 5, first at d = 4
+    F5 = parse_field("Fq(3)((w))((v))((u))((t))")
+    base = F5.residue()
+    W = LevelsOpen(F5, 0, {}, QuadraticRule(1, 0, -5,
+                                            e(base, "v^-4*u^2")))
+    assert [rejection_depth(W.level(-d)) is None for d in range(1, 5)] \
+        == [True, True, True, False]
+    w = product_escape_witness(FullOpen(F5), FullOpen(F5), W)
+    assert w.checked() and w.elems[1] == e(F5, "t^-4")
 
 
 def test_product_escape_none_when_cofinally_full():

@@ -1,8 +1,11 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from hlf.convergence import CONVERGES, DIVERGES, UNKNOWN, converges, unit_converges
+from hlf.elements import Element
 from hlf.errors import (ArityMismatchError, FieldMismatchError,
                         NotIntegralError, ParseError, TargetViolationError,
                         UnsupportedFieldError)
@@ -18,6 +21,7 @@ from hlf.points import (OUT_OF_CHART, YES, NO, AffinePresentation, BaseRing,
                         presentation_from_data, product_presentation,
                         projective_line, reduction_open_image, scheme_from_data)
 from hlf.sequences import parse_family
+from hlf.valuation import monomial_with_valuation
 
 F = parse_field("Fq(5)((u))((t))")
 R = BaseRing(F, 0)
@@ -266,6 +270,33 @@ def test_bad_transitions_are_rejected():
     with pytest.raises(ParseError, match="division by zero"):
         ChartedScheme(R, [a1, b1], {(0, 1): ("X", ["1/(X - X)"]),
                                     (1, 0): ("Y", ["1/Y"])})
+    # the round trip of 1 + t is (1 + t)/(1 + t + 4*u*t + ...), not 1 + t;
+    # no sample point 1, u, t shows it
+    with pytest.raises(TargetViolationError, match="0-1-0"):
+        ChartedScheme(R, [a1, b1], {
+            (0, 1): ("X", ["1/X + (X - 1)*(X - u)*(X - t)"]),
+            (1, 0): ("Y", ["1/Y"])})
+    with pytest.raises(TargetViolationError, match="denominator vanishes"):
+        ChartedScheme(R, [a1, b1], {(0, 1): ("X", ["0"]),
+                                    (1, 0): ("Y", ["1/Y"])})
+    # pairwise inverse, but u reaches chart 2 as u or as 1 + u
+    lines = [AffinePresentation(R, (v,), []) for v in "XYZ"]
+    with pytest.raises(TargetViolationError, match="0-1-2"):
+        ChartedScheme(R, lines, {(0, 1): ("1", ["X"]), (1, 0): ("1", ["Y"]),
+                                 (1, 2): ("1", ["Y"]), (2, 1): ("1", ["Z"]),
+                                 (0, 2): ("1", ["X + 1"]),
+                                 (2, 0): ("1", ["Z - 1"])})
+    with pytest.raises(ArityMismatchError):
+        ChartedScheme(R, [hyperbola(R), a1], {
+            (0, 1): ("X", ["X", "Y"]), (1, 0): ("X", ["X", "1/X"])})
+
+
+def test_projective_line_loads_over_every_ring():
+    for text in ("Fq(5)((u))((t))", "Qp(3)((t))", "Qp(3){{t}}"):
+        field = parse_field(text)
+        for rank in range(field.dim + 1):
+            P1 = projective_line(BaseRing(field, rank))
+            assert P1.overlaps[(0, 1)].maps[0].text() == "(1)/(X)"
 
 
 def test_scheme_serialization_round_trip():
@@ -301,6 +332,35 @@ def test_residue_map_carries_generators_along():
     img = base_change_point(sig, W, Point((e("-u"),)))
     assert img.coords[0] == parse_element(FU, "-u")
     assert member_points(base_change_presentation(sig, W), img.coords) == YES
+
+
+def test_residue_map_is_a_ring_homomorphism():
+    rng = random.Random(41)
+    for text in ("Fq(5)((u))((t))", "Qp(3)((t))", "Qp(3){{t}}"):
+        field = parse_field(text)
+        nv = len(field.params())
+        top = monomial_with_valuation(field, (0,) * (nv - 1) + (1,))
+
+        def term():
+            c = rng.randrange(1, 5) if field.fq() is not None \
+                else Fraction(rng.randrange(1, 10), rng.choice((1, 2)))
+            v = tuple(rng.randrange(-2, 3) for _ in range(nv - 1)) \
+                + (rng.randrange(0, 3),)
+            return Element.from_coeff(field, c) \
+                * monomial_with_valuation(field, v)
+
+        for rank in range(1, field.dim + 1):
+            sig = RingMorphism.residue_map(BaseRing(field, rank))
+            done = 0
+            while done < 15:
+                # 1 + (top valuation > 0) is a unit of every integer ring
+                a = (term() + term()) / (1 + term() * term() * top)
+                b = term() - term()
+                if not (sig.source.contains(a) and sig.source.contains(b)):
+                    continue
+                assert sig.apply(a + b) == sig.apply(a) + sig.apply(b)
+                assert sig.apply(a * b) == sig.apply(a) * sig.apply(b)
+                done += 1
 
 
 def test_inclusion_direction_is_enforced():
