@@ -74,9 +74,26 @@ def _split_coords(field, text):
     return tuple(parse_element(field, part) for part in text.split(","))
 
 
+def _int_input(inp, key):
+    v = inp.get(key)
+    try:
+        return None if v is None else int(v)
+    except (TypeError, ValueError):
+        raise ParseError("%r must be an integer, not %r" % (key, v)) from None
+
+
+def _chart_index(X, inp, key):
+    """The chart of X that inp[key] names, chart 0 when absent."""
+    i = _int_input(inp, key) or 0
+    if not 0 <= i < len(X.charts):
+        raise ParseError("%s %d names no chart among 0..%d"
+                         % (key, i, len(X.charts) - 1))
+    return i
+
+
 def _chart_presentation(X, inp):
     if isinstance(X, ChartedScheme):
-        return X.charts[int(inp.get("chart") or 0)]
+        return X.charts[_chart_index(X, inp, "chart")]
     return X
 
 
@@ -85,12 +102,12 @@ def _chart_presentation(X, inp):
 def _task_valuation(inp):
     f = parse_field(_need(inp, "field"))
     x = parse_element(f, _need(inp, "elem"))
-    r = inp.get("rank")
-    v = rank_valuation(x, int(r) if r is not None else None)
+    r = _int_input(inp, "rank")
+    v = rank_valuation(x, r)
     rep = {"task": "valuation", "field": _need(inp, "field"),
            "elem": inp["elem"], "valuation": list(v)}
     if r is not None:
-        rep["rank"] = int(r)
+        rep["rank"] = r
     return rep, 0, repr(tuple(v))
 
 
@@ -176,8 +193,9 @@ def _task_points_map(inp):
     X = _load_scheme(_need(inp, "scheme"))
     if not isinstance(X, ChartedScheme):
         raise ParseError("points-map needs a charted scheme file")
-    i = int(_need(inp, "chart"))
-    j = int(_need(inp, "to_chart"))
+    _need(inp, "chart"), _need(inp, "to_chart")
+    i = _chart_index(X, inp, "chart")
+    j = _chart_index(X, inp, "to_chart")
     coords = _split_coords(X.ring.field, _need(inp, "elem"))
     res = chart_transfer(X, Point(coords, chart=i), j)
     if res == OUT_OF_CHART:

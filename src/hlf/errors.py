@@ -2,7 +2,7 @@
 
 Everything raised on purpose derives from HlfError so callers can catch one
 thing at the CLI boundary.  ParseError carries the offset of the offending
-character.
+character; require() turns a missing key of loaded data into one.
 """
 
 
@@ -21,6 +21,14 @@ class ParseError(HlfError):
         super().__init__(message)
         self.text = text
         self.pos = pos
+
+
+def require(data, key, what):
+    """data[key], or a ParseError saying that the `what` lacks it."""
+    try:
+        return data[key]
+    except (KeyError, TypeError):
+        raise ParseError("%s lacks %r" % (what, key)) from None
 
 
 class UnknownParameterError(ParseError):

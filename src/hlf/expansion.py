@@ -1,32 +1,42 @@
-"""Expansion along the top uniformizer: slices, digits, residue and lifts.
+"""Expansion along the top uniformizer: one digit stream per field shape.
+
+digits(x) yields the coefficient of x at its top valuation, then one per
+level, lazily, and ends once the remainder is exactly zero: every later
+level holds 0.  Three readers share the stream.  expand(x, k) takes k
+digits into a Jet, a finite window, and pads a finished stream with zeros;
+residue(x) is the level-0 coefficient; LevelsOpen.contains in opens checks
+each level as its digit arrives and returns at the first that fails.
 
 Over base((t)) an element P/Q expands into residue field coefficients X_i by
 the linear recursion Q_0 X_i = P_i - sum_{j>=1} Q_j X_{i-j}; normalization
 makes Q_0 a unit of the integer ring one level down, so every X_i is exact.
-Over Qp{{t}} and Qp the expansion runs along p instead, peeling one digit per
+Past P's top slice, max(Q) zero digits in a row end the stream.  Over
+Qp{{t}} and Qp the expansion runs along p instead, peeling one digit per
 step with the plain section of the reduction map: y -> (y - lift(d))/p with
-d = residue(y), the lift reduced over F_p with integer coefficients in
-[0, p).  Jets are finite windows of such expansions.
+d = y mod p, the lift reduced over F_p with integer coefficients in [0, p).
+Over Qp that is one rational: d = c mod p, c -> (c - d)/p.
 
-Over Qp{{t}} that loop runs on integer polynomials: y = t^a*N / t^b*Q with
-N and Q dense int lists over one scale prime to p.  A digit is N mod p over
-Q mod p, unreduced, exactly as residue() returns it; its lift comes from a
-gcd over F_p on int lists; subtracting it cross-multiplies Q by the lift's
-denominator, as Element arithmetic does, so the digits keep their value and
-their representation.  The section fixes the digits: lifting over the fixed
-denominator Q instead would be another section, with other digits from the
-second on.  Under the plain section the reduced digits themselves grow about
-1.7x per level (denominator degrees 2, 3, 5, 8, 13, 24, 43, 76 for
-(1 + t)/(1 - 3*t - t^2)), and Q gathers all of them, so the cost of a jet
-follows the size of its digits, geometric in their count: no exact
-algorithm for these digits is linear in the count.  What the loop saves is
-the constant: big products go through one int multiply each (Kronecker
-substitution), and the F_p gcd, quadratic in the digit size, dominates.
+Over Qp{{t}} that loop runs on integer polynomials: y = t^a*N / t^b*Q with N
+and Q dense int lists over one scale prime to p; the stream ends once N is
+empty.  A digit is N mod p over Q mod p, unreduced, so residue() returns it
+verbatim; its lift comes from a gcd over F_p on int lists; subtracting it
+cross-multiplies Q by the lift's denominator, as Element arithmetic does, so
+the digits keep their value and their representation.  The section fixes the
+digits: lifting over the fixed denominator Q instead would be another
+section, with other digits from the second on.  Under the plain section the
+reduced digits themselves grow about 1.7x per level (denominator degrees 2,
+3, 5, 8, 13, 24, 43, 76 for (1 + t)/(1 - 3*t - t^2)), and Q gathers all of
+them, so the cost of a jet follows the size of its digits, geometric in
+their count: no exact algorithm for these digits is linear in the count.
+What the loop saves is the constant: big products go through one int
+multiply each (Kronecker substitution), and the F_p gcd, quadratic in the
+digit size, dominates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 from .coeff import UNKNOWN, _fp_lowest_terms, rational_mod_p, teichmuller_exact
@@ -117,59 +127,68 @@ class Jet:
         return " + ".join(parts + [tail]) if parts else ("0 + " + tail)
 
 
-def expand(x, terms):
-    """First `terms` expansion coefficients of x along the top uniformizer."""
+def digits(x):
+    """Expansion coefficients of x along the top uniformizer, lazily: the
+    coefficient at level x.val_vector()[-1] first, then one per level.  The
+    stream ends once the remainder is exactly zero, so every level after it
+    holds 0; zero itself yields nothing."""
     f = x.field
     if isinstance(f, SeriesExt):
-        return _expand_series(x, terms)
-    if isinstance(f, MixedExt):
-        return _expand_mixed(x, terms)
-    if isinstance(f, QpBase):
-        return _expand_p(x, terms)
-    raise UnsupportedFieldError("no uniformizer to expand along in %r" % f)
+        gen = _series_digits
+    elif isinstance(f, MixedExt):
+        gen = _mixed_digits
+    elif isinstance(f, QpBase):
+        gen = _qp_digits
+    else:
+        raise UnsupportedFieldError("no uniformizer to expand along in %r" % f)
+    return iter(()) if x.is_zero() else gen(x)
 
 
-def _expand_series(x, terms):
+def expand(x, terms):
+    """First `terms` expansion coefficients of x along the top uniformizer,
+    from its top valuation on (level 0 for zero)."""
     f = x.field
-    var = f.param
-    if x.is_zero():
-        return Jet(f, 0, [], var)
+    coeffs = list(islice(digits(x), max(terms, 0)))
+    coeffs += [Element.zero(f.residue())] * (terms - len(coeffs))
+    start = 0 if x.is_zero() else x.val_vector()[-1]
+    var = f.param if isinstance(f, SeriesExt) else str(f.prime())
+    return Jet(f, start, coeffs, var)
+
+
+def _series_digits(x):
+    # past P's top slice, max(Q) zeros in a row make every later digit zero
+    f = x.field
     P = _slices(f, x.num)
     Q = _slices(f, x.den)
     q0inv = Q[0].inverse()
-    i0 = min(P)
+    top, width = max(P), max(Q)
     xs = {}
-    for i in range(i0, i0 + terms):
+    i, run = min(P), 0
+    while i <= top or run < width:
         acc = P.get(i, Element.zero(f.residue()))
         for j, qj in Q.items():
             if j >= 1 and (i - j) in xs:
                 acc = acc - qj * xs[i - j]
-        xs[i] = acc * q0inv
-    return Jet(f, i0, [xs[i] for i in range(i0, i0 + terms)], var)
+        xs[i] = d = acc * q0inv
+        yield d
+        run = run + 1 if d.is_zero() else 0
+        i += 1
 
 
-def _expand_p(x, terms):
+def _qp_digits(x):
+    f = x.field
+    p = f.p
+    rf = f.residue()
+    c = x.num[()] / x.den[()] * Fraction(p) ** -x.val_vector()[-1]
+    while c:
+        d = rational_mod_p(c, p)
+        yield Element.from_coeff(rf, d)
+        c = (c - d) / p
+
+
+def _mixed_digits(x):
     f = x.field
     p = f.prime()
-    var = str(p)
-    if x.is_zero():
-        return Jet(f, 0, [], var)
-    k0 = x.val_vector()[-1]
-    y = x * Element.from_coeff(f, Fraction(p) ** -k0)
-    out = []
-    for _ in range(terms):
-        d = _qp_residue(y)
-        out.append(d)
-        y = (y - _qp_lift_plain(f, d)) * Element.from_coeff(f, Fraction(1, p))
-    return Jet(f, k0, out, var)
-
-
-def _expand_mixed(x, terms):
-    f = x.field
-    p = f.prime()
-    var = str(p)
-    if x.is_zero():
-        return Jet(f, 0, [], var)
     k0 = x.val_vector()[-1]
     rf = f.residue()
     fq = rf.fq()
@@ -180,15 +199,11 @@ def _expand_mixed(x, terms):
     scale = lcm(*(c.denominator for c in (*num.values(), *den.values())))
     N, ns = _int_list(num, scale)
     Q, qs = _int_list(den, scale)
-    out = []
-    for _ in range(terms):
-        if not N:
-            out.append(Element.zero(rf))
-            continue
+    while N:
         nbar, nbs = _ztrim([c % p for c in N], ns)
         qbar, _ = _ztrim([c % p for c in Q[-qs:]], 0)
-        out.append(Element.make(rf, {(nbs + i,): fq(c) for i, c in enumerate(nbar) if c},
-                                {(i,): fq(c) for i, c in enumerate(qbar) if c}))
+        yield Element.make(rf, {(nbs + i,): fq(c) for i, c in enumerate(nbar) if c},
+                           {(i,): fq(c) for i, c in enumerate(qbar) if c})
         if nbar:
             # the plain lift of the digit, as lift() builds it
             nt, dt = _fp_lowest_terms(nbar, qbar, p)
@@ -205,7 +220,6 @@ def _expand_mixed(x, terms):
         if g > 1:
             N = [c // g for c in N]
             Q = [c // g for c in Q]
-    return Jet(f, k0, out, var)
 
 
 # --- dense polynomials: int lists, lowest degree first ----------------------
@@ -271,56 +285,17 @@ def _pack(a, w, half):
     return int.from_bytes(raw, "little") - _bias(len(a), w, half)
 
 
-# --- residue maps ------------------------------------------------------------
+# --- residue map -------------------------------------------------------------
 
 def residue(x):
-    """Image of x in the residue field one level down; needs the top rank one
-    valuation of x to be nonnegative."""
-    f = x.field
-    if f.residue() is None:
-        raise UnsupportedFieldError("%r has no residue field" % f)
-    if not x.is_zero() and x.val_vector()[-1] < 0:
+    """Image of x in the residue field one level down: its level-0
+    expansion coefficient.  Needs the top rank one valuation of x to be
+    nonnegative."""
+    stream = digits(x)
+    top = 1 if x.is_zero() else x.val_vector()[-1]
+    if top < 0:
         raise NotIntegralError("negative top valuation %r" % (x.val_vector(),))
-    if isinstance(f, SeriesExt):
-        if x.is_zero():
-            return Element.zero(f.residue())
-        P = _slices(f, x.num)
-        Q = _slices(f, x.den)
-        p0 = P.get(0)
-        return Element.zero(f.residue()) if p0 is None else p0 * Q[0].inverse()
-    if isinstance(f, MixedExt):
-        return _mixed_residue(x)
-    if isinstance(f, QpBase):
-        return _qp_residue(x)
-    raise UnsupportedFieldError("no residue map for %r" % f)
-
-
-def _lp_mod_p(lp, p, fq):
-    out = {}
-    for k, c in lp.items():
-        r = rational_mod_p(c, p)
-        if r % p:
-            out[k] = fq(r)
-    return out
-
-
-def _mixed_residue(x):
-    f = x.field
-    rf = f.residue()
-    fq = rf.fq()
-    if x.is_zero():
-        return Element.zero(rf)
-    return Element.make(rf, _lp_mod_p(x.num, f.prime(), fq),
-                        _lp_mod_p(x.den, f.prime(), fq))
-
-
-def _qp_residue(x):
-    f = x.field
-    rf = f.residue()
-    if x.is_zero():
-        return Element.zero(rf)
-    c = x.num[()] / x.den[()]
-    return Element.from_coeff(rf, rational_mod_p(c, f.p))
+    return next(stream) if top == 0 else Element.zero(x.field.residue())
 
 
 # --- sections of the residue map --------------------------------------------
@@ -392,27 +367,18 @@ def _poly_list(lp, shift):
     return out
 
 
-def _qp_lift_plain(f, dbar):
-    a = 0 if dbar.is_zero() else dbar.num[()].as_int()
-    return Element.from_coeff(f, a)
-
-
 def _mixed_lift(f, xbar, coeff_lift):
     xbar = canonical_fraction(xbar)
     def conv(lp):
         out = {}
         for k, c in lp.items():
-            v = coeff_lift(c)
+            v = coeff_lift(c.as_int())
             if v:
                 out[k] = v
         return out
     if xbar.is_zero():
         return Element.zero(f)
     return Element.make(f, conv(xbar.num), conv(xbar.den))
-
-
-def _mixed_lift_plain(f, xbar):
-    return _mixed_lift(f, xbar, lambda c: Fraction(c.as_int()))
 
 
 def lift(field, xbar, section="plain"):
@@ -428,23 +394,15 @@ def lift(field, xbar, section="plain"):
             return Element.zero(field)
         grow = lambda lp: {k + (0,): c for k, c in lp.items()}
         return Element.make(field, grow(xbar.num), grow(xbar.den))
+    p = field.prime()
+    up = (lambda a: _teich_or_raise(a, p)) if section == "teichmuller" else Fraction
     if isinstance(field, MixedExt):
-        if section == "teichmuller":
-            return _mixed_lift(field, xbar, lambda c: _teich_or_raise(c, field.prime()))
-        return _mixed_lift_plain(field, xbar)
-    if isinstance(field, QpBase):
-        if section == "teichmuller":
-            a = 0 if xbar.is_zero() else xbar.num[()].as_int()
-            return Element.from_coeff(field, _teich_or_raise_int(a, field.p))
-        return _qp_lift_plain(field, xbar)
-    raise UnsupportedFieldError("no residue map for %r" % field)
+        return _mixed_lift(field, xbar, up)
+    a = 0 if xbar.is_zero() else xbar.num[()].as_int()
+    return Element.from_coeff(field, up(a))
 
 
-def _teich_or_raise(c, p):
-    return _teich_or_raise_int(c.as_int(), p)
-
-
-def _teich_or_raise_int(a, p):
+def _teich_or_raise(a, p):
     v = teichmuller_exact(a, p)
     if v is None:
         raise PrecisionExhaustedError(

@@ -3,9 +3,11 @@
 An open of a field with a series shape is described along the expansion in
 the top uniformizer: levels at or above `cutoff` are unconstrained, a finite
 window pins named levels to opens one dimension down, and a closed rule
-covers every level below the window.  Membership of an exact element is
-decided by expanding its finitely many constrained digits.  Everything here
-is finite data: descriptors serialize to plain dicts and reload losslessly.
+covers every level below the window.  Membership reads the element's digit
+stream (expansion.digits) up to the cutoff and stops at the first level that
+rejects its digit, or where the stream ends: later levels hold 0, which every
+open contains.  Everything here is finite data: descriptors serialize to
+plain dicts and reload losslessly.
 
 Plain valuation balls s^c O are only open when the coefficient side has
 dimension zero; above that the deep balls (the same cutoff imposed at every
@@ -23,8 +25,9 @@ from .errors import (
     UnsupportedFieldError,
     UnsupportedOpenError,
     UnsupportedScalarError,
+    require,
 )
-from .expansion import expand
+from .expansion import digits
 from .fields import MixedExt, QpBase, SeriesExt
 from .valuation import in_integer_ring, monomial_with_valuation, unit_decompose
 
@@ -228,12 +231,10 @@ class LevelsOpen(Open):
     def contains(self, x):
         if x.is_zero():
             return True
+        # past the end of the stream every level holds 0, in every open
         i0 = x.val_vector()[-1]
-        if i0 >= self.cutoff:
-            return True
-        jet = expand(x, self.cutoff - i0)
-        return all(self.level(i).contains(jet.coeff(i))
-                   for i in range(i0, self.cutoff))
+        return all(self.level(i).contains(d)
+                   for i, d in zip(range(i0, self.cutoff), digits(x)))
 
     def to_data(self):
         return {
@@ -687,37 +688,40 @@ def _reanchored(rule, old_lo, new_lo):
 # --- serialization ------------------------------------------------------------
 
 def open_from_data(field, data):
-    kind = data["kind"]
+    need = lambda key: require(data, key, "open descriptor")
+    kind = need("kind")
     if kind == "full":
         return FullOpen(field)
     if kind == "zero":
         return ZeroOpen(field)
     if kind == "ball":
-        return BallOpen(field, data["depth"])
+        return BallOpen(field, need("depth"))
     if kind == "levels":
         base = field.residue()
-        window = {int(i): open_from_data(base, d) for i, d in data["window"].items()}
-        return LevelsOpen(field, data["cutoff"], window,
-                          _rule_from_data(base, data["below"]))
+        window = {int(i): open_from_data(base, d)
+                  for i, d in need("window").items()}
+        return LevelsOpen(field, need("cutoff"), window,
+                          _rule_from_data(base, need("below")))
     raise UnsupportedOpenError("unknown descriptor kind %r" % kind)
 
 
 def _rule_from_data(base, data):
-    r = data["rule"]
+    need = lambda key: require(data, key, "rule descriptor")
+    r = need("rule")
     if r == "full":
         return FullRule()
     if r == "const":
-        return ConstRule(open_from_data(base, data["open"]))
+        return ConstRule(open_from_data(base, need("open")))
     if r == "affine":
-        return AffineRule(data["a"], data["b"])
+        return AffineRule(need("a"), need("b"))
     if r == "periodic":
-        return PeriodicRule([open_from_data(base, d) for d in data["cycle"]])
+        return PeriodicRule([open_from_data(base, d) for d in need("cycle")])
     if r == "quadratic":
         scale = None
         if "scale" in data:
             from .parsing import parse_element
             scale = parse_element(base, data["scale"])
-        return QuadraticRule(data["a"], data["l"], data["c"], scale)
+        return QuadraticRule(need("a"), need("l"), need("c"), scale)
     raise UnsupportedOpenError("unknown rule %r" % r)
 
 

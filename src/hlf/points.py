@@ -16,7 +16,7 @@ from .coeff import power
 from .convergence import CONVERGES, DIVERGES, UNKNOWN, converges
 from .elements import Element
 from .errors import (ArityMismatchError, FieldMismatchError, ParseError,
-                     TargetViolationError, UnsupportedFieldError)
+                     TargetViolationError, UnsupportedFieldError, require)
 from .expansion import residue
 from .fields import parse_field
 from .opens import residue_image
@@ -393,8 +393,9 @@ class AffinePresentation:
 
 
 def presentation_from_data(data):
-    ring = parse_base_ring(data["ring"])
-    return AffinePresentation(ring, data["vars"], data.get("gens", []))
+    ring = parse_base_ring(require(data, "ring", "scheme"))
+    return AffinePresentation(ring, require(data, "vars", "scheme"),
+                              data.get("gens", []))
 
 
 class Point:
@@ -635,11 +636,18 @@ def chart_transfer(X, x, j):
 
 
 def scheme_from_data(data):
-    ring = parse_base_ring(data["ring"])
-    charts = [AffinePresentation(ring, c["vars"], c.get("gens", []))
+    ring = parse_base_ring(require(data, "ring", "scheme"))
+    charts = [AffinePresentation(ring, require(c, "vars", "chart"),
+                                 c.get("gens", []))
               for c in data["charts"]]
-    overlaps = {(o["from"], o["to"]): (o["unit"], o["map"])
-                for o in data.get("overlaps", [])}
+    overlaps = {}
+    for o in data.get("overlaps", []):
+        need = lambda key: require(o, key, "overlap")
+        ends = (need("from"), need("to"))
+        if not all(type(e) is int and 0 <= e < len(charts) for e in ends):
+            raise ParseError("overlap %r-%r names no chart among 0..%d"
+                             % (*ends, len(charts) - 1))
+        overlaps[ends] = (need("unit"), need("map"))
     return ChartedScheme(ring, charts, overlaps)
 
 

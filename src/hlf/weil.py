@@ -11,7 +11,8 @@ the module structure instead of restating the encoding.
 
 from .convergence import converges
 from .elements import Element
-from .errors import ArityMismatchError, NotFreeError, UnsupportedScalarError
+from .errors import (ArityMismatchError, NotFreeError, UnsupportedScalarError,
+                     require)
 from .points import (AffinePresentation, NO, Point, PointVerdict, Poly, YES,
                      parse_poly)
 from .sequences import SeqFamily
@@ -152,9 +153,10 @@ class ScalarExtPresentation:
 
 def scalar_ext_from_data(data):
     from .points import parse_base_ring
-    ext = MonogenicExt(parse_base_ring(data["ring"]), data["theta"],
-                       data["modulus"])
-    return ScalarExtPresentation(ext, data["vars"], data.get("gens", []))
+    need = lambda key: require(data, key, "scalar extension scheme")
+    ext = MonogenicExt(parse_base_ring(need("ring")), need("theta"),
+                       need("modulus"))
+    return ScalarExtPresentation(ext, need("vars"), data.get("gens", []))
 
 
 class WeilRestriction:

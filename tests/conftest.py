@@ -1,0 +1,31 @@
+"""Shared fixtures."""
+
+import math
+import signal
+import time
+from contextlib import contextmanager
+
+import pytest
+
+
+@pytest.fixture
+def deadline():
+    """`with deadline(s):` fails unless the block finishes within s
+    seconds.  SIGALRM interrupts a runaway at the next whole second, so a
+    regression to exponential time fails fast instead of stalling the
+    suite."""
+    @contextmanager
+    def within(seconds):
+        def stop(signum, frame):
+            raise TimeoutError("still running after %.2f s" % seconds)
+        old = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(math.ceil(seconds))
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < seconds, "took %.3f s, allowed %.2f s" % (elapsed, seconds)
+    return within

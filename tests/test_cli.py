@@ -220,3 +220,59 @@ def test_input_errors_exit_two(argv, capsys):
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+P1_DATA = {
+    "ring": "Fq(5)((u))((t))",
+    "charts": [{"vars": ["X"], "gens": []}, {"vars": ["Y"], "gens": []}],
+    "overlaps": [{"from": 0, "to": 1, "unit": "X", "map": ["(1)/(X)"]},
+                 {"from": 1, "to": 0, "unit": "Y", "map": ["(1)/(Y)"]}]}
+
+
+def _malformed(kind):
+    """(file name, file data, argv after the file, stderr fragment)."""
+    levels = {"kind": "levels", "cutoff": 2}
+    no_vars = dict(P1_DATA, charts=[{"gens": []}, {"vars": ["Y"]}])
+    stray = dict(P1_DATA, overlaps=P1_DATA["overlaps"] + [
+        {"from": 0, "to": 2, "unit": "X", "map": ["X"]}])
+    return {
+        "no-window": ("U.json", {"field": "Fq(5)((u))((t))", "open": levels},
+                      ["member", "--elem", "t", "--open"],
+                      "open descriptor lacks 'window'"),
+        "no-vars": ("X.json", no_vars,
+                    ["points-member", "--elem", "1", "--scheme"],
+                    "chart lacks 'vars'"),
+        "missing-chart": ("X.json", stray,
+                          ["points-member", "--elem", "1", "--scheme"],
+                          "overlap 0-2 names no chart among 0..1"),
+        "chart-5": ("X.json", P1_DATA,
+                    ["points-member", "--elem", "1", "--chart", "5",
+                     "--scheme"], "chart 5 names no chart among 0..1"),
+        "chart-minus-1": ("X.json", P1_DATA,
+                          ["points-map", "--elem", "1", "--chart", "-1",
+                           "--to-chart", "0", "--scheme"],
+                          "chart -1 names no chart among 0..1"),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["no-window", "no-vars", "missing-chart",
+                                  "chart-5", "chart-minus-1"])
+def test_malformed_files_exit_two(kind, tmp_path, capsys):
+    name, data, argv, fragment = _malformed(kind)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert fragment in err
+
+
+def test_run_records_a_malformed_rank(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"tasks": [
+        {"id": "bad", "kind": "valuation", "field": "Qp(3)((t))",
+         "elem": "t", "rank": "x"}]}))
+    code, out = run(capsys, "run", str(job))
+    assert code == 2
+    assert json.loads(out)["tasks"][0]["error"] == \
+        "'rank' must be an integer, not 'x'"

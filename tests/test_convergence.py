@@ -148,6 +148,16 @@ def test_sinking_family_is_defeated():
     assert_avoided(fam, v.witness)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_sinking_mixed_family_is_defeated_fast(k, deadline):
+    # the witness samples members 2n or 3n levels below its open; those
+    # members fail at their first digit, which is all membership expands
+    fam = parse_family(Q3M, "3^(-%d*n)*(1+t)/(1-t-3*t^2)" % k)
+    with deadline(1.0):
+        v = converges(fam)
+        assert v.kind == DIVERGES and v.witness.checked()
+
+
 def test_level_escape_is_lifted():
     fam = parse_family(F5UT, "u^(-n)*t^2")
     v = converges(fam)

@@ -6,9 +6,11 @@ import pytest
 
 from hlf.elements import Element
 from hlf.errors import NotIntegralError, PrecisionExhaustedError
-from hlf.expansion import Jet, canonical_fraction, expand, lift, residue
+from hlf.expansion import (Jet, canonical_fraction, digits, expand, lift,
+                           residue)
 from hlf.fields import parse_field
 from hlf.parsing import parse_element
+from hlf.valuation import monomial_with_valuation
 
 
 QT = parse_field("Q((t))")
@@ -98,6 +100,34 @@ def test_mixed_digits_pinned():
         assert repr(expand(x, 4)) == four
         ten = repr(expand(x, 10)).encode()
         assert hashlib.sha256(ten).hexdigest()[:16] == sha10
+
+
+def test_expand_of_zero_is_known_zeros():
+    for field in (F5UT, Q3M, Q3):
+        zero = Element.zero(field)
+        j = expand(zero, 4)
+        assert j.start == 0 and len(j.coeffs) == 4
+        assert all(c.is_zero() for c in j.coeffs) and j.coeff(2).is_zero()
+        for terms in (0, -3):
+            assert expand(zero, terms).coeffs == []
+            assert expand(parse_element(field, "3"), terms).coeffs == []
+
+
+def test_digit_streams_end_at_an_exact_zero():
+    cases = ((F5UT, "u + t^2", 0, ["u", "0", "1"]),
+             (F5T, "t^-1 + 3*t", -1, ["1", "0", "3"]),
+             # an unreduced 1 + t: one zero digit past the numerator's top
+             # t^2 covers the denominator's width
+             (F5T, "(1 - t^2)/(1 - t)", 0, ["1", "1", "0"]),
+             (Q3M, "1 + 3*t", 0, ["1", "t"]),
+             (Q3, "10", 0, ["1", "0", "1"]))
+    for field, text, start, want in cases:
+        x = parse_element(field, text)
+        assert [repr(d) for d in digits(x)] == want
+        # expand pads past the end of the stream with zeros
+        j = expand(x, len(want) + 3)
+        assert j.start == start and all(c.is_zero() for c in j.coeffs[len(want):])
+    assert list(digits(Element.zero(Q3M))) == []
 
 
 def _rand_mixed(rng):
@@ -280,3 +310,49 @@ def test_canonical_fraction_laurent_shifts():
     assert c == x
     # t(1 + t^2) / t^2(1 + t^3): nothing cancels beyond the shift
     assert c == parse_element(F3T, "(1 + t^2)/(t + t^4)")
+
+
+# --- residue reprs pinned ----------------------------------------------------
+
+RESIDUE_FIELDS = ("Fq(5)((u))((t))", "Qp(3)((t))", "Qp(3){{t}}", "Qp(5)",
+                  "Fq(3)((v))((u))((t))", "Qp(5){{t}}",
+                  "Fq(4;w^2+w+1)((u))((t))")
+
+
+def _rand_integral(rng, F):
+    """num/(1 + den): sums of monomials of top valuation 0 to 2, mostly
+    integral; p-divisible coefficient denominators make a few not."""
+    nv = len(F.params())
+    def coeff():
+        if F.fq() is None:
+            return Element.from_coeff(F, Fraction(
+                rng.choice((-7, -2, 1, 3, 5, 10)), rng.choice((1, 2, 4, 5, 7))))
+        c = Element.from_coeff(F, rng.randrange(1, F.char()))
+        return c * parse_element(F, "w") ** rng.randrange(3) \
+            if F.fq().deg > 1 else c
+    def poly(n):
+        out = Element.zero(F)
+        for _ in range(n):
+            v = tuple(rng.randint(-2, 2) for _ in range(nv - 1)) \
+                + (rng.randint(0, 2),)
+            out = out + coeff() * monomial_with_valuation(F, v)
+        return out
+    num, den = poly(rng.randint(1, 3)), Element.one(F) + poly(rng.randint(0, 2))
+    return num if den.is_zero() else num / den
+
+
+def test_residue_reprs_pinned():
+    lines = []
+    for text in RESIDUE_FIELDS:
+        F = parse_field(text)
+        rng = random.Random(text)
+        for _ in range(60):
+            x = _rand_integral(rng, F)
+            try:
+                r = repr(residue(x))
+            except NotIntegralError:
+                r = "not integral"
+            lines.append("%s: %r -> %s" % (text, x, r))
+    assert sum(line.endswith("not integral") for line in lines) == 15
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "ae9574e23a8529395319800f58ccc0dae355fc78e28fd9ac2f123c6c36dcf419"

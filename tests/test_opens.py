@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from hlf.elements import Element
 from hlf.errors import (UnsupportedFieldError, UnsupportedOpenError,
                         UnsupportedScalarError)
+from hlf.expansion import expand
 from hlf.fields import parse_field
 from hlf.opens import (AffineRule, ConstRule, FullOpen, FullRule, LevelsOpen,
                        PeriodicRule, QuadraticRule, ZeroOpen, admitted_depth,
@@ -20,7 +22,7 @@ from hlf.opens import (AffineRule, ConstRule, FullOpen, FullRule, LevelsOpen,
                        rejection_depth, residue_image, scale_open,
                        subgroup_escape_witness, subgroup_shaped)
 from hlf.parsing import parse_element
-from hlf.valuation import in_integer_ring
+from hlf.valuation import in_integer_ring, monomial_with_valuation
 
 F5UT = parse_field("Fq(5)((u))((t))")
 F5U = parse_field("Fq(5)((u))")
@@ -61,6 +63,55 @@ def test_mixed_deep_ball_membership():
     assert B.contains(e(Q3M, "3"))
     assert not B.contains(e(Q3M, "1"))
     assert not B.contains(e(Q3M, "2 + t"))
+
+
+def test_membership_returns_at_the_first_failing_level(deadline):
+    # u^-1 fails at level -1; nothing below the cutoff 10^5 is expanded
+    B = ball_at(F5U, 10 ** 5)
+    with deadline(0.1):
+        assert not B.contains(e(F5U, "u^-1"))
+        # and a polynomial's digits end after its top term
+        assert not B.contains(e(F5U, "u^99999 + u^-3"))
+
+
+def _rand_fraction(rng, F):
+    """num/(1 + d), num and d sums of monomials whose top valuations lie in
+    [-3, 3] and [0, 2]."""
+    nv = len(F.params())
+    def poly(n, lo, hi):
+        out = Element.zero(F)
+        for _ in range(n):
+            v = tuple(rng.randint(-2, 2) for _ in range(nv - 1)) \
+                + (rng.randint(lo, hi),)
+            c = rng.randrange(1, F.char()) if F.fq() is not None \
+                else Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 2)))
+            out = out + Element.from_coeff(F, c) * monomial_with_valuation(F, v)
+        return out
+    num, den = poly(rng.randint(1, 3), -3, 3), Element.one(F) + poly(rng.randint(0, 2), 0, 2)
+    return num if den.is_zero() else num / den
+
+
+@pytest.mark.parametrize("text", ["Fq(5)((u))((t))", "Qp(3)((t))",
+                                  "Qp(3){{t}}", "Fq(3)((v))((u))((t))"])
+def test_membership_matches_the_full_expansion(text):
+    F = parse_field(text)
+    rng = random.Random(text)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        U = random_open(rng, F)
+        if not isinstance(U, LevelsOpen):
+            continue
+        for _ in range(5):
+            x = _rand_fraction(rng, F)
+            if x.is_zero():
+                continue
+            i0 = x.val_vector()[-1]
+            jet = expand(x, U.cutoff - i0)
+            want = all(U.level(i).contains(jet.coeff(i))
+                       for i in range(i0, U.cutoff))
+            assert U.contains(x) == want, (U, x)
+            seen[want] += 1
+    assert min(seen.values()) > 10
 
 
 def test_ball_at_legality():
