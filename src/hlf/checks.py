@@ -621,6 +621,10 @@ def run_suite(name, seed=0, battery=100):
 
 
 def run_all(seed=0, battery=100):
-    suites = [run_suite(name, seed, battery) for name in SUITES]
+    return combine(seed, battery, [run_suite(name, seed, battery) for name in SUITES])
+
+
+def combine(seed, battery, suites):
+    """The run_all report over the reports of every suite, in SUITES order."""
     return {"seed": seed, "battery": battery, "suites": suites,
             "ok": all(s["ok"] for s in suites)}

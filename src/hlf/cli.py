@@ -323,12 +323,15 @@ def _seed_of(args):
 def _cmd_check(args):
     seed = _seed_of(args)
     t0 = time.time()
-    if args.suite:
-        rep = checks.run_suite(args.suite, seed, args.battery_size)
-    else:
-        rep = checks.run_all(seed, args.battery_size)
+    suites, spent = [], []
+    for name in [args.suite] if args.suite else checks.SUITES:
+        t = time.time()
+        suites.append(checks.run_suite(name, seed, args.battery_size))
+        spent.append("%s %.2fs" % (name, time.time() - t))
+    rep = suites[0] if args.suite else checks.combine(seed, args.battery_size, suites)
     print(json.dumps(rep, indent=2, sort_keys=True))
-    print("completed in %.1fs" % (time.time() - t0), file=sys.stderr)
+    print("completed in %.1fs (%s)" % (time.time() - t0, ", ".join(spent)),
+          file=sys.stderr)
     return 0 if rep["ok"] else 1
 
 

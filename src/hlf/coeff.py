@@ -1,10 +1,12 @@
 """Exact coefficient domains: finite fields and p-adic valuations of rationals.
 
 Finite fields F_q are F_p[w]/(m(w)) with an explicit monic modulus; the
-prime field is the case m = w, and every field multiplies through the same
-schoolbook product and reduction.  Polynomials over F_p are int lists,
-lowest degree first, and one kernel (remainder, gcd, exact quotient)
-serves both the field arithmetic here and the digit lifts of expansion.
+prime field is the case m = w.  One element class serves both: a prime
+field element holds one reduced int and multiplies as an int, while an
+extension field multiplies through the schoolbook product and reduction.
+Polynomials over F_p are int lists, lowest degree first, and one kernel
+(remainder, gcd, exact quotient) serves both the extension arithmetic here
+and the digit lifts of expansion.
 Rationals carry their p-adic valuation and residue exactly; there is no
 truncated p-adic type.
 """
@@ -184,11 +186,19 @@ class FqField:
 
 
 class FqElem:
+    __slots__ = ("field", "coeffs")
+
     def __init__(self, field, coeffs):
         self.field = field
-        self.coeffs = tuple(_poly_trim([c % field.p for c in coeffs]))
+        if field.deg == 1:
+            c = coeffs[0] % field.p if coeffs else 0
+            self.coeffs = (c,) if c else ()
+        else:
+            self.coeffs = tuple(_poly_trim([c % field.p for c in coeffs]))
 
     def _check(self, other):
+        if other.__class__ is FqElem and other.field is self.field:
+            return other
         if isinstance(other, int):
             other = self.field(other)
         if not isinstance(other, FqElem):
@@ -205,6 +215,8 @@ class FqElem:
 
     def __eq__(self, other):
         if isinstance(other, int):
+            if self.field.deg == 1:
+                return self.as_int() == other % self.field.p
             other = self.field(other)
         return (
             isinstance(other, FqElem)
@@ -244,6 +256,8 @@ class FqElem:
             return other
         if not self.coeffs or not other.coeffs:
             return self.field.zero()
+        if self.field.deg == 1:
+            return FqElem(self.field, (self.coeffs[0] * other.coeffs[0],))
         return FqElem(
             self.field,
             _poly_mulmod(list(self.coeffs), list(other.coeffs), self.field.modulus, self.field.p),

@@ -91,6 +91,9 @@ class Element:
 
     @classmethod
     def make(cls, field, num, den=None):
+        """num/den in canonical form.  make takes ownership of the dicts it
+        is given and may keep them in the result; no caller changes them
+        afterwards, and no element's num or den is ever changed in place."""
         if den is None:
             den = {(0,) * len(field.series_params()): field.coeff_one()}
         if lp_is_zero(den):
@@ -98,12 +101,11 @@ class Element:
         if lp_is_zero(num):
             return cls(field, {}, {(0,) * len(field.series_params()): field.coeff_one()})
         exps0, c0 = lp_min_monomial(field, den)
-        if isinstance(c0, FqElem):
-            inv = c0.inverse()
-        else:
-            inv = Fraction(1) / c0
-        num = lp_scale(lp_shift(num, exps0), inv)
-        den = lp_scale(lp_shift(den, exps0), inv)
+        if any(exps0):
+            num, den = lp_shift(num, exps0), lp_shift(den, exps0)
+        if c0 != 1:
+            inv = c0.inverse() if isinstance(c0, FqElem) else Fraction(1) / c0
+            num, den = lp_scale(num, inv), lp_scale(den, inv)
         if num == den:
             return cls.one(field)
         return cls(field, num, den)
@@ -172,7 +174,7 @@ class Element:
         if o is None:
             return NotImplemented
         if self.den == o.den:
-            return Element.make(self.field, lp_add(self.num, o.num), dict(self.den))
+            return Element.make(self.field, lp_add(self.num, o.num), self.den)
         return Element.make(
             self.field,
             lp_add(lp_mul(self.num, o.den), lp_mul(o.num, self.den)),
@@ -205,7 +207,7 @@ class Element:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return Element.make(self.field, dict(self.den), dict(self.num))
+        return Element.make(self.field, self.den, self.num)
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -18,10 +18,12 @@ and divergence certificates expressible at any dimension.
 from __future__ import annotations
 
 import math
+import re
 
 from .elements import Element
 from .errors import (
     FieldMismatchError,
+    ParseError,
     UnsupportedFieldError,
     UnsupportedOpenError,
     UnsupportedScalarError,
@@ -687,33 +689,49 @@ def _reanchored(rule, old_lo, new_lo):
 
 # --- serialization ------------------------------------------------------------
 
+def _need_int(data, key, what):
+    v = require(data, key, what)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ParseError("%s %r must be an integer, not %r" % (what, key, v))
+    return v
+
+
+def _window_level(key):
+    # to_data writes each window level as its decimal string
+    if not (isinstance(key, str) and re.fullmatch(r"-?[0-9]+", key)):
+        raise ParseError("window key %r must be an integer" % (key,))
+    return int(key)
+
+
 def open_from_data(field, data):
     need = lambda key: require(data, key, "open descriptor")
+    need_int = lambda key: _need_int(data, key, "open descriptor")
     kind = need("kind")
     if kind == "full":
         return FullOpen(field)
     if kind == "zero":
         return ZeroOpen(field)
     if kind == "ball":
-        return BallOpen(field, need("depth"))
+        return BallOpen(field, need_int("depth"))
     if kind == "levels":
         base = field.residue()
-        window = {int(i): open_from_data(base, d)
+        window = {_window_level(i): open_from_data(base, d)
                   for i, d in need("window").items()}
-        return LevelsOpen(field, need("cutoff"), window,
+        return LevelsOpen(field, need_int("cutoff"), window,
                           _rule_from_data(base, need("below")))
     raise UnsupportedOpenError("unknown descriptor kind %r" % kind)
 
 
 def _rule_from_data(base, data):
     need = lambda key: require(data, key, "rule descriptor")
+    need_int = lambda key: _need_int(data, key, "rule descriptor")
     r = need("rule")
     if r == "full":
         return FullRule()
     if r == "const":
         return ConstRule(open_from_data(base, need("open")))
     if r == "affine":
-        return AffineRule(need("a"), need("b"))
+        return AffineRule(need_int("a"), need_int("b"))
     if r == "periodic":
         return PeriodicRule([open_from_data(base, d) for d in need("cycle")])
     if r == "quadratic":
@@ -721,7 +739,7 @@ def _rule_from_data(base, data):
         if "scale" in data:
             from .parsing import parse_element
             scale = parse_element(base, data["scale"])
-        return QuadraticRule(need("a"), need("l"), need("c"), scale)
+        return QuadraticRule(need_int("a"), need_int("l"), need_int("c"), scale)
     raise UnsupportedOpenError("unknown rule %r" % r)
 
 

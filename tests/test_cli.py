@@ -1,5 +1,6 @@
 """Command line answers, reports and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from hlf.checks import SUITES
 from hlf.cli import main
 from hlf.fields import parse_field
 from hlf.opens import deep_ball
@@ -159,6 +161,18 @@ def test_check_is_byte_deterministic(capsys):
     assert json.loads(first)["ok"]
 
 
+def test_check_times_each_suite_on_stderr(capsys):
+    assert main(["check", "--seed", "1"]) == 0
+    out = capsys.readouterr()
+    # the seed 1 hash that test_acceptance pins: the timings leave stdout alone
+    assert hashlib.sha256(out.out.encode()).hexdigest() == \
+        "569e3963f7141a0343d46f4062f754cda9c6abf2ed155be853b6045f02634d36"
+    (line,) = out.err.splitlines()
+    total, _, each = line.partition(" (")
+    assert total.startswith("completed in ") and each.endswith("s)")
+    assert [part.split()[0] for part in each.split(", ")] == list(SUITES)
+
+
 def test_run_job_file(tmp_path, capsys):
     path = open_file(tmp_path, "U.json", deep_ball(F5UT, 1))
     job = tmp_path / "job.json"
@@ -232,6 +246,12 @@ P1_DATA = {
 def _malformed(kind):
     """(file name, file data, argv after the file, stderr fragment)."""
     levels = {"kind": "levels", "cutoff": 2}
+    full_below = dict(levels, window={}, below={"rule": "full"})
+
+    def opened(fragment, **open_data):
+        return ("U.json", {"field": "Fq(5)((u))((t))",
+                           "open": dict(full_below, **open_data)},
+                ["member", "--elem", "u*t", "--open"], fragment)
     no_vars = dict(P1_DATA, charts=[{"gens": []}, {"vars": ["Y"]}])
     stray = dict(P1_DATA, overlaps=P1_DATA["overlaps"] + [
         {"from": 0, "to": 2, "unit": "X", "map": ["X"]}])
@@ -252,11 +272,26 @@ def _malformed(kind):
                           ["points-map", "--elem", "1", "--chart", "-1",
                            "--to-chart", "0", "--scheme"],
                           "chart -1 names no chart among 0..1"),
+        "window-key": opened("window key 'x' must be an integer",
+                             window={"x": {"kind": "full"}}),
+        "cutoff-string": opened(
+            "open descriptor 'cutoff' must be an integer, not '2'", cutoff="2"),
+        "affine-a-string": opened(
+            "rule descriptor 'a' must be an integer, not '2'",
+            below={"rule": "affine", "a": "2", "b": 0}),
+        "affine-a-one": opened(
+            "rule descriptor 'a' must be an integer, not '1'",
+            below={"rule": "affine", "a": "1", "b": 0}),
+        "quadratic-a-string": opened(
+            "rule descriptor 'a' must be an integer, not '1'",
+            below={"rule": "quadratic", "a": "1", "l": 0, "c": 0}),
     }[kind]
 
 
 @pytest.mark.parametrize("kind", ["no-window", "no-vars", "missing-chart",
-                                  "chart-5", "chart-minus-1"])
+                                  "chart-5", "chart-minus-1", "window-key",
+                                  "cutoff-string", "affine-a-string",
+                                  "affine-a-one", "quadratic-a-string"])
 def test_malformed_files_exit_two(kind, tmp_path, capsys):
     name, data, argv, fragment = _malformed(kind)
     path = tmp_path / name

@@ -52,6 +52,40 @@ def test_f4_is_a_field_exhaustively():
                 assert a.inverse() == oracle[0]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_fields_match_integer_arithmetic_mod_p(p):
+    # oracle: plain ints reduced mod p, the inverse found by search
+    F = FqField(p)
+    inv = {a: next(b for b in range(1, p) if a * b % p == 1) for a in range(1, p)}
+    for a in range(p):
+        x = F(a)
+        assert x.as_int() == a and repr(x) == str(a) and bool(x) == (a != 0)
+        assert -x == F(-a % p)
+        assert x == a + p and a - p == x and x != a + 1 and a + 1 != x
+        assert hash(x) == hash(F(a + 3 * p)) == hash(F(a - p))
+        for k in range(-3, 4):
+            if a == 0 and k < 0:
+                with pytest.raises(ZeroDivisionError):
+                    x ** k
+            else:
+                assert x ** k == (pow(a, k, p) if k >= 0 else pow(inv[a], -k, p))
+        if a == 0:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        for b in range(p):
+            y = F(b)
+            assert (x == y) == (a == b) and (x != y) == (a != b)
+            for lhs, rhs in ((x, y), (x, b), (a, y)):
+                assert (lhs + rhs).as_int() == (a + b) % p
+                assert (lhs - rhs).as_int() == (a - b) % p
+                assert (lhs * rhs).as_int() == a * b % p
+                if b:
+                    assert (lhs / rhs).as_int() == a * inv[b] % p
+                else:
+                    with pytest.raises(ZeroDivisionError):
+                        lhs / rhs
+
+
 def test_reducible_modulus_without_roots_is_rejected():
     # w^4 + w^2 + 1 = (w^2 + w + 1)^2 over F_2 has no root, so only trial
     # division by the quadratic factor finds it
