@@ -7,11 +7,24 @@ digits into a Jet, a finite window, and pads a finished stream with zeros;
 residue(x) is the level-0 coefficient; LevelsOpen.contains in opens checks
 each level as its digit arrives and returns at the first that fails.
 
-Over base((t)) an element P/Q expands into residue field coefficients X_i by
-the linear recursion Q_0 X_i = P_i - sum_{j>=1} Q_j X_{i-j}; normalization
-makes Q_0 a unit of the integer ring one level down, so every X_i is exact.
-Past P's top slice, max(Q) zero digits in a row end the stream.  Over
-Qp{{t}} and Qp the expansion runs along p instead, peeling one digit per
+Over base((t)) an element P/Q, cut by t exponent into slices P_i and Q_j
+one level down, expands into residue field coefficients X_i by the linear
+recursion Q_0 X_i = P_i - sum_{j>=1} Q_j X_{i-j}; normalization makes Q_0 a
+unit of the integer ring one level down, so every X_i is exact.  The loop
+runs on the slices as raw Laurent polynomials {lower exps: coeff}, with int
+residues for coefficients over a prime field, and keeps every digit over
+one power of a fixed denominator: Q_0 = m0*N with m0 a monomial, and
+X_i = A_i/N^e with e = i - i0 + 1 counted from the first slice i0, where
+A_i = m0^-1 (P_i N^(e-1) - sum_{j>=1} Q_j N^(j-1) A_{i-j}) is a Laurent
+polynomial.  Element arithmetic would cross-multiply the denominators at
+each subtraction, doubling their degree every few digits; over N^e they
+grow linearly.  Where Q_0 is one monomial (always over Qp((t)), Q((t)) and
+Fq((t))) N is 1 and each digit is a Laurent polynomial, which has one
+representation; otherwise the first digit m0^-1 P_i0 / N is still the one
+Element arithmetic gives.  A_i is empty exactly when X_i is 0, and past P's
+top slice, max(Q) zero digits in a row end the stream.
+
+Over Qp{{t}} and Qp the expansion runs along p instead, peeling one digit per
 step with the plain section of the reduction map: y -> (y - lift(d))/p with
 d = y mod p, the lift reduced over F_p with integer coefficients in [0, p).
 Over Qp that is one rational: d = c mod p, c -> (c - d)/p.
@@ -38,22 +51,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
+from operator import add
 
-from .coeff import UNKNOWN, _fp_lowest_terms, rational_mod_p, teichmuller_exact
-from .elements import Element
+from .coeff import UNKNOWN, FqElem, _fp_lowest_terms, rational_mod_p, teichmuller_exact
+from .elements import Element, lp_mul
 from .errors import NotIntegralError, PrecisionExhaustedError, UnsupportedFieldError
 from .fields import FiniteBase, MixedExt, QpBase, SeriesExt
-
-
-def _slices(field, lp):
-    """Split a Laurent polynomial over base((t)) into Elements of the base,
-    keyed by t exponent."""
-    base = field.residue()
-    out = {}
-    for k, c in lp.items():
-        lev = out.setdefault(k[-1], {})
-        lev[k[:-1]] = c
-    return {i: Element.make(base, lev) for i, lev in out.items()}
 
 
 class Jet:
@@ -156,23 +159,78 @@ def expand(x, terms):
 
 
 def _series_digits(x):
-    # past P's top slice, max(Q) zeros in a row make every later digit zero
+    # X_i = A_i / N^e with e = i - i0 + 1 over Q_0 = m0*N, so that
+    # A_i = m0^-1 (P_i N^(e-1) - sum_{j>=1} Q_j N^(j-1) A_{i-j});
+    # past P's top slice, max(Q) zero digits in a row end the stream
     f = x.field
-    P = _slices(f, x.num)
-    Q = _slices(f, x.den)
-    q0inv = Q[0].inverse()
-    top, width = max(P), max(Q)
-    xs = {}
-    i, run = min(P), 0
+    base = f.residue()
+    fq = f.fq()
+    p = fq.p if fq is not None and fq.deg == 1 else None
+    raw = (lambda lp: {k: c.as_int() for k, c in lp.items()}) if p else dict
+    back = (lambda lp: {k: FqElem(fq, (c,)) for k, c in lp.items()}) if p else dict
+    P, Q = _t_slices(x.num), _t_slices(x.den)
+    width = max(Q)
+    inv = Element.make(base, Q.pop(0)).inverse()
+    m0inv, N = raw(inv.num), raw(inv.den)
+    D = Nj = raw(Element.one(base).num)
+    QN = {}
+    for j in range(1, width + 1):
+        if j in Q:
+            QN[j] = _lp_mul(raw(Q[j]), Nj, p)
+        Nj = _lp_mul(Nj, N, p)
+    A = {}
+    i, top, run = min(P), max(P), 0
     while i <= top or run < width:
-        acc = P.get(i, Element.zero(f.residue()))
-        for j, qj in Q.items():
-            if j >= 1 and (i - j) in xs:
-                acc = acc - qj * xs[i - j]
-        xs[i] = d = acc * q0inv
-        yield d
-        run = run + 1 if d.is_zero() else 0
+        acc = _lp_mul(raw(P[i]), D, p) if i in P else {}
+        for j, qn in QN.items():
+            if A.get(i - j):
+                acc = _lp_sub(acc, _lp_mul(qn, A[i - j], p), p)
+        A[i] = a = _lp_mul(m0inv, acc, p)
+        A.pop(i - width, None)
+        D = _lp_mul(D, N, p)
+        yield Element.make(base, back(a), back(D))
+        run = run + 1 if not a else 0
         i += 1
+
+
+def _t_slices(lp):
+    """A Laurent polynomial over base((t)) as {t exponent: {lower exps:
+    coeff}}."""
+    out = {}
+    for k, c in lp.items():
+        out.setdefault(k[-1], {})[k[:-1]] = c
+    return out
+
+
+def _lp_mul(a, b, p):
+    """Product of Laurent polynomials {exps: coeff}, reduced mod p when p is
+    set.  A monomial factor is a shift and a scale, and 1 returns the other
+    factor itself: no caller changes these dicts in place."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) != 1:
+        return _lp_reduce(lp_mul(a, b), p)
+    (ka, ca), = a.items()
+    if any(ka):
+        out = {tuple(map(add, ka, kb)): ca * cb for kb, cb in b.items()}
+    elif ca == 1:
+        return b
+    else:
+        out = {kb: ca * cb for kb, cb in b.items()}
+    return _lp_reduce(out, p)
+
+
+def _lp_sub(a, b, p):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) - c
+    return _lp_reduce(out, p)
+
+
+def _lp_reduce(a, p):
+    if p is None:
+        return {k: c for k, c in a.items() if c}
+    return {k: c % p for k, c in a.items() if c % p}
 
 
 def _qp_digits(x):

@@ -715,8 +715,12 @@ def open_from_data(field, data):
         return BallOpen(field, need_int("depth"))
     if kind == "levels":
         base = field.residue()
+        window = need("window")
+        if not isinstance(window, dict):
+            raise ParseError("open descriptor 'window' must be an object, not %r"
+                             % (window,))
         window = {_window_level(i): open_from_data(base, d)
-                  for i, d in need("window").items()}
+                  for i, d in window.items()}
         return LevelsOpen(field, need_int("cutoff"), window,
                           _rule_from_data(base, need("below")))
     raise UnsupportedOpenError("unknown descriptor kind %r" % kind)
@@ -733,7 +737,11 @@ def _rule_from_data(base, data):
     if r == "affine":
         return AffineRule(need_int("a"), need_int("b"))
     if r == "periodic":
-        return PeriodicRule([open_from_data(base, d) for d in need("cycle")])
+        cycle = need("cycle")
+        if not (isinstance(cycle, list) and cycle):
+            raise ParseError("rule descriptor 'cycle' must be a nonempty list, not %r"
+                             % (cycle,))
+        return PeriodicRule([open_from_data(base, d) for d in cycle])
     if r == "quadratic":
         scale = None
         if "scale" in data:

@@ -285,13 +285,22 @@ def _malformed(kind):
         "quadratic-a-string": opened(
             "rule descriptor 'a' must be an integer, not '1'",
             below={"rule": "quadratic", "a": "1", "l": 0, "c": 0}),
+        "window-list": opened(
+            "open descriptor 'window' must be an object, not []", window=[]),
+        "cycle-int": opened(
+            "rule descriptor 'cycle' must be a nonempty list, not 5",
+            below={"rule": "periodic", "cycle": 5}),
+        "cycle-empty": opened(
+            "rule descriptor 'cycle' must be a nonempty list, not []",
+            below={"rule": "periodic", "cycle": []}),
     }[kind]
 
 
 @pytest.mark.parametrize("kind", ["no-window", "no-vars", "missing-chart",
                                   "chart-5", "chart-minus-1", "window-key",
                                   "cutoff-string", "affine-a-string",
-                                  "affine-a-one", "quadratic-a-string"])
+                                  "affine-a-one", "quadratic-a-string",
+                                  "window-list", "cycle-int", "cycle-empty"])
 def test_malformed_files_exit_two(kind, tmp_path, capsys):
     name, data, argv, fragment = _malformed(kind)
     path = tmp_path / name

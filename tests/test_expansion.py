@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -9,6 +10,7 @@ from hlf.errors import NotIntegralError, PrecisionExhaustedError
 from hlf.expansion import (Jet, canonical_fraction, digits, expand, lift,
                            residue)
 from hlf.fields import parse_field
+from hlf.opens import FullOpen, FullRule, LevelsOpen
 from hlf.parsing import parse_element
 from hlf.valuation import monomial_with_valuation
 
@@ -223,6 +225,77 @@ def _rand(rng, field, depth=0):
         if not d.is_zero():
             out = out / d
     return out
+
+
+# --- digits over base((t)) ------------------------------------------------------
+
+def _reference_series_digits(x):
+    """The Element-level recursion Q_0 X_i = P_i - sum_{j>=1} Q_j X_{i-j}
+    that the stream over base((t)) used to run: each subtraction
+    cross-multiplies denominators, so they grow exponentially where Q_0 has
+    more than one term.  Kept as the reference for the digits' values."""
+    base = x.field.residue()
+    def slices(lp):
+        out = {}
+        for k, c in lp.items():
+            out.setdefault(k[-1], {})[k[:-1]] = c
+        return {i: Element.make(base, lev) for i, lev in out.items()}
+    P, Q = slices(x.num), slices(x.den)
+    q0inv = Q[0].inverse()
+    top, width = max(P), max(Q)
+    xs = {}
+    i, run = min(P), 0
+    while i <= top or run < width:
+        acc = P.get(i, Element.zero(base))
+        for j, qj in Q.items():
+            if j >= 1 and (i - j) in xs:
+                acc = acc - qj * xs[i - j]
+        xs[i] = d = acc * q0inv
+        yield d
+        run = run + 1 if d.is_zero() else 0
+        i += 1
+
+
+SERIES_FIELDS = ("Fq(5)((u))((t))", "Qp(3)((t))", "Q((t))", "Fq(5)((t))",
+                 "Fq(3)((v))((u))((t))", "Fq(4;w^2+w+1)((u))((t))",
+                 "Fq(2)((u))((t))")
+
+
+def test_series_digits_match_the_element_recursion():
+    monomial_q0 = other_q0 = 0
+    for text in SERIES_FIELDS:
+        F = parse_field(text)
+        rng = random.Random("series:" + text)
+        for _ in range(150):
+            x = _rand_integral(rng, F)
+            if x.is_zero():
+                continue
+            got = list(islice(digits(x), 8))
+            want = list(islice(_reference_series_digits(x), 8))
+            assert got == want, (text, x)
+            assert repr(got[0]) == repr(want[0]), (text, x)
+            if sum(k[-1] == 0 for k in x.den) == 1:
+                # one representation per digit: a Laurent polynomial
+                assert list(map(repr, got)) == list(map(repr, want)), (text, x)
+                monomial_q0 += 1
+            else:
+                other_q0 += 1
+    assert monomial_q0 > 500 and other_q0 > 100
+
+
+def test_series_digits_take_polynomial_time(deadline):
+    # Q_0 = 1 + u: the Element recursion doubled its denominators' degree
+    # about every other digit and took seconds at 16 digits
+    F = F5UT
+    q = parse_element(F, "1 + u + t + t^2")
+    x = Element.one(F) / q
+    with deadline(1.0):
+        assert len(expand(x, 40).coeffs) == 40
+    B = F.residue()
+    full = LevelsOpen(F, 40, {i: FullOpen(B) for i in range(40)}, FullRule())
+    with deadline(1.0):
+        assert full.contains(x)
+    assert expand(x, 12) * expand(q, 12) == expand(Element.one(F), 12)
 
 
 # --- residue maps ------------------------------------------------------------
