@@ -11,8 +11,10 @@ shell reports a process killed by SIGPIPE).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import reprlib
 import sys
 import time
 
@@ -39,17 +41,24 @@ def _need(inp, key):
 
 
 def _read_json(spec):
-    """A file path, an @file path, or inline data."""
+    """A file path, an @file path, or inline data; a JSON object either way."""
     if isinstance(spec, dict):
         return spec
+    if not isinstance(spec, str):
+        raise ParseError("expected a file path or an object, not %s"
+                         % reprlib.repr(spec))
     path = spec[1:] if spec.startswith("@") else spec
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as err:
         raise ParseError("cannot read %s: %s" % (path, err))
     except json.JSONDecodeError as err:
         raise ParseError("%s is not valid JSON: %s" % (path, err))
+    if not isinstance(data, dict):
+        raise ParseError("%s must hold an object, not %s"
+                         % (path, reprlib.repr(data)))
+    return data
 
 
 def _load_open(spec, field_text=None):
@@ -340,6 +349,9 @@ def _cmd_run(args):
     tasks = data.get("tasks")
     if not isinstance(tasks, list):
         raise ParseError("a job file holds a list under 'tasks'")
+    for t in tasks:
+        if not isinstance(t, dict):
+            raise ParseError("a task must be an object, not %s" % reprlib.repr(t))
     ids = [t.get("id") for t in tasks]
     if any(i is None for i in ids) or len(set(ids)) != len(ids):
         raise ParseError("task ids must be present and unique")
@@ -368,6 +380,7 @@ def _cmd_run(args):
     return worst
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="hlf",

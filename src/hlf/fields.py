@@ -75,7 +75,12 @@ class FieldDescriptor:
         raise NotImplementedError
 
     def coeff_one(self):
-        return self.coerce_coeff(1)
+        # one per descriptor: coefficients are immutable, so it is shared
+        try:
+            return self._one
+        except AttributeError:
+            self._one = self.coerce_coeff(1)
+            return self._one
 
     def coeff_zero(self):
         return self.coerce_coeff(0)
@@ -264,6 +269,8 @@ _EXT_RE = re.compile(r"^(\(\((\w+)\)\)|\{\{(\w+)\}\})")
 def parse_field(text):
     """Parse a descriptor string such as Fq(5)((u))((t)), Fq(4;w^2+w+1)((u)),
     Qp(3)((t)), Qp(3){{t}} or Q((t))."""
+    if not isinstance(text, str):
+        raise ParseError("a field descriptor must be a string, not %r" % (text,))
     s = text.strip()
     m = _BASE_RE.match(s)
     if not m:

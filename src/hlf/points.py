@@ -75,6 +75,8 @@ class BaseRing:
 
 
 def parse_base_ring(text):
+    if not isinstance(text, str):
+        raise ParseError("a base ring must be a string, not %r" % (text,))
     s = text.strip()
     if not s.startswith("ints("):
         return BaseRing(parse_field(s), 0)

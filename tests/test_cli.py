@@ -90,11 +90,21 @@ def test_units_certificate_line_is_stable(capsys):
         "certificate: pair(v_top=1*n+0 past 0, v_top=1*n+0 past 0)"]
 
 
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "src")
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+
+
+def fresh(*argv):
+    """Exit code and stdout of `python -m hlf.cli argv` in a new process."""
+    proc = subprocess.run([sys.executable, "-m", "hlf.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=_ENV, timeout=60)
+    return proc.returncode, proc.stdout
+
+
 def test_closed_stdout_exits_quietly():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src = os.path.join(root, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     r, w = os.pipe()
     os.close(r)
     try:
@@ -102,7 +112,7 @@ def test_closed_stdout_exits_quietly():
             [sys.executable, "-m", "hlf.cli", "units", "--field",
              "Fq(5)((u))((t))", "--seq", "1 + t^(-1)*u^(n)", "--limit", "1",
              "--topology", "parshin", "--json"],
-            stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+            stdout=w, stderr=subprocess.PIPE, text=True, env=_ENV, timeout=60)
     finally:
         os.close(w)
     assert "Traceback" not in proc.stderr
@@ -293,6 +303,23 @@ def _malformed(kind):
         "cycle-empty": opened(
             "rule descriptor 'cycle' must be a nonempty list, not []",
             below={"rule": "periodic", "cycle": []}),
+        "open-list": ("U.json", [], ["member", "--elem", "t", "--open"],
+                      "must hold an object, not []"),
+        "open-string": ("U.json", "x", ["member", "--elem", "t", "--open"],
+                        "must hold an object, not 'x'"),
+        "subgroup-open-list": ("U.json", [], ["witness-subgroup", "--open"],
+                               "must hold an object, not []"),
+        "subgroup-open-string": ("U.json", "x", ["witness-subgroup", "--open"],
+                                 "must hold an object, not 'x'"),
+        "job-list": ("job.json", [], ["run"], "must hold an object, not []"),
+        "task-int": ("job.json", {"tasks": [5]}, ["run"],
+                     "a task must be an object, not 5"),
+        "field-int": ("U.json", {"field": 5, "open": full_below},
+                      ["member", "--elem", "t", "--open"],
+                      "a field descriptor must be a string, not 5"),
+        "ring-int": ("X.json", dict(P1_DATA, ring=5),
+                     ["points-member", "--elem", "1", "--scheme"],
+                     "a base ring must be a string, not 5"),
     }[kind]
 
 
@@ -300,7 +327,11 @@ def _malformed(kind):
                                   "chart-5", "chart-minus-1", "window-key",
                                   "cutoff-string", "affine-a-string",
                                   "affine-a-one", "quadratic-a-string",
-                                  "window-list", "cycle-int", "cycle-empty"])
+                                  "window-list", "cycle-int", "cycle-empty",
+                                  "open-list", "open-string",
+                                  "subgroup-open-list", "subgroup-open-string",
+                                  "job-list", "task-int", "field-int",
+                                  "ring-int"])
 def test_malformed_files_exit_two(kind, tmp_path, capsys):
     name, data, argv, fragment = _malformed(kind)
     path = tmp_path / name
@@ -320,3 +351,115 @@ def test_run_records_a_malformed_rank(tmp_path, capsys):
     assert code == 2
     assert json.loads(out)["tasks"][0]["error"] == \
         "'rank' must be an integer, not 'x'"
+
+
+def test_run_records_non_string_inputs(tmp_path, capsys):
+    # a wrongly typed field or open fails its own task, not the whole job
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"tasks": [
+        {"id": "field", "kind": "valuation", "field": 5, "elem": "t"},
+        {"id": "open", "kind": "member", "elem": "t", "open": 5},
+        {"id": "good", "kind": "valuation", "field": "Fq(5)((u))",
+         "elem": "u^2", "expect": "(2,)"}]}))
+    code, out = run(capsys, "run", str(job))
+    assert code == 2
+    field, open_, good = json.loads(out)["tasks"]
+    assert field["error"] == "a field descriptor must be a string, not 5"
+    assert open_["error"] == "expected a file path or an object, not 5"
+    assert good["pass"]
+
+
+# --- one parser per process ---------------------------------------------------
+
+def query_argvs(tmp_path):
+    """One argv for each of the ten query subcommands."""
+    def put(name, data):
+        p = tmp_path / name
+        p.write_text(json.dumps(data))
+        return str(p)
+    ball = [open_file(tmp_path, "B%d.json" % d, deep_ball(F5UT, d))
+            for d in range(3)]
+    hyp = put("hyp.json", {"ring": "Fq(5)((u))((t))", "vars": ["X", "Y"],
+                           "gens": ["X*Y - 1"]})
+    p1 = put("p1.json", P1_DATA)
+    sext = put("sext.json", {"ring": "Fq(5)((u))((t))", "theta": "theta",
+                             "modulus": "theta^2 - u", "vars": ["Y"],
+                             "gens": ["Y^2 - theta"]})
+    f = "Fq(5)((u))((t))"
+    return {
+        "valuation": ["val", "--field", "Qp(3){{t}}", "--elem",
+                      "3*t^-7 + t^2", "--rank", "2"],
+        "member": ["member", "--elem", "t^-5", "--open", ball[2]],
+        "converge": ["converge", "--field", f, "--seq", "t^(-1)*u^(n)",
+                     "--limit", "0", "--topology", "higher"],
+        "units": ["units", "--field", f, "--seq", "1 + t^(-1)*u^(n)",
+                  "--limit", "1", "--topology", "parshin"],
+        "points-member": ["points-member", "--scheme", hyp,
+                          "--elem", "u, u^-1"],
+        "points-map": ["points-map", "--scheme", p1, "--elem", "u",
+                       "--chart", "0", "--to-chart", "1"],
+        "points-converge": ["points-converge", "--scheme", hyp,
+                            "--seq", "1 + t^(n),(1)/(1 + t^(n))",
+                            "--limit", "1,1"],
+        "weil": ["weil", "--scheme", sext, "--elem", "u,1"],
+        "witness-subgroup": ["witness-subgroup", "--open", ball[2]],
+        "witness-product": ["witness-product", "--open", ball[0],
+                            "--open", ball[1], "--open", ball[2]],
+    }
+
+
+def in_process(capsys, argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["valuation", "member", "converge", "units",
+                                  "points-member", "points-map",
+                                  "points-converge", "weil",
+                                  "witness-subgroup", "witness-product"])
+def test_in_process_matches_a_fresh_process(kind, tmp_path, capsys):
+    argv = query_argvs(tmp_path)[kind]
+    for extra in ([], ["--json"]):
+        got = in_process(capsys, argv + extra)
+        assert got == fresh(*argv, *extra)
+        assert got[0] == 0 and got[1]
+
+
+def test_witness_product_opens_do_not_accumulate(tmp_path, capsys):
+    ball = [open_file(tmp_path, "B%d.json" % d, deep_ball(F5UT, d))
+            for d in range(3)]
+    first = ["witness-product", "--open", ball[0], "--open", ball[1],
+             "--open", ball[2]]
+    second = ["witness-product", "--open", ball[2], "--open", ball[2],
+              "--open", ball[1]]
+    for argv in (first, second, first):
+        code, out = in_process(capsys, argv)
+        assert (code, out) == fresh(*argv)
+        assert out.startswith("checked\n")
+
+
+def test_a_usage_error_leaves_the_next_call_alone(tmp_path, capsys):
+    ball = open_file(tmp_path, "B.json", deep_ball(F5UT, 2))
+    val = ["val", "--field", "Qp(3){{t}}", "--elem", "3*t^-7 + t^2"]
+    product = ["witness-product", "--open", ball, "--open", ball,
+               "--open", ball]
+    before = [in_process(capsys, val), in_process(capsys, product)]
+    for bad in (["val", "--field", "Qp(3){{t}}"],
+                ["witness-product", "--open", ball, "--open", ball, "--nope"],
+                ["converge", "--field", "Qp(3)((t))", "--seq", "t^(n)",
+                 "--topology", "sideways"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert [in_process(capsys, val), in_process(capsys, product)] == before
+    assert before[0] == (0, "(2, 0)\n")
+
+
+def test_repeated_queries_share_one_parser(deadline, capsys):
+    argv = ["val", "--field", "Qp(3){{t}}", "--elem", "3*t^-7 + t^2"]
+    main(argv)
+    with deadline(0.5):
+        for _ in range(500):
+            main(argv)
+    assert capsys.readouterr().out == "(2, 0)\n" * 501

@@ -63,6 +63,16 @@ def test_descriptor_rejections():
                 "Qp(3){{t}}{{s}}", "Zp(3)((t))"]:
         with pytest.raises((UnsupportedFieldError, ParseError)):
             parse_field(bad)
+    with pytest.raises(ParseError, match="must be a string, not 5"):
+        parse_field(5)
+
+
+def test_coeff_one_is_built_once_per_descriptor():
+    for f in (F5UT, F4U, Q3T, Q3M, QT):
+        one = f.coeff_one()
+        assert one == f.coerce_coeff(1) and f.coeff_one() is one
+    # a second descriptor of the same field builds its own
+    assert parse_field("Qp(3)((t))").coeff_one() == Q3T.coeff_one()
 
 
 def test_extension_field_generator_arithmetic():
