@@ -14,7 +14,7 @@ from fractions import Fraction
 from .convergence import (CONVERGES, DIVERGES, converges,
                           product_continuity_check, seq_closed_check_C,
                           unit_converges)
-from .elements import Element
+from .elements import Element, lp_add
 from .errors import (UnsupportedFamilyError, UnsupportedOpenError)
 from .expansion import lift, residue
 from .fields import parse_field
@@ -28,7 +28,8 @@ from .points import (AffinePresentation, BaseRing, Point, PointSeqFamily,
                      base_change_point, base_change_presentation,
                      member_points, point_seq_converges, product_presentation)
 from .sequences import AffineForm, SeqFamily, Term, parse_family
-from .valuation import monomial_with_valuation, rank_valuation
+from .valuation import (monomial_parts, monomial_with_valuation,
+                        rank_valuation)
 from .weil import (MonogenicExt, ScalarExtPresentation, SExtFamily,
                    sext_converges, weil_restrict)
 
@@ -50,26 +51,31 @@ def _random_coeff(rng, field):
     return Fraction(rng.randrange(1, 10), rng.choice((1, 2)))
 
 
+def _random_term(rng, field, v):
+    """A random coefficient times monomial_with_valuation(field, v), as a
+    one-entry Laurent polynomial."""
+    exps, m = monomial_parts(field, v)
+    return {exps: field.coerce_coeff(_random_coeff(rng, field)) * m}
+
+
 def _random_element(rng, field, span=3, terms=3):
     nv = len(field.params())
-    out = Element.zero(field)
+    out = {}
     for _ in range(rng.randrange(1, terms + 1)):
         v = tuple(rng.randrange(-span, span + 1) for _ in range(nv))
-        out = out + Element.from_coeff(field, _random_coeff(rng, field)) \
-            * monomial_with_valuation(field, v)
-    return out if not out.is_zero() else Element.one(field)
+        out = lp_add(out, _random_term(rng, field, v))
+    return Element.make(field, out) if out else Element.one(field)
 
 
 def _random_integral(rng, field):
     # nonnegative top valuation, lower slots unrestricted
     nv = len(field.params())
-    out = Element.zero(field)
+    out = {}
     for _ in range(rng.randrange(1, 3)):
         v = tuple(rng.randrange(-2, 3) for _ in range(nv - 1)) \
             + (rng.randrange(0, 3),)
-        out = out + Element.from_coeff(field, _random_coeff(rng, field)) \
-            * monomial_with_valuation(field, v)
-    return out
+        out = lp_add(out, _random_term(rng, field, v))
+    return Element.make(field, out)
 
 
 def _sample_open_member(rng, U):

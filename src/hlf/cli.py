@@ -18,7 +18,6 @@ import reprlib
 import sys
 import time
 
-from . import checks
 from .convergence import DIVERGES, converges, unit_converges
 from .errors import HlfError, ParseError
 from .fields import parse_field
@@ -31,6 +30,32 @@ from .points import (ChartedScheme, OUT_OF_CHART, Point, PointSeqFamily,
 from .sequences import parse_family
 from .valuation import rank_valuation
 from .weil import ScalarExtPresentation, scalar_ext_from_data, weil_restrict
+
+
+#: checks.SUITES, named here so that building the parser leaves hlf.checks
+#: unimported until a check runs
+_SUITES = ("axioms", "topology", "counterexamples", "points", "weil")
+
+#: the inputs that parsers read as text, with the name of what each holds
+_TEXT_INPUTS = {"field": "a field descriptor", "elem": "an element",
+                "seq": "a sequence", "limit": "a limit",
+                "topology": "a topology"}
+
+
+def _check_text(inp):
+    """A job task's text inputs are strings, checked before any parser."""
+    for key, what in _TEXT_INPUTS.items():
+        v = inp.get(key)
+        if v is not None and not isinstance(v, str):
+            raise ParseError("%s must be a string, not %s"
+                             % (what, reprlib.repr(v)))
+
+
+def _topology(inp, allowed, message):
+    topo = inp.get("topology") or "higher"
+    if topo not in allowed:
+        raise ParseError(message)
+    return topo
 
 
 def _need(inp, key):
@@ -133,7 +158,8 @@ def _task_converge(inp):
     fam = parse_family(f, _need(inp, "seq"))
     limit = inp.get("limit")
     L = parse_element(f, limit) if limit is not None else None
-    topo = inp.get("topology") or "higher"
+    topo = _topology(inp, ("higher", "valuation", "parshin"),
+                     "topology is 'higher', 'valuation' or 'parshin'")
     if topo == "parshin":
         if L is None or L.is_zero():
             raise ParseError("the parshin topology lives on units; "
@@ -153,10 +179,9 @@ def _task_units(inp):
     f = parse_field(_need(inp, "field"))
     fam = parse_family(f, _need(inp, "seq"))
     L = parse_element(f, _need(inp, "limit"))
-    topo = inp.get("topology") or "higher"
-    if topo == "valuation":
-        raise ParseError("the units task answers the higher and parshin "
-                         "readings only")
+    topo = _topology(inp, ("higher", "parshin"),
+                     "the units task answers the higher and parshin "
+                     "readings only")
     route = "decomposition" if topo == "parshin" else "ratio"
     v = unit_converges(fam, L, route=route)
     rep = {"task": "units", "field": inp["field"], "seq": inp["seq"],
@@ -330,6 +355,7 @@ def _seed_of(args):
 
 
 def _cmd_check(args):
+    from . import checks
     seed = _seed_of(args)
     t0 = time.time()
     suites, spent = [], []
@@ -353,15 +379,20 @@ def _cmd_run(args):
         if not isinstance(t, dict):
             raise ParseError("a task must be an object, not %s" % reprlib.repr(t))
     ids = [t.get("id") for t in tasks]
-    if any(i is None for i in ids) or len(set(ids)) != len(ids):
+    for i in ids:
+        if i is not None and type(i) not in (str, int):
+            raise ParseError("a task id is a string or an integer, not %s"
+                             % reprlib.repr(i))
+    if None in ids or len(set(ids)) != len(ids):
         raise ParseError("task ids must be present and unique")
     entries, worst = [], 0
     t0 = time.time()
     for t in tasks:
         kind = t.get("kind")
-        if kind not in _HANDLERS:
+        if not isinstance(kind, str) or kind not in _HANDLERS:
             raise ParseError("task %r has unknown kind %r" % (t["id"], kind))
         try:
+            _check_text(t)
             rep, code, human = _HANDLERS[kind](t)
         except HlfError as err:
             entries.append({"id": t["id"], "kind": kind, "error": str(err)})
@@ -432,7 +463,7 @@ def _build_parser():
         p.set_defaults(fn=_cmd_single(kind))
 
     pc = sub.add_parser("check")
-    pc.add_argument("suite", nargs="?", choices=checks.SUITES)
+    pc.add_argument("suite", nargs="?", choices=_SUITES)
     pc.add_argument("--seed", type=int)
     pc.add_argument("--battery-size", dest="battery_size", type=int,
                     default=100)

@@ -309,6 +309,15 @@ class FqElem:
         return _poly_str(self.coeffs, self.field.gen) if self.coeffs else "0"
 
 
+def _fq_reduced(field, coeffs):
+    """An FqElem over field from coefficients already reduced mod p and
+    trimmed, without FqElem.__init__'s second reduction."""
+    x = FqElem.__new__(FqElem)
+    x.field = field
+    x.coeffs = coeffs
+    return x
+
+
 def _poly_str(coeffs, gen):
     parts = []
     for i, c in enumerate(coeffs):
@@ -371,7 +380,6 @@ def _is_irreducible(modulus, p):
 
 def padic_val(x, p):
     """v_p of an exact rational or an int; refuses zero."""
-    x = Fraction(x)
     if x == 0:
         raise ZeroElementError("valuation of zero")
     k = 0

@@ -7,6 +7,18 @@ inside the rational coefficient).  Q is normalized so that its monomial of
 minimal rank valuation is exactly 1; distinct monomials over one field never
 share a valuation vector, so support minima give exact valuations and zero is
 represented uniquely as 0/1.
+
+Finding that monomial is the work of normalization, so it is kept cheap on
+the shapes it almost always sees.  A one-term denominator is the monomial
+itself and is read directly.  Over towers of ((t)) over F_q or Q no
+coefficient carries a valuation: a monomial's valuation vector is its
+exponent tuple, so the inverse lexicographic valuation order is the order
+of reversed exponent tuples, and the descriptor says so once
+(exps_are_valuation).  Over Qp((t)) and Qp{{t}} the p-adic valuation of the
+coefficient is a component, and the valuation key is computed per
+monomial.  Elements are immutable, so val_vector is computed once each.
+Callers that assemble a sum of monomials build one Laurent polynomial and
+call make once, rather than adding Elements term by term.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeff import FqElem, power
-from .errors import FieldMismatchError
+from .errors import FieldMismatchError, ZeroElementError
 
 
 def _vkey(v):
@@ -22,8 +34,25 @@ def _vkey(v):
     return tuple(reversed(v))
 
 
-def lp_is_zero(a):
-    return not a
+def _reversed_exps(kv):
+    return kv[0][::-1]
+
+
+def _monomial_key(field):
+    """Sort key on (exps, coeff) pairs in rank valuation order."""
+    if field.exps_are_valuation:
+        return _reversed_exps
+    return lambda kv: _vkey(field.monomial_valuation(kv[1], kv[0]))
+
+
+def exps_key(field, exps):
+    """The exponent tuple over field's series parameters of prod name^e,
+    from {name: e}."""
+    sp = field.series_params()
+    for name in exps:
+        if name not in sp:
+            raise FieldMismatchError("%r is not a series parameter of %r" % (name, field))
+    return tuple(exps.get(v, 0) for v in sp)
 
 
 def lp_add(a, b):
@@ -68,44 +97,44 @@ def lp_shift(a, shift):
 
 def lp_min_monomial(field, a):
     """(exps, coeff) of the monomial with minimal rank valuation."""
-    best = None
-    best_key = None
-    for k, c in a.items():
-        key = _vkey(field.monomial_valuation(c, k))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (k, c)
-    return best
+    if len(a) == 1:
+        return next(iter(a.items()))
+    return min(a.items(), key=_monomial_key(field))
 
 
 class Element:
     """Field element in canonical fraction form.  Construct through the
     factory methods or parsing; arithmetic keeps the form canonical."""
 
+    __slots__ = ("field", "num", "den", "_val")
     __hash__ = None
 
     def __init__(self, field, num, den):
         self.field = field
         self.num = num
         self.den = den
+        self._val = None
 
     @classmethod
     def make(cls, field, num, den=None):
         """num/den in canonical form.  make takes ownership of the dicts it
         is given and may keep them in the result; no caller changes them
         afterwards, and no element's num or den is ever changed in place."""
+        zero = (0,) * len(field.series_params())
         if den is None:
-            den = {(0,) * len(field.series_params()): field.coeff_one()}
-        if lp_is_zero(den):
+            den = {zero: field.coeff_one()}
+        elif not den:
             raise ZeroDivisionError("zero denominator over %r" % field)
-        if lp_is_zero(num):
-            return cls(field, {}, {(0,) * len(field.series_params()): field.coeff_one()})
-        exps0, c0 = lp_min_monomial(field, den)
-        if any(exps0):
-            num, den = lp_shift(num, exps0), lp_shift(den, exps0)
-        if c0 != 1:
-            inv = c0.inverse() if isinstance(c0, FqElem) else Fraction(1) / c0
-            num, den = lp_scale(num, inv), lp_scale(den, inv)
+        elif num:
+            exps0, c0 = lp_min_monomial(field, den)
+            if any(exps0):
+                num, den = lp_shift(num, exps0), lp_shift(den, exps0)
+            if c0 != 1:
+                inv = c0.inverse() if isinstance(c0, FqElem) \
+                    else Fraction(1) / c0
+                num, den = lp_scale(num, inv), lp_scale(den, inv)
+        if not num:
+            return cls(field, {}, {zero: field.coeff_one()})
         if num == den:
             return cls.one(field)
         return cls(field, num, den)
@@ -130,17 +159,12 @@ class Element:
     def monomial(cls, field, coeff=1, **exps):
         """Element.monomial(F, 2, t=-1, u=3) is 2*t^-1*u^3."""
         c = field.coerce_coeff(coeff)
-        sp = field.series_params()
-        for name in exps:
-            if name not in sp:
-                raise FieldMismatchError("%r is not a series parameter of %r" % (name, field))
-        key = tuple(exps.get(v, 0) for v in sp)
-        return cls.make(field, {key: c} if c else {})
+        return cls.make(field, {exps_key(field, exps): c} if c else {})
 
     # --- predicates ---
 
     def is_zero(self):
-        return lp_is_zero(self.num)
+        return not self.num
 
     def __bool__(self):
         return not self.is_zero()
@@ -151,11 +175,12 @@ class Element:
     def val_vector(self):
         """Full rank valuation vector; the denominator is normalized to
         valuation zero so the numerator's support minimum is exact."""
-        from .errors import ZeroElementError
-        if self.is_zero():
-            raise ZeroElementError("valuation of zero")
-        exps, c = lp_min_monomial(self.field, self.num)
-        return self.field.monomial_valuation(c, exps)
+        if self._val is None:
+            if not self.num:
+                raise ZeroElementError("valuation of zero")
+            exps, c = lp_min_monomial(self.field, self.num)
+            self._val = self.field.monomial_valuation(c, exps)
+        return self._val
 
     # --- arithmetic ---
 
@@ -252,7 +277,7 @@ def _lp_str(field, a):
     if not a:
         return "0"
     sp = field.series_params()
-    items = sorted(a.items(), key=lambda kv: _vkey(field.monomial_valuation(kv[1], kv[0])))
+    items = sorted(a.items(), key=_monomial_key(field))
     signed = isinstance(next(iter(a.values())), (int, Fraction))
     parts = []
     for k, c in items:

@@ -53,7 +53,8 @@ from itertools import islice
 from math import gcd, lcm
 from operator import add
 
-from .coeff import UNKNOWN, FqElem, _fp_lowest_terms, rational_mod_p, teichmuller_exact
+from .coeff import (UNKNOWN, _fp_lowest_terms, _fq_reduced,
+                    rational_mod_p, teichmuller_exact)
 from .elements import Element, lp_mul
 from .errors import NotIntegralError, PrecisionExhaustedError, UnsupportedFieldError
 from .fields import FiniteBase, MixedExt, QpBase, SeriesExt
@@ -167,7 +168,9 @@ def _series_digits(x):
     fq = f.fq()
     p = fq.p if fq is not None and fq.deg == 1 else None
     raw = (lambda lp: {k: c.as_int() for k, c in lp.items()}) if p else dict
-    back = (lambda lp: {k: FqElem(fq, (c,)) for k, c in lp.items()}) if p else dict
+    # the kernel keeps ints in [1, p): no second reduction
+    back = (lambda lp: {k: _fq_reduced(fq, (c,)) for k, c in lp.items()}) \
+        if p else dict
     P, Q = _t_slices(x.num), _t_slices(x.den)
     width = max(Q)
     inv = Element.make(base, Q.pop(0)).inverse()

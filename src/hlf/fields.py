@@ -26,6 +26,11 @@ class FieldDescriptor:
     """Shared interface; concrete shapes are the four subclasses below."""
 
     dim = 0
+    #: True when a monomial's valuation vector is its exponent tuple, so
+    #: the inverse lexicographic valuation order is the order of reversed
+    #: exponents: towers of ((t)) over F_q or Q, where no coefficient
+    #: carries a valuation
+    exps_are_valuation = False
 
     def residue(self):
         """Descriptor of the first residue field, or None at dimension 0."""
@@ -90,6 +95,8 @@ class FieldDescriptor:
 
 
 class FiniteBase(FieldDescriptor):
+    exps_are_valuation = True
+
     def __init__(self, field: FqField):
         self.field = field
 
@@ -116,6 +123,8 @@ class RationalBase(FieldDescriptor):
     """The field Q as a coefficient base.  Towers over it are constructible
     but carry no canonical choice of topology data beyond the level rules;
     coefficient_field_dependent() reports that."""
+
+    exps_are_valuation = True
 
     def monomial_valuation(self, coeff, exps):
         return ()
@@ -177,15 +186,18 @@ class SeriesExt(FieldDescriptor):
         self.base = base
         self.param = param
         self.dim = base.dim + 1
+        self._params = base.params() + (param,)
+        self._series = base.series_params() + (param,)
+        self.exps_are_valuation = base.exps_are_valuation
 
     def residue(self):
         return self.base
 
     def params(self):
-        return self.base.params() + (self.param,)
+        return self._params
 
     def series_params(self):
-        return self.base.series_params() + (self.param,)
+        return self._series
 
     def prime(self):
         return self.base.prime()

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .coeff import FqElem, padic_val, power
-from .elements import Element
+from .elements import Element, exps_key, lp_add
 from .errors import (FieldMismatchError, ParseError, UnsupportedFamilyError,
                      ZeroElementError)
 from .parsing import ExprParser
@@ -114,12 +114,13 @@ class Term:
                 out.append(AffineForm(self.pa, padic_val(self.coeff, p)))
         return tuple(out)
 
-    def evaluate(self, field, n):
+    def monomial(self, field, n):
+        """The term at n as a one-monomial Laurent polynomial {exps: coeff}."""
         coeff = self.coeff
         if self.pa:
             coeff = coeff * Fraction(field.prime()) ** (self.pa * n)
-        exps = {k: f(n) for k, f in self.exps.items()}
-        return Element.monomial(field, coeff, **exps)
+        return {exps_key(field, {k: f(n) for k, f in self.exps.items()}):
+                coeff}
 
     def __repr__(self):
         bits = []
@@ -161,15 +162,18 @@ class SeqFamily:
         return not self.num
 
     def evaluate(self, n):
-        den = Element.zero(self.field)
+        """F_n as one exact element: the terms of each side, evaluated at n,
+        sum into one Laurent polynomial, and Element.make normalizes the
+        quotient once.  ZeroElementError when the denominator vanishes."""
+        f = self.field
+        num, den = {}, {}
         for t in self.den:
-            den = den + t.evaluate(self.field, n)
-        if den.is_zero():
+            den = lp_add(den, t.monomial(f, n))
+        if not den:
             raise ZeroElementError("denominator vanishes at n=%d" % n)
-        num = Element.zero(self.field)
         for t in self.num:
-            num = num + t.evaluate(self.field, n)
-        return num / den
+            num = lp_add(num, t.monomial(f, n))
+        return Element.make(f, num, den)
 
     # -- eventual valuation ----------------------------------------------
 

@@ -52,19 +52,24 @@ def in_max_ideal(x, r=None):
 def monomial_with_valuation(field, v):
     """A parameter monomial whose valuation vector is exactly v; powers of p
     land in the coefficient."""
+    exps, coeff = monomial_parts(field, v)
+    return Element.make(field, {exps: coeff})
+
+
+def monomial_parts(field, v):
+    """(exps, coeff) of monomial_with_valuation(field, v), the monomial as
+    one Laurent polynomial entry."""
     names = field.params()
     if len(v) != len(names):
         raise ValueError("expected %d components, got %d" % (len(names), len(v)))
-    p = field.prime()
-    coeff = 1
-    exps = {}
     sp = field.series_params()
+    exps, coeff = [], field.coeff_one()
     for name, e in zip(names, v):
         if name in sp:
-            exps[name] = e
+            exps.append(e)
         else:
-            coeff = Fraction(p) ** e
-    return Element.monomial(field, coeff, **exps)
+            coeff = Fraction(field.prime()) ** e
+    return tuple(exps), coeff
 
 
 class UnitParts:

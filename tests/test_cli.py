@@ -369,6 +369,93 @@ def test_run_records_non_string_inputs(tmp_path, capsys):
     assert good["pass"]
 
 
+def run_job(tmp_path, capsys, tasks):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"tasks": tasks}))
+    code = main(["run", str(job)])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+_GOOD_TASK = {"id": "good", "kind": "valuation", "field": "Fq(5)((u))",
+              "elem": "u^2", "expect": "(2,)"}
+
+
+def test_run_records_a_non_string_elem(tmp_path, capsys):
+    code, out, _ = run_job(tmp_path, capsys, [
+        {"id": "bad", "kind": "valuation", "field": "Qp(3)((t))", "elem": 5},
+        _GOOD_TASK])
+    assert code == 2
+    bad, good = json.loads(out)["tasks"]
+    assert bad["error"] == "an element must be a string, not 5"
+    assert good["pass"]
+
+
+def test_run_records_a_non_string_topology(tmp_path, capsys):
+    code, out, _ = run_job(tmp_path, capsys, [
+        {"id": "bad", "kind": "converge", "field": "Qp(3)((t))",
+         "seq": "t^(n)", "topology": True},
+        {"id": "unknown", "kind": "converge", "field": "Qp(3)((t))",
+         "seq": "t^(n)", "topology": "sideways"},
+        _GOOD_TASK])
+    assert code == 2
+    bad, unknown, good = json.loads(out)["tasks"]
+    assert bad["error"] == "a topology must be a string, not True"
+    assert unknown["error"] == \
+        "topology is 'higher', 'valuation' or 'parshin'"
+    assert good["pass"]
+
+
+@pytest.mark.parametrize("bad_id", [[], {}, 1.5, True])
+def test_run_refuses_an_id_that_is_not_a_string_or_int(bad_id, tmp_path,
+                                                         capsys):
+    code, out, err = run_job(tmp_path, capsys, [
+        {"id": bad_id, "kind": "valuation", "field": "Qp(3)((t))",
+         "elem": "t"}, _GOOD_TASK])
+    assert code == 2 and out == ""
+    assert err.startswith("error: a task id is a string or an integer")
+
+
+def test_run_refuses_a_kind_that_is_not_a_string(tmp_path, capsys):
+    code, out, err = run_job(tmp_path, capsys, [
+        {"id": 1, "kind": [], "field": "Qp(3)((t))", "elem": "t"}])
+    assert code == 2 and out == ""
+    assert err == "error: task 1 has unknown kind []\n"
+
+
+def test_run_accepts_integer_ids(tmp_path, capsys):
+    code, out, _ = run_job(tmp_path, capsys, [
+        {"id": 7, "kind": "valuation", "field": "Qp(3)((t))", "elem": "t"},
+        dict(_GOOD_TASK, id="7")])
+    assert code == 0
+    assert [t["id"] for t in json.loads(out)["tasks"]] == [7, "7"]
+
+
+# --- check runs import the suites only when they run ---------------------------
+
+def test_importing_the_cli_leaves_the_checks_unimported():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hlf.cli; print('hlf.checks' in sys.modules)"],
+        stdout=subprocess.PIPE, text=True, env=_ENV, timeout=60)
+    assert proc.stdout == "False\n"
+
+
+def test_the_parser_names_the_suites_of_checks():
+    from hlf import cli
+    assert cli._SUITES == SUITES
+
+
+def test_an_unknown_suite_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("hlf check: error: argument suite: invalid choice: "
+                        "'bogus' (choose from 'axioms', 'topology', "
+                        "'counterexamples', 'points', 'weil')\n")
+
+
 # --- one parser per process ---------------------------------------------------
 
 def query_argvs(tmp_path):
