@@ -11,18 +11,28 @@ Over base((t)) an element P/Q, cut by t exponent into slices P_i and Q_j
 one level down, expands into residue field coefficients X_i by the linear
 recursion Q_0 X_i = P_i - sum_{j>=1} Q_j X_{i-j}; normalization makes Q_0 a
 unit of the integer ring one level down, so every X_i is exact.  The loop
-runs on the slices as raw Laurent polynomials {lower exps: coeff}, with int
-residues for coefficients over a prime field, and keeps every digit over
-one power of a fixed denominator: Q_0 = m0*N with m0 a monomial, and
-X_i = A_i/N^e with e = i - i0 + 1 counted from the first slice i0, where
-A_i = m0^-1 (P_i N^(e-1) - sum_{j>=1} Q_j N^(j-1) A_{i-j}) is a Laurent
-polynomial.  Element arithmetic would cross-multiply the denominators at
-each subtraction, doubling their degree every few digits; over N^e they
-grow linearly.  Where Q_0 is one monomial (always over Qp((t)), Q((t)) and
-Fq((t))) N is 1 and each digit is a Laurent polynomial, which has one
-representation; otherwise the first digit m0^-1 P_i0 / N is still the one
-Element arithmetic gives.  A_i is empty exactly when X_i is 0, and past P's
-top slice, max(Q) zero digits in a row end the stream.
+keeps every digit over one power of a fixed denominator: X_i = A_i/N^e with
+e = i - i0 + 1 counted from the first slice i0, where N = Q_0 (Element.make
+leaves the least monomial of a denominator 1, and it lies in Q_0) and
+A_i = P_i N^(e-1) - sum_{j>=1} Q_j N^(j-1) A_{i-j} is a Laurent polynomial.
+Element arithmetic would cross-multiply the denominators at each
+subtraction, doubling their degree every few digits; over N^e they grow
+linearly.
+
+The recursion runs on cheap data.  Lower exponents are packed into one
+int key, in slots with 64 bits of headroom that no digit before the
+2^64-th overflows (_exponent_keys), so a monomial shift is one int
+addition.  Over Q, Qp and Qp{{u}} the coefficients are ints: P and Q are
+scaled by the lcm of their coefficient denominators, and a digit's
+coefficients are Fraction(a, d) with d the least coefficient of N^e; over
+a prime field they are ints mod p.  A digit adds all its products into
+one accumulator, reduced mod p once, and the table Q_j N^(j-1) is built
+only when a second digit is asked for, so residue() pays for one digit.
+Where Q_0 is one monomial (always over Qp((t)), Q((t)) and Fq((t))) N^e is
+a constant and each digit is a Laurent polynomial, which has one
+representation; otherwise Element.make finds the least monomial of N^e
+already 1.  A_i is empty exactly when X_i is 0, and past P's top slice,
+max(Q) zero digits in a row end the stream.
 
 Over Qp{{t}} and Qp the expansion runs along p instead, peeling one digit per
 step with the plain section of the reduction map: y -> (y - lift(d))/p with
@@ -49,13 +59,13 @@ digit size, dominates.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from functools import cache
+from itertools import islice, repeat
 from math import gcd, lcm
-from operator import add
 
-from .coeff import (UNKNOWN, _fp_lowest_terms, _fq_reduced,
+from .coeff import (UNKNOWN, FqElem, _fp_lowest_terms, _fq_reduced,
                     rational_mod_p, teichmuller_exact)
-from .elements import Element, lp_mul
+from .elements import Element
 from .errors import NotIntegralError, PrecisionExhaustedError, UnsupportedFieldError
 from .fields import FiniteBase, MixedExt, QpBase, SeriesExt
 
@@ -160,80 +170,126 @@ def expand(x, terms):
 
 
 def _series_digits(x):
-    # X_i = A_i / N^e with e = i - i0 + 1 over Q_0 = m0*N, so that
-    # A_i = m0^-1 (P_i N^(e-1) - sum_{j>=1} Q_j N^(j-1) A_{i-j});
-    # past P's top slice, max(Q) zero digits in a row end the stream
-    f = x.field
-    base = f.residue()
-    fq = f.fq()
-    p = fq.p if fq is not None and fq.deg == 1 else None
-    raw = (lambda lp: {k: c.as_int() for k, c in lp.items()}) if p else dict
-    # the kernel keeps ints in [1, p): no second reduction
-    back = (lambda lp: {k: _fq_reduced(fq, (c,)) for k, c in lp.items()}) \
-        if p else dict
-    P, Q = _t_slices(x.num), _t_slices(x.den)
+    # X_i = A_i / N^e with e = i - i0 + 1 and N = Q_0, so that
+    # A_i = P_i N^(e-1) - sum_{j>=1} Q_j N^(j-1) A_{i-j}; past P's top
+    # slice, max(Q) zero digits in a row end the stream
+    base = x.field.residue()
+    fq = base.fq()
+    p = None
+    if fq is None:
+        # Q, Qp or Qp{{u}} coefficients: P and Q times one integer
+        scale = lcm(*(c.denominator for lp in (x.num, x.den) for c in lp.values()))
+        conv = lambda c: c.numerator * (scale // c.denominator)
+        coeffs = lambda cs, d: map(Fraction, cs, repeat(d))
+    elif fq.deg == 1:
+        # ints mod p; one FqElem per residue, shared (they are immutable)
+        # and built without a second reduction
+        p = fq.p
+        conv = FqElem.as_int
+        elem = cache(lambda c: _fq_reduced(fq, (c,)))
+        coeffs = lambda cs, d: map(elem, cs)
+    else:
+        conv = lambda c: c
+        coeffs = lambda cs, d: cs
+    pack, tuples = _exponent_keys(len(base.series_params()), (x.num, x.den))
+    P, Q = _t_slices(x.num, pack, conv), _t_slices(x.den, pack, conv)
+
+    def element(a, D):
+        # D = N^e; its least monomial sits at key 0, and dividing by its
+        # coefficient d (1 over F_q) leaves Element.make nothing to normalize
+        d = D[0]
+        num = dict(zip(tuples(a), coeffs(a.values(), d)))
+        if len(D) == 1:
+            return Element.make(base, num)
+        return Element.make(base, num, dict(zip(tuples(D), coeffs(D.values(), d))))
+
     width = max(Q)
-    inv = Element.make(base, Q.pop(0)).inverse()
-    m0inv, N = raw(inv.num), raw(inv.den)
-    D = Nj = raw(Element.one(base).num)
-    QN = {}
+    N = Q.pop(0)
+    i, top = min(P), max(P)
+    A = {i: P[i]}
+    yield element(P[i], N)
+    # from the second digit on: the table -Q_j N^(j-1), so that each digit
+    # is one sum of products
+    QN, Nj = {}, {0: 1}
     for j in range(1, width + 1):
         if j in Q:
-            QN[j] = _lp_mul(raw(Q[j]), Nj, p)
-        Nj = _lp_mul(Nj, N, p)
-    A = {}
-    i, top, run = min(P), max(P), 0
+            QN[j] = {k: -c for k, c in _product(Q[j], Nj, p).items()}
+        if j < width:
+            Nj = _product(Nj, N, p)
+    i, D, run = i + 1, N, 0
     while i <= top or run < width:
-        acc = _lp_mul(raw(P[i]), D, p) if i in P else {}
+        acc = {}
+        if i in P:
+            _add_product(acc, P[i], D)
         for j, qn in QN.items():
             if A.get(i - j):
-                acc = _lp_sub(acc, _lp_mul(qn, A[i - j], p), p)
-        A[i] = a = _lp_mul(m0inv, acc, p)
+                _add_product(acc, qn, A[i - j])
+        A[i] = a = _lp_reduced(acc, p)
         A.pop(i - width, None)
-        D = _lp_mul(D, N, p)
-        yield Element.make(base, back(a), back(D))
+        D = _product(D, N, p)
+        yield element(a, D)
         run = run + 1 if not a else 0
         i += 1
 
 
-def _t_slices(lp):
-    """A Laurent polynomial over base((t)) as {t exponent: {lower exps:
-    coeff}}."""
+def _exponent_keys(nlow, lps):
+    """(pack, tuples) for P and Q in lps, with nlow lower variables: pack
+    maps an exponent tuple to one int key for its lower exponents
+    (Kronecker substitution), tuples maps keys back to exponent tuples.
+    The key is 0 with no lower variable and the exponent with one.  With
+    more, each exponent gets a slot of the bit length of the largest
+    |lower exponent| M in P and Q, plus 64 bits of headroom and a sign bit;
+    the exponents of A_i and N^e stay within e*M, so no slot overflows
+    before the 2^64-th digit."""
+    if nlow == 0:
+        return (lambda k: 0), (lambda keys: repeat(()))
+    if nlow == 1:
+        return (lambda k: k[0]), zip
+    bound = max(abs(e) for lp in lps for k in lp for e in k[:-1])
+    w = bound.bit_length() + 65
+    shifts = range(0, nlow * w, w)
+    half, mask = 1 << (w - 1), (1 << w) - 1
+
+    def unpack(key):
+        out = []
+        for _ in shifts:
+            e = ((key + half) & mask) - half
+            out.append(e)
+            key = (key - e) >> w
+        return tuple(out)
+    # zip stops at the last lower exponent, dropping t's
+    return (lambda k: sum(e << s for e, s in zip(k, shifts))), \
+        (lambda keys: map(unpack, keys))
+
+
+def _t_slices(lp, pack, conv):
+    """A Laurent polynomial over base((t)) as {t exponent: {packed lower
+    exps: converted coeff}}."""
     out = {}
     for k, c in lp.items():
-        out.setdefault(k[-1], {})[k[:-1]] = c
+        out.setdefault(k[-1], {})[pack(k)] = conv(c)
     return out
 
 
-def _lp_mul(a, b, p):
-    """Product of Laurent polynomials {exps: coeff}, reduced mod p when p is
-    set.  A monomial factor is a shift and a scale, and 1 returns the other
-    factor itself: no caller changes these dicts in place."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) != 1:
-        return _lp_reduce(lp_mul(a, b), p)
-    (ka, ca), = a.items()
-    if any(ka):
-        out = {tuple(map(add, ka, kb)): ca * cb for kb, cb in b.items()}
-    elif ca == 1:
-        return b
-    else:
-        out = {kb: ca * cb for kb, cb in b.items()}
-    return _lp_reduce(out, p)
+def _add_product(acc, a, b):
+    """acc += a*b over packed keys, unreduced; returns acc."""
+    get = acc.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    return acc
 
 
-def _lp_sub(a, b, p):
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, 0) - c
-    return _lp_reduce(out, p)
-
-
-def _lp_reduce(a, p):
+def _lp_reduced(a, p):
+    """a without its zero coefficients, reduced mod p when p is set."""
     if p is None:
         return {k: c for k, c in a.items() if c}
-    return {k: c % p for k, c in a.items() if c % p}
+    return {k: r for k, c in a.items() if (r := c % p)}
+
+
+def _product(a, b, p):
+    return _lp_reduced(_add_product({}, a, b), p)
 
 
 def _qp_digits(x):
@@ -263,8 +319,10 @@ def _mixed_digits(x):
     while N:
         nbar, nbs = _ztrim([c % p for c in N], ns)
         qbar, _ = _ztrim([c % p for c in Q[-qs:]], 0)
-        yield Element.make(rf, {(nbs + i,): fq(c) for i, c in enumerate(nbar) if c},
-                           {(i,): fq(c) for i, c in enumerate(qbar) if c})
+        # nbar and qbar hold ints in [0, p): no second reduction
+        yield Element.make(
+            rf, {(nbs + i,): _fq_reduced(fq, (c,)) for i, c in enumerate(nbar) if c},
+            {(i,): _fq_reduced(fq, (c,)) for i, c in enumerate(qbar) if c})
         if nbar:
             # the plain lift of the digit, as lift() builds it
             nt, dt = _fp_lowest_terms(nbar, qbar, p)
@@ -406,7 +464,9 @@ def canonical_fraction(x):
         # prime fields, the residue fields of Qp{{t}} among them, reduce on ints
         np, dp = _fp_lowest_terms([c.as_int() for c in np],
                                   [c.as_int() for c in dp], fq.p)
-        np, dp = [fq(c) for c in np], [fq(c) for c in dp]
+        # in [0, p) already: no second reduction
+        back = lambda cs: [_fq_reduced(fq, (c,)) if c else fq.zero() for c in cs]
+        np, dp = back(np), back(dp)
     else:
         g = _upoly_gcd(list(np), list(dp))
         if len(g) > 1:

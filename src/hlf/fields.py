@@ -50,16 +50,16 @@ class FieldDescriptor:
         return 0
 
     def residue_char(self):
-        b = self
-        while b.residue() is not None:
-            b = b.residue()
-        return b.char()
+        return self.last_residue().char()
 
     def last_residue(self):
-        b = self
-        while b.residue() is not None:
-            b = b.residue()
-        return b
+        # descriptors are immutable: the walk down the tower is made once
+        try:
+            return self._last
+        except AttributeError:
+            r = self.residue()
+            self._last = self if r is None else r.last_residue()
+            return self._last
 
     def is_higher_local(self):
         return isinstance(self.last_residue(), FiniteBase)
@@ -69,8 +69,13 @@ class FieldDescriptor:
 
     def fq(self):
         """The finite coefficient field for equal characteristic towers."""
-        last = self.last_residue()
-        return last.field if isinstance(last, FiniteBase) and self.char() > 0 else None
+        try:
+            return self._fq
+        except AttributeError:
+            last = self.last_residue()
+            self._fq = last.field if isinstance(last, FiniteBase) \
+                and self.char() > 0 else None
+            return self._fq
 
     def monomial_valuation(self, coeff, exps):
         """Rank-dim valuation vector (v_1, ..., v_n) of coeff * prod vars^exps."""
@@ -151,7 +156,11 @@ class QpBase(FieldDescriptor):
         self.p = p
 
     def residue(self):
-        return FiniteBase(FqField(self.p))
+        try:
+            return self._residue
+        except AttributeError:
+            self._residue = FiniteBase(FqField(self.p))
+            return self._residue
 
     def params(self):
         return (str(self.p),)
@@ -241,7 +250,11 @@ class MixedExt(FieldDescriptor):
         self.param = param
 
     def residue(self):
-        return SeriesExt(FiniteBase(FqField(self.base.p)), self.param)
+        try:
+            return self._residue
+        except AttributeError:
+            self._residue = SeriesExt(self.base.residue(), self.param)
+            return self._residue
 
     def params(self):
         return (self.param,) + self.base.params()

@@ -75,13 +75,14 @@ class Term:
     """coeff * p^(pa*n) * prod params^form; constant p-powers live in the
     coefficient, so pa carries only the n-dependence."""
 
-    __slots__ = ("coeff", "exps", "pa")
+    __slots__ = ("coeff", "exps", "pa", "_forms")
 
     def __init__(self, coeff, exps=None, pa=0):
         self.coeff = coeff
         self.exps = {k: f for k, f in (exps or {}).items()
                      if f.key() != (0, 0)}
         self.pa = pa
+        self._forms = {}
 
     def key(self):
         return (tuple(sorted((k, f.key()) for k, f in self.exps.items())), self.pa)
@@ -103,16 +104,19 @@ class Term:
 
     def val_forms(self, field):
         """Valuation vector of the term as affine forms, one per parameter,
-        bottom first."""
-        sp = field.series_params()
-        p = field.prime()
-        out = []
-        for name in field.params():
-            if name in sp:
-                out.append(self.exps.get(name, _ZERO_FORM))
-            else:
-                out.append(AffineForm(self.pa, padic_val(self.coeff, p)))
-        return tuple(out)
+        bottom first; computed once per field, as a term never changes."""
+        forms = self._forms.get(field)
+        if forms is None:
+            sp = field.series_params()
+            p = field.prime()
+            out = []
+            for name in field.params():
+                if name in sp:
+                    out.append(self.exps.get(name, _ZERO_FORM))
+                else:
+                    out.append(AffineForm(self.pa, padic_val(self.coeff, p)))
+            self._forms[field] = forms = tuple(out)
+        return forms
 
     def monomial(self, field, n):
         """The term at n as a one-monomial Laurent polynomial {exps: coeff}."""

@@ -283,6 +283,133 @@ def test_series_digits_match_the_element_recursion():
     assert monomial_q0 > 500 and other_q0 > 100
 
 
+def _reference_dict_digits(x):
+    """The base((t)) digit kernel as it ran on dicts keyed by exponent
+    tuples, with exact coefficients over Q and ints mod p over F_p, each
+    product and difference reduced on its own and every digit through
+    Element.make.  Kept as the reference for the digits' representation."""
+    f = x.field
+    base = f.residue()
+    fq = f.fq()
+    p = fq.p if fq is not None and fq.deg == 1 else None
+    raw = (lambda lp: {k: c.as_int() for k, c in lp.items()}) if p else dict
+    back = (lambda lp: {k: fq(c) for k, c in lp.items()}) if p else dict
+    def slices(lp):
+        out = {}
+        for k, c in lp.items():
+            out.setdefault(k[-1], {})[k[:-1]] = c
+        return out
+    P, Q = slices(x.num), slices(x.den)
+    width = max(Q)
+    inv = Element.make(base, Q.pop(0)).inverse()
+    m0inv, N = raw(inv.num), raw(inv.den)
+    D = Nj = raw(Element.one(base).num)
+    QN = {}
+    for j in range(1, width + 1):
+        if j in Q:
+            QN[j] = _ref_mul(raw(Q[j]), Nj, p)
+        Nj = _ref_mul(Nj, N, p)
+    A = {}
+    i, top, run = min(P), max(P), 0
+    while i <= top or run < width:
+        acc = _ref_mul(raw(P[i]), D, p) if i in P else {}
+        for j, qn in QN.items():
+            if A.get(i - j):
+                for k, c in _ref_mul(qn, A[i - j], p).items():
+                    acc[k] = acc.get(k, 0) - c
+                acc = _ref_reduce(acc, p)
+        A[i] = a = _ref_mul(m0inv, acc, p)
+        A.pop(i - width, None)
+        D = _ref_mul(D, N, p)
+        yield Element.make(base, back(a), back(D))
+        run = run + 1 if not a else 0
+        i += 1
+
+
+def _ref_mul(a, b, p):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, 0) + ca * cb
+    return _ref_reduce(out, p)
+
+
+def _ref_reduce(a, p):
+    if p is None:
+        return {k: c for k, c in a.items() if c}
+    return {k: c % p for k, c in a.items() if c % p}
+
+
+def _rand_series(rng, F, big):
+    """num/(1 + den) over a base((t)) tower with t exponents in [-2, 3] and
+    [0, 3]; the lower exponents are in [-3, 3], about half of them times
+    big, and p-adic coefficients may carry a power of p."""
+    sp = F.series_params()
+    fq = F.fq()
+    def poly(n, lo):
+        out = Element.zero(F)
+        for _ in range(n):
+            if fq is None:
+                c = Fraction(rng.choice((-7, -2, 1, 3, 5, 10)),
+                             rng.choice((1, 2, 3, 4, 9)))
+                if F.prime():
+                    c *= Fraction(F.prime()) ** rng.randint(-1, 1)
+            elif fq.deg == 1:
+                c = rng.randrange(1, fq.p)
+            else:
+                c = fq.generator() ** rng.randrange(fq.q - 1)
+            exps = {v: rng.randint(-3, 3) * (big if rng.random() < 0.5 else 1)
+                    for v in sp[:-1]}
+            exps[sp[-1]] = rng.randint(lo, 3)
+            out = out + Element.monomial(F, c, **exps)
+        return out
+    num = poly(rng.randint(1, 3), -2)
+    den = Element.one(F) + poly(rng.randint(0, 3), 0)
+    return num if den.is_zero() else num / den
+
+
+def _same_digit(got, want):
+    types = lambda lp: {k: type(c) for k, c in lp.items()}
+    return (got.num == want.num and got.den == want.den
+            and types(got.num) == types(want.num)
+            and types(got.den) == types(want.den) and repr(got) == repr(want))
+
+
+KERNEL_FIELDS = SERIES_FIELDS + ("Q((u))((t))", "Qp(3){{u}}((t))",
+                                 "Fq(7)((u))((v))((w))((t))")
+
+
+def test_series_digits_keep_the_dict_kernel_representation():
+    # every digit keeps the num/den entries, coefficient types and repr of
+    # the dict kernel: Q_0 of one term and of several, lower exponents
+    # around 10^30 in packed slots, zero digits right after the first (the
+    # first the table computes), and one-digit streams via residue()
+    one_q0 = more_q0 = huge = zero_second = 0
+    for text in KERNEL_FIELDS:
+        F = parse_field(text)
+        rng = random.Random("kernel:" + text)
+        for n in range(24):
+            big = 10 ** 30 if n % 3 == 0 else 1
+            x = _rand_series(rng, F, big)
+            if x.is_zero():
+                continue
+            got = list(islice(digits(x), 40))
+            want = list(islice(_reference_dict_digits(x), 40))
+            assert len(got) == len(want), (text, x)
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert _same_digit(g, w), (text, x, k)
+            if x.val_vector()[-1] == 0:
+                assert _same_digit(residue(x), want[0]), (text, x)
+            if len([k for k in x.den if k[-1] == 0]) == 1:
+                one_q0 += 1
+            else:
+                more_q0 += 1
+            huge += big > 1 and len(F.series_params()) > 2
+            zero_second += len(got) > 1 and got[1].is_zero()
+    assert one_q0 > 150 and more_q0 > 40 and huge >= 12 and zero_second > 60
+
+
 def test_series_digits_take_polynomial_time(deadline):
     # Q_0 = 1 + u: the Element recursion doubled its denominators' degree
     # about every other digit and took seconds at 16 digits

@@ -75,6 +75,25 @@ def test_coeff_one_is_built_once_per_descriptor():
     assert parse_field("Qp(3)((t))").coeff_one() == Q3T.coeff_one()
 
 
+def test_descriptor_data_is_computed_once():
+    for f in (F5UT, F4U, Q3T, Q3M, QT, parse_field("Qp(5)")):
+        assert f.residue() is f.residue()
+        assert f.last_residue() is f.last_residue()
+        assert f.fq() is f.fq()
+    # a fresh descriptor, asked after one that has filled its caches,
+    # compares and hashes as before
+    for text in ("Qp(3){{t}}", "Qp(3)", "Fq(5)((u))((t))"):
+        warm, fresh = parse_field(text), parse_field(text)
+        warm.residue(), warm.last_residue(), warm.fq()
+        assert warm == fresh and hash(warm) == hash(fresh)
+        assert warm.residue() == fresh.residue()
+        assert hash(warm.residue()) == hash(fresh.residue())
+        assert repr(warm.residue()) == repr(fresh.residue())
+    assert Q3M.residue() == parse_field("Fq(3)((t))")
+    assert Q3M.last_residue() == parse_field("Fq(3)") and Q3M.fq() is None
+    assert F5UT.fq() == F5UT.residue().fq() == parse_field("Fq(5)").field
+
+
 def test_extension_field_generator_arithmetic():
     fq = F4U.fq()
     assert fq.q == 4

@@ -1,12 +1,14 @@
 """Sequence families: parsing, evaluation, merging, eventual valuation."""
 
+from fractions import Fraction
+
 import pytest
 
 from hlf.errors import (FieldMismatchError, ParseError, UnsupportedFamilyError,
                         ZeroElementError)
 from hlf.fields import parse_field
 from hlf.parsing import parse_element
-from hlf.sequences import AffineForm, SeqFamily, parse_family
+from hlf.sequences import AffineForm, SeqFamily, Term, parse_family
 
 F5UT = parse_field("Fq(5)((u))((t))")
 Q3T = parse_field("Qp(3)((t))")
@@ -44,6 +46,19 @@ def test_crossing_bound():
     fam2 = parse_family(F5UT, "u^(n)*t^2 + u^3*t^2")
     assert fam2.crossing_bound() == 3
     assert fam2.val_form() == (AffineForm(0, 3), AffineForm(0, 2))
+
+
+def test_val_forms_are_kept_per_field():
+    # 9 * 3^n * t^n: the p-adic slot is n + 2, the t slot n, and the two
+    # fields order them differently
+    term = Term(Fraction(9), {"t": AffineForm(1, 0)}, 1)
+    on_q3t = term.val_forms(Q3T)
+    assert on_q3t == (AffineForm(1, 2), AffineForm(1, 0))
+    assert term.val_forms(Q3M) == (AffineForm(1, 0), AffineForm(1, 2))
+    assert term.val_forms(Q3T) is on_q3t
+    assert term.val_forms(parse_field("Qp(3)((t))")) is on_q3t
+    assert term.val_forms(parse_field("Qp(3)((s))((t))")) == (
+        AffineForm(1, 2), AffineForm(0, 0), AffineForm(1, 0))
 
 
 @pytest.mark.parametrize("field,fam,form", [
