@@ -6,6 +6,13 @@ keys so identical inputs and seeds give identical bytes; wall time goes to
 stderr only.  Exit codes: 0 all pass, 1 expectation or property failure,
 2 input error, 141 stdout closed before the output was written (as a
 shell reports a process killed by SIGPIPE).
+
+main() may be called many times in one process.  Every call reads its
+files again, but an open or scheme file is parsed, built and checked once
+per process for each distinct content (path and text, or the JSON text of
+an inline job object), a scalar extension together with its Weil
+restriction; at most _BUILT_MAX = 64 contents stay built, the least
+recently used dropped first.
 """
 
 from __future__ import annotations
@@ -41,6 +48,9 @@ _TEXT_INPUTS = {"field": "a field descriptor", "elem": "an element",
                 "seq": "a sequence", "limit": "a limit",
                 "topology": "a topology"}
 
+#: distinct open and scheme file contents kept built at once
+_BUILT_MAX = 64
+
 
 def _check_text(inp):
     """A job task's text inputs are strings, checked before any parser."""
@@ -65,19 +75,25 @@ def _need(inp, key):
     return v
 
 
-def _read_json(spec):
-    """A file path, an @file path, or inline data; a JSON object either way."""
+def _read_spec(spec):
+    """(path, text) of a file path or an @file path, read on every call, or
+    (None, its JSON text) of inline data."""
     if isinstance(spec, dict):
-        return spec
+        return None, json.dumps(spec)
     if not isinstance(spec, str):
         raise ParseError("expected a file path or an object, not %s"
                          % reprlib.repr(spec))
     path = spec[1:] if spec.startswith("@") else spec
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as err:
+            return path, fh.read()
+    except (OSError, UnicodeDecodeError) as err:
         raise ParseError("cannot read %s: %s" % (path, err))
+
+
+def _parse_object(path, text):
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError("%s is not valid JSON: %s" % (path, err))
     if not isinstance(data, dict):
@@ -86,22 +102,38 @@ def _read_json(spec):
     return data
 
 
-def _load_open(spec, field_text=None):
-    data = _read_json(spec)
-    text = data.get("field") or field_text
-    if text is None:
-        raise ParseError("open descriptor carries no field")
-    field = parse_field(text)
-    return field, open_from_data(field, data.get("open", data))
-
-
-def _load_scheme(spec):
-    data = _read_json(spec)
+@functools.lru_cache(maxsize=_BUILT_MAX)
+def _built(kind, path, text, field_text=None):
+    """What a file of this content holds, parsed, built and checked once per
+    distinct (kind, path, text, field_text): (field, open) for "open", the
+    presentation or scheme for "scheme", (Y, weil_restrict(Y)) for "weil".
+    A load that fails raises again on the next call: lru_cache keeps no
+    exception.  Every caller gets the same objects and none mutates them."""
+    if kind == "weil":
+        Y = _built("scheme", path, text)
+        if not isinstance(Y, ScalarExtPresentation):
+            raise ParseError("weil needs a scalar extension scheme file")
+        return Y, weil_restrict(Y)
+    data = _parse_object(path, text)
+    if kind == "open":
+        ftext = data.get("field") or field_text
+        if ftext is None:
+            raise ParseError("open descriptor carries no field")
+        field = parse_field(ftext)
+        return field, open_from_data(field, data.get("open", data))
     if "charts" in data:
         return scheme_from_data(data)
     if "theta" in data:
         return scalar_ext_from_data(data)
     return presentation_from_data(data)
+
+
+def _load_open(spec, field_text=None):
+    return _built("open", *_read_spec(spec), field_text)
+
+
+def _load_scheme(spec):
+    return _built("scheme", *_read_spec(spec))
 
 
 def _split_coords(field, text):
@@ -257,10 +289,7 @@ def _task_points_converge(inp):
 
 
 def _task_weil(inp):
-    Y = _load_scheme(_need(inp, "scheme"))
-    if not isinstance(Y, ScalarExtPresentation):
-        raise ParseError("weil needs a scalar extension scheme file")
-    W = weil_restrict(Y)
+    Y, W = _built("weil", *_read_spec(_need(inp, "scheme")))
     pres = W.presentation
     rep = {"task": "weil", "ring": pres.ring.describe(),
            "vars": list(pres.variables),
@@ -371,7 +400,7 @@ def _cmd_check(args):
 
 
 def _cmd_run(args):
-    data = _read_json(args.job)
+    data = _parse_object(*_read_spec(args.job))
     tasks = data.get("tasks")
     if not isinstance(tasks, list):
         raise ParseError("a job file holds a list under 'tasks'")

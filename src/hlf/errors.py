@@ -2,8 +2,11 @@
 
 Everything raised on purpose derives from HlfError so callers can catch one
 thing at the CLI boundary.  ParseError carries the offset of the offending
-character; require() turns a missing key of loaded data into one.
+character; require() turns a missing key of loaded data into one, and the
+need_* readers a value of the wrong type.
 """
+
+import reprlib
 
 
 class HlfError(Exception):
@@ -29,6 +32,47 @@ def require(data, key, what):
         return data[key]
     except (KeyError, TypeError):
         raise ParseError("%s lacks %r" % (what, key)) from None
+
+
+def _refuse(what, key, kind, v):
+    raise ParseError("%s %r must be %s, not %s"
+                     % (what, key, kind, reprlib.repr(v)))
+
+
+def need_int(data, key, what):
+    """require(data, key, what), refused unless it is an int (not a bool)."""
+    v = require(data, key, what)
+    if isinstance(v, bool) or not isinstance(v, int):
+        _refuse(what, key, "an integer", v)
+    return v
+
+
+def need_str(data, key, what):
+    """require(data, key, what), refused unless it is a string."""
+    v = require(data, key, what)
+    if not isinstance(v, str):
+        _refuse(what, key, "a string", v)
+    return v
+
+
+def need_list(data, key, what, optional=False):
+    """require(data, key, what), refused unless it is a list; an optional
+    key that is absent reads as []."""
+    if optional and key not in data:
+        return []
+    v = require(data, key, what)
+    if not isinstance(v, list):
+        _refuse(what, key, "a list", v)
+    return v
+
+
+def need_list_of_str(data, key, what, optional=False):
+    """need_list(data, key, what, optional), refused unless every item is
+    a string."""
+    v = need_list(data, key, what, optional)
+    if not all(isinstance(s, str) for s in v):
+        _refuse(what, key, "a list of strings", v)
+    return v
 
 
 class UnknownParameterError(ParseError):

@@ -198,6 +198,8 @@ class SeriesExt(FieldDescriptor):
         self._params = base.params() + (param,)
         self._series = base.series_params() + (param,)
         self.exps_are_valuation = base.exps_are_valuation
+        # descriptors are immutable and key per-field caches: hash once
+        self._hash = hash(("ser", param, base))
 
     def residue(self):
         return self.base
@@ -228,7 +230,7 @@ class SeriesExt(FieldDescriptor):
         )
 
     def __hash__(self):
-        return hash(("ser", self.param, self.base))
+        return self._hash
 
     def __repr__(self):
         return "%r((%s))" % (self.base, self.param)
@@ -248,6 +250,7 @@ class MixedExt(FieldDescriptor):
             raise UnsupportedFieldError("parameter %r shadows the prime" % param)
         self.base = base
         self.param = param
+        self._hash = hash(("mix", param, base))
 
     def residue(self):
         try:
@@ -279,7 +282,7 @@ class MixedExt(FieldDescriptor):
         )
 
     def __hash__(self):
-        return hash(("mix", self.param, self.base))
+        return self._hash
 
     def __repr__(self):
         return "%r{{%s}}" % (self.base, self.param)

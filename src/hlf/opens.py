@@ -27,6 +27,8 @@ from .errors import (
     UnsupportedFieldError,
     UnsupportedOpenError,
     UnsupportedScalarError,
+    need_int,
+    need_str,
     require,
 )
 from .expansion import digits
@@ -689,13 +691,6 @@ def _reanchored(rule, old_lo, new_lo):
 
 # --- serialization ------------------------------------------------------------
 
-def _need_int(data, key, what):
-    v = require(data, key, what)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ParseError("%s %r must be an integer, not %r" % (what, key, v))
-    return v
-
-
 def _window_level(key):
     # to_data writes each window level as its decimal string
     if not (isinstance(key, str) and re.fullmatch(r"-?[0-9]+", key)):
@@ -705,14 +700,14 @@ def _window_level(key):
 
 def open_from_data(field, data):
     need = lambda key: require(data, key, "open descriptor")
-    need_int = lambda key: _need_int(data, key, "open descriptor")
+    integer = lambda key: need_int(data, key, "open descriptor")
     kind = need("kind")
     if kind == "full":
         return FullOpen(field)
     if kind == "zero":
         return ZeroOpen(field)
     if kind == "ball":
-        return BallOpen(field, need_int("depth"))
+        return BallOpen(field, integer("depth"))
     if kind == "levels":
         base = field.residue()
         window = need("window")
@@ -721,21 +716,21 @@ def open_from_data(field, data):
                              % (window,))
         window = {_window_level(i): open_from_data(base, d)
                   for i, d in window.items()}
-        return LevelsOpen(field, need_int("cutoff"), window,
+        return LevelsOpen(field, integer("cutoff"), window,
                           _rule_from_data(base, need("below")))
     raise UnsupportedOpenError("unknown descriptor kind %r" % kind)
 
 
 def _rule_from_data(base, data):
     need = lambda key: require(data, key, "rule descriptor")
-    need_int = lambda key: _need_int(data, key, "rule descriptor")
+    integer = lambda key: need_int(data, key, "rule descriptor")
     r = need("rule")
     if r == "full":
         return FullRule()
     if r == "const":
         return ConstRule(open_from_data(base, need("open")))
     if r == "affine":
-        return AffineRule(need_int("a"), need_int("b"))
+        return AffineRule(integer("a"), integer("b"))
     if r == "periodic":
         cycle = need("cycle")
         if not (isinstance(cycle, list) and cycle):
@@ -746,8 +741,9 @@ def _rule_from_data(base, data):
         scale = None
         if "scale" in data:
             from .parsing import parse_element
-            scale = parse_element(base, data["scale"])
-        return QuadraticRule(need_int("a"), need_int("l"), need_int("c"), scale)
+            scale = parse_element(base, need_str(data, "scale",
+                                                 "rule descriptor"))
+        return QuadraticRule(integer("a"), integer("l"), integer("c"), scale)
     raise UnsupportedOpenError("unknown rule %r" % r)
 
 

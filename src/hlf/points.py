@@ -16,7 +16,8 @@ from .coeff import power
 from .convergence import CONVERGES, DIVERGES, UNKNOWN, converges
 from .elements import Element
 from .errors import (ArityMismatchError, FieldMismatchError, ParseError,
-                     TargetViolationError, UnsupportedFieldError, require)
+                     TargetViolationError, UnsupportedFieldError, need_list,
+                     need_list_of_str, need_str, require)
 from .expansion import residue
 from .fields import parse_field
 from .opens import residue_image
@@ -396,8 +397,9 @@ class AffinePresentation:
 
 def presentation_from_data(data):
     ring = parse_base_ring(require(data, "ring", "scheme"))
-    return AffinePresentation(ring, require(data, "vars", "scheme"),
-                              data.get("gens", []))
+    return AffinePresentation(
+        ring, need_list_of_str(data, "vars", "scheme"),
+        need_list_of_str(data, "gens", "scheme", optional=True))
 
 
 class Point:
@@ -639,17 +641,18 @@ def chart_transfer(X, x, j):
 
 def scheme_from_data(data):
     ring = parse_base_ring(require(data, "ring", "scheme"))
-    charts = [AffinePresentation(ring, require(c, "vars", "chart"),
-                                 c.get("gens", []))
-              for c in data["charts"]]
+    charts = [AffinePresentation(
+                  ring, need_list_of_str(c, "vars", "chart"),
+                  need_list_of_str(c, "gens", "chart", optional=True))
+              for c in need_list(data, "charts", "scheme")]
     overlaps = {}
-    for o in data.get("overlaps", []):
-        need = lambda key: require(o, key, "overlap")
-        ends = (need("from"), need("to"))
+    for o in need_list(data, "overlaps", "scheme", optional=True):
+        ends = (require(o, "from", "overlap"), require(o, "to", "overlap"))
         if not all(type(e) is int and 0 <= e < len(charts) for e in ends):
             raise ParseError("overlap %r-%r names no chart among 0..%d"
                              % (*ends, len(charts) - 1))
-        overlaps[ends] = (need("unit"), need("map"))
+        overlaps[ends] = (need_str(o, "unit", "overlap"),
+                          need_list_of_str(o, "map", "overlap"))
     return ChartedScheme(ring, charts, overlaps)
 
 

@@ -12,7 +12,7 @@ the module structure instead of restating the encoding.
 from .convergence import converges
 from .elements import Element
 from .errors import (ArityMismatchError, NotFreeError, UnsupportedScalarError,
-                     require)
+                     need_list_of_str, need_str, require)
 from .points import (AffinePresentation, NO, Point, PointVerdict, Poly, YES,
                      parse_poly)
 from .sequences import SeqFamily
@@ -153,10 +153,13 @@ class ScalarExtPresentation:
 
 def scalar_ext_from_data(data):
     from .points import parse_base_ring
-    need = lambda key: require(data, key, "scalar extension scheme")
-    ext = MonogenicExt(parse_base_ring(need("ring")), need("theta"),
-                       need("modulus"))
-    return ScalarExtPresentation(ext, need("vars"), data.get("gens", []))
+    what = "scalar extension scheme"
+    ext = MonogenicExt(parse_base_ring(require(data, "ring", what)),
+                       need_str(data, "theta", what),
+                       need_str(data, "modulus", what))
+    return ScalarExtPresentation(
+        ext, need_list_of_str(data, "vars", what),
+        need_list_of_str(data, "gens", what, optional=True))
 
 
 class WeilRestriction:

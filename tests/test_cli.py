@@ -251,6 +251,10 @@ P1_DATA = {
     "charts": [{"vars": ["X"], "gens": []}, {"vars": ["Y"], "gens": []}],
     "overlaps": [{"from": 0, "to": 1, "unit": "X", "map": ["(1)/(X)"]},
                  {"from": 1, "to": 0, "unit": "Y", "map": ["(1)/(Y)"]}]}
+HYP_DATA = {"ring": "Fq(5)((u))((t))", "vars": ["X", "Y"],
+            "gens": ["X*Y - 1"]}
+SEXT_DATA = {"ring": "Fq(5)((u))((t))", "theta": "theta",
+             "modulus": "theta^2 - u", "vars": ["Y"], "gens": ["Y^2 - theta"]}
 
 
 def _malformed(kind):
@@ -295,6 +299,9 @@ def _malformed(kind):
         "quadratic-a-string": opened(
             "rule descriptor 'a' must be an integer, not '1'",
             below={"rule": "quadratic", "a": "1", "l": 0, "c": 0}),
+        "scale-int": opened(
+            "rule descriptor 'scale' must be a string, not 5",
+            below={"rule": "quadratic", "a": 1, "l": 0, "c": 0, "scale": 5}),
         "window-list": opened(
             "open descriptor 'window' must be an object, not []", window=[]),
         "cycle-int": opened(
@@ -320,6 +327,37 @@ def _malformed(kind):
         "ring-int": ("X.json", dict(P1_DATA, ring=5),
                      ["points-member", "--elem", "1", "--scheme"],
                      "a base ring must be a string, not 5"),
+        "gens-int": ("X.json", dict(HYP_DATA, gens=[1]),
+                     ["points-member", "--elem", "1, 1", "--scheme"],
+                     "scheme 'gens' must be a list of strings, not [1]"),
+        "vars-string": ("X.json", dict(HYP_DATA, vars="XY"),
+                        ["points-member", "--elem", "1, 1", "--scheme"],
+                        "scheme 'vars' must be a list, not 'XY'"),
+        "unit-int": ("X.json", dict(P1_DATA, overlaps=[
+                         dict(P1_DATA["overlaps"][0], unit=1),
+                         P1_DATA["overlaps"][1]]),
+                     ["points-member", "--elem", "1", "--scheme"],
+                     "overlap 'unit' must be a string, not 1"),
+        "map-string": ("X.json", dict(P1_DATA, overlaps=[
+                           dict(P1_DATA["overlaps"][0], map="(1)/(X)"),
+                           P1_DATA["overlaps"][1]]),
+                       ["points-member", "--elem", "1", "--scheme"],
+                       "overlap 'map' must be a list, not '(1)/(X)'"),
+        "chart-vars-int": ("X.json", dict(P1_DATA, charts=[
+                               {"vars": 1}, {"vars": ["Y"]}]),
+                           ["points-member", "--elem", "1", "--scheme"],
+                           "chart 'vars' must be a list, not 1"),
+        "charts-int": ("X.json", dict(P1_DATA, charts=5),
+                       ["points-member", "--elem", "1", "--scheme"],
+                       "scheme 'charts' must be a list, not 5"),
+        "modulus-int": ("Y.json", dict(SEXT_DATA, modulus=1),
+                        ["weil", "--scheme"],
+                        "scalar extension scheme 'modulus' must be a "
+                        "string, not 1"),
+        "theta-list": ("Y.json", dict(SEXT_DATA, theta=["theta"]),
+                       ["weil", "--scheme"],
+                       "scalar extension scheme 'theta' must be a string, "
+                       "not ['theta']"),
     }[kind]
 
 
@@ -327,11 +365,14 @@ def _malformed(kind):
                                   "chart-5", "chart-minus-1", "window-key",
                                   "cutoff-string", "affine-a-string",
                                   "affine-a-one", "quadratic-a-string",
+                                  "scale-int",
                                   "window-list", "cycle-int", "cycle-empty",
                                   "open-list", "open-string",
                                   "subgroup-open-list", "subgroup-open-string",
                                   "job-list", "task-int", "field-int",
-                                  "ring-int"])
+                                  "ring-int", "gens-int", "vars-string",
+                                  "unit-int", "map-string", "chart-vars-int",
+                                  "charts-int", "modulus-int", "theta-list"])
 def test_malformed_files_exit_two(kind, tmp_path, capsys):
     name, data, argv, fragment = _malformed(kind)
     path = tmp_path / name
@@ -340,6 +381,14 @@ def test_malformed_files_exit_two(kind, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert fragment in err
+
+
+def test_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "X.json"
+    path.write_bytes(b'{"ring": "Fq(5)((u))", "vars": ["\xe9"]}')
+    assert main(["points-member", "--elem", "1", "--scheme", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read %s: 'utf-8' codec" % path)
 
 
 def test_run_records_a_malformed_rank(tmp_path, capsys):
@@ -466,12 +515,9 @@ def query_argvs(tmp_path):
         return str(p)
     ball = [open_file(tmp_path, "B%d.json" % d, deep_ball(F5UT, d))
             for d in range(3)]
-    hyp = put("hyp.json", {"ring": "Fq(5)((u))((t))", "vars": ["X", "Y"],
-                           "gens": ["X*Y - 1"]})
+    hyp = put("hyp.json", HYP_DATA)
     p1 = put("p1.json", P1_DATA)
-    sext = put("sext.json", {"ring": "Fq(5)((u))((t))", "theta": "theta",
-                             "modulus": "theta^2 - u", "vars": ["Y"],
-                             "gens": ["Y^2 - theta"]})
+    sext = put("sext.json", SEXT_DATA)
     f = "Fq(5)((u))((t))"
     return {
         "valuation": ["val", "--field", "Qp(3){{t}}", "--elem",
@@ -550,3 +596,116 @@ def test_repeated_queries_share_one_parser(deadline, capsys):
         for _ in range(500):
             main(argv)
     assert capsys.readouterr().out == "(2, 0)\n" * 501
+
+
+# --- each distinct file content is built once per process --------------------
+
+_FILE_KINDS = ["member", "points-member", "points-map", "points-converge",
+               "weil", "witness-subgroup", "witness-product"]
+
+
+@pytest.mark.parametrize("kind", _FILE_KINDS)
+def test_a_file_read_twice_answers_the_same_bytes(kind, tmp_path, capsys):
+    from hlf import cli
+    argv = query_argvs(tmp_path)[kind]
+    for extra in ([], ["--json"]):
+        first = in_process(capsys, argv + extra)
+        hits = cli._built.cache_info().hits
+        second = in_process(capsys, argv + extra)
+        # the second call builds nothing
+        assert cli._built.cache_info().hits > hits
+        assert first == second == fresh(*argv, *extra)
+        assert first[0] == 0 and first[1]
+
+
+def test_a_rewritten_file_is_loaded_anew(tmp_path, capsys):
+    hyp = tmp_path / "hyp.json"
+    member = ["points-member", "--scheme", str(hyp), "--elem", "u, 2*u^-1"]
+    ball = tmp_path / "U.json"
+    inside = ["member", "--elem", "t^-5", "--open", str(ball)]
+    for k, answer in ((1, "NO"), (2, "YES"), (1, "NO")):
+        hyp.write_text(json.dumps(dict(HYP_DATA, gens=["X*Y - %d" % k])))
+        assert in_process(capsys, member) == (0, answer + "\n")
+    for depth, answer in ((2, "NO"), (-6, "YES"), (2, "NO")):
+        ball.write_text(json.dumps({"field": "Fq(5)((u))((t))",
+                                    "open": deep_ball(F5UT, depth).to_data()}))
+        assert in_process(capsys, inside) == (0, answer + "\n")
+
+
+def test_a_malformed_file_fails_on_every_call_until_mended(tmp_path, capsys):
+    path = tmp_path / "hyp.json"
+    path.write_text(json.dumps(dict(HYP_DATA, gens=[1])))
+    member = ["points-member", "--scheme", str(path), "--elem", "u, u^-1"]
+    weil = ["weil", "--scheme", str(path)]
+    for argv, message in (
+            (member, "error: scheme 'gens' must be a list of strings, "
+                     "not [1]\n"),
+            (weil, "error: scheme 'gens' must be a list of strings, "
+                   "not [1]\n")):
+        for _ in range(3):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", message)
+    path.write_text(json.dumps(HYP_DATA))
+    assert in_process(capsys, member) == (0, "YES\n")
+    for _ in range(2):
+        assert main(weil) == 2
+        assert capsys.readouterr().err == \
+            "error: weil needs a scalar extension scheme file\n"
+
+
+#: sha256 of the stdout of `hlf run` on shared_job(), as every task loaded
+#: its files afresh before loads were kept per content
+SHARED_JOB_SHA256 = \
+    "d6c13eb8c9a512c221ac6411251e36cec49c52bfa298b59ac12457c7375cf19a"
+
+
+def shared_job(tmp_path):
+    """Tasks that name one open file, one inline open object, one scheme
+    file and one inline scheme object several times each."""
+    ball = open_file(tmp_path, "B.json", deep_ball(F5UT, 2))
+    sext = tmp_path / "sext.json"
+    sext.write_text(json.dumps(SEXT_DATA))
+    inline = {"field": "Fq(5)((u))((t))", "open": deep_ball(F5UT, 1).to_data()}
+    tasks = []
+    for i, elem in enumerate(("t^-5", "0", "u*t^3")):
+        tasks += [
+            {"id": "file-%d" % i, "kind": "member", "elem": elem,
+             "open": ball},
+            {"id": "inline-%d" % i, "kind": "member", "elem": elem,
+             "open": inline},
+            {"id": "product-%d" % i, "kind": "witness-product",
+             "open": [inline, ball, ball]},
+            {"id": "weil-%d" % i, "kind": "weil", "scheme": str(sext),
+             "elem": "u,%d" % i},
+            {"id": "sext-%d" % i, "kind": "points-member",
+             "scheme": str(sext), "elem": "u,%d" % i},
+            {"id": "hyp-%d" % i, "kind": "points-member", "scheme": HYP_DATA,
+             "elem": "u^%d, u^-%d" % (i, i), "expect": "YES"},
+        ]
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"tasks": tasks}))
+    return str(job)
+
+
+def test_a_job_sharing_files_reports_the_same_bytes(tmp_path, capsys):
+    job = shared_job(tmp_path)
+    first = in_process(capsys, ["run", job])
+    assert in_process(capsys, ["run", job]) == first == fresh("run", job)
+    assert first[0] == 0
+    assert hashlib.sha256(first[1].encode()).hexdigest() == SHARED_JOB_SHA256
+
+
+def test_more_files_than_the_bound_still_answer(tmp_path, capsys):
+    from hlf import cli
+    paths = []
+    for k in range(1, cli._BUILT_MAX + 7):
+        p = tmp_path / ("hyp%d.json" % k)
+        p.write_text(json.dumps(dict(HYP_DATA, gens=["X*Y - %d" % k])))
+        paths.append(str(p))
+    for _ in range(2):
+        for k, path in enumerate(paths, 1):
+            for j, answer in ((k, "YES"), (k + 1, "NO")):
+                argv = ["points-member", "--scheme", path,
+                        "--elem", "u, %d*u^-1" % j]
+                assert in_process(capsys, argv) == (0, answer + "\n")
+        assert cli._built.cache_info().currsize <= cli._BUILT_MAX

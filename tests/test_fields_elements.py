@@ -13,7 +13,7 @@ from hlf.errors import (
     UnsupportedFieldError,
     ZeroElementError,
 )
-from hlf.fields import parse_field
+from hlf.fields import FiniteBase, QpBase, RationalBase, parse_field
 from hlf.parsing import parse_element
 
 
@@ -92,6 +92,27 @@ def test_descriptor_data_is_computed_once():
     assert Q3M.residue() == parse_field("Fq(3)((t))")
     assert Q3M.last_residue() == parse_field("Fq(3)") and Q3M.fq() is None
     assert F5UT.fq() == F5UT.residue().fq() == parse_field("Fq(5)").field
+
+
+def test_tower_hash_is_computed_once(monkeypatch):
+    texts = ("Fq(5)((u))((t))", "Qp(3){{t}}", "Qp(3)((s))((t))",
+             "Fq(4;w^2+w+1)((u))", "Q((u))((t))", "Qp(5){{t}}")
+    built = [(parse_field(text), parse_field(text)) for text in texts]
+    for a, b in built:
+        # equal descriptors built apart hash equal, to the same value as
+        # hashing the tuple of tag, parameter and base
+        assert a is not b and a == b and hash(a) == hash(b)
+        tag = "mix" if repr(a).endswith("}}") else "ser"
+        assert hash(a) == hash((tag, a.param, a.base))
+    assert len({hash(a) for a, _ in built}) == len(texts)
+    # hashing a tower no longer walks down to its base
+    calls = []
+    for cls in (FiniteBase, QpBase, RationalBase):
+        monkeypatch.setattr(cls, "__hash__",
+                            lambda self: calls.append(self) or 0)
+    for a, _ in built:
+        hash(a)
+    assert calls == []
 
 
 def test_extension_field_generator_arithmetic():

@@ -61,6 +61,16 @@ def test_val_forms_are_kept_per_field():
         AffineForm(1, 2), AffineForm(0, 0), AffineForm(1, 0))
 
 
+def test_val_forms_hit_on_every_equal_descriptor():
+    term = Term(Fraction(9), {"t": AffineForm(1, 0)}, 1)
+    first = {text: term.val_forms(parse_field(text))
+             for text in ("Qp(3)((t))", "Qp(3){{t}}", "Qp(3)((s))((t))")}
+    for _ in range(3):
+        for text, forms in first.items():
+            assert term.val_forms(parse_field(text)) is forms
+    assert len(term._forms) == len(first)
+
+
 @pytest.mark.parametrize("field,fam,form", [
     (F5UT, "t^n", AffineForm(1, 0)),
     (F5UT, "t^(-n)", AffineForm(-1, 0)),
