@@ -2,8 +2,8 @@
 
 Everything raised on purpose derives from HlfError so callers can catch one
 thing at the CLI boundary.  ParseError carries the offset of the offending
-character; require() turns a missing key of loaded data into one, and the
-need_* readers a value of the wrong type.
+character; require() turns loaded data that is no object, or a missing key
+of it, into one, and the need_* readers a value of the wrong type.
 """
 
 import reprlib
@@ -26,11 +26,19 @@ class ParseError(HlfError):
         self.pos = pos
 
 
+def _object(data, what):
+    """data, refused unless it is a JSON object (a dict)."""
+    if not isinstance(data, dict):
+        raise ParseError("%s must be an object, not %s" % (what, reprlib.repr(data)))
+    return data
+
+
 def require(data, key, what):
-    """data[key], or a ParseError saying that the `what` lacks it."""
+    """data[key], or a ParseError saying that the `what` is no object or
+    lacks the key."""
     try:
-        return data[key]
-    except (KeyError, TypeError):
+        return _object(data, what)[key]
+    except KeyError:
         raise ParseError("%s lacks %r" % (what, key)) from None
 
 
@@ -58,7 +66,7 @@ def need_str(data, key, what):
 def need_list(data, key, what, optional=False):
     """require(data, key, what), refused unless it is a list; an optional
     key that is absent reads as []."""
-    if optional and key not in data:
+    if optional and key not in _object(data, what):
         return []
     v = require(data, key, what)
     if not isinstance(v, list):

@@ -5,7 +5,9 @@ level, lazily, and ends once the remainder is exactly zero: every later
 level holds 0.  Three readers share the stream.  expand(x, k) takes k
 digits into a Jet, a finite window, and pads a finished stream with zeros;
 residue(x) is the level-0 coefficient; LevelsOpen.contains in opens checks
-each level as its digit arrives and returns at the first that fails.
+each level as its digit arrives and returns at the first that fails, except
+over Qp{{t}} against a staircase of t-balls, which in_staircase decides
+from the element's integer polynomials without a digit.
 
 Over base((t)) an element P/Q, cut by t exponent into slices P_i and Q_j
 one level down, expands into residue field coefficients X_i by the linear
@@ -309,13 +311,7 @@ def _mixed_digits(x):
     k0 = x.val_vector()[-1]
     rf = f.residue()
     fq = rf.fq()
-    # y = x/p^k0 = t^ns*N / t^qs*Q over one integer scale prime to p; Q's
-    # first coefficient prime to p sits at t^0, as Element.make keeps it
-    num = {k: c * Fraction(p) ** -k0 for (k,), c in x.num.items()}
-    den = {k: c for (k,), c in x.den.items()}
-    scale = lcm(*(c.denominator for c in (*num.values(), *den.values())))
-    N, ns = _int_list(num, scale)
-    Q, qs = _int_list(den, scale)
+    N, ns, Q, qs = _mixed_ints(x, p, k0)
     while N:
         nbar, nbs = _ztrim([c % p for c in N], ns)
         qbar, _ = _ztrim([c % p for c in Q[-qs:]], 0)
@@ -341,13 +337,105 @@ def _mixed_digits(x):
             Q = [c // g for c in Q]
 
 
+def in_staircase(x, k, depth):
+    """Whether the digits of x over Qp{{t}} at levels i0 + i, 0 <= i < k,
+    i0 its top valuation, have t-valuation >= depth(i), for depth
+    nonincreasing in i (-inf for an unconstrained level).  Reads no digit.
+
+    Those y = x/p^i0 form the lattice L of sums of p^i t^depth(i) Zp[[t]]
+    and p^k: peeling a digit of t-valuation >= depth(0) takes y into
+    lift + p*L' with L' the same lattice one level on, since the plain lift
+    of such a digit lies in t^depth(0) Zp[[t]], and depth(1) <= depth(0)
+    makes L meet p*Zp{{t}} in p*L'.  So y is in L exactly when every
+    t-coefficient a_j has p-adic valuation >= the least i with
+    depth(i) <= j (k when there is none), and L is a Zp[[t]]-module.
+
+    Make leaves the denominator's dominant monomial 1 at t^0, so Q splits
+    into Q+, a unit of Zp[[t]], and Q-, its terms at negative exponents,
+    each divisible by p.  With S_K = sum_{n<K} Q+^(K-1-n) (-Q-)^n,
+    Q S_K = Q+^K - (-Q-)^K, so N S_K = y Q+^K mod p^K, and the Laurent
+    polynomial N S_K lies in L mod p^K exactly when y does.  Without Q-,
+    N alone decides.  Otherwise the precision K doubles from 1, each round
+    deciding the levels below K, so a rejection near the top valuation
+    pays for its own level only; S_K comes from one exact division of
+    integers at a power of two (Kronecker substitution).
+    """
+    p = x.field.prime()
+    N, ns, Q, qs = _mixed_ints(x, p, x.val_vector()[-1])
+    if qs >= 0:
+        return _staircase_holds(N, ns, p, k, depth)
+    # t^D Q+ and -t^D Q-, D = -qs, as polynomials
+    A, B = [0] * -qs + Q[-qs:], [-c for c in Q[:-qs]]
+    # m bounds the 1-norms of A and B, so |S_K| <= K*m^(K-1) coefficientwise
+    m = max(sum(map(abs, A)), sum(map(abs, B)))
+    K = 1
+    while True:
+        # every coefficient of N S_K, and of A and B, stays below half
+        w = (sum(map(abs, N)) * K * m ** K).bit_length() // 8 + 1
+        half = 1 << (8 * w - 1)
+        a, b = _pack(A, w, half), _pack(B, w, half)
+        s = (a ** K - b ** K) // (a - b)
+        n = len(N) + (K - 1) * (len(A) - 1)
+        M = _unpack(_pack(N, w, half) * s, n, w, half)
+        if not _staircase_holds(M, ns + qs * (K - 1), p, K, depth):
+            return False
+        if K == k:
+            return True
+        K = min(2 * K, k)
+
+
+def _staircase_holds(M, ms, p, K, depth):
+    """Every coefficient c of sum M[i] t^(ms + i) not divisible by p^K has
+    depth(v_p(c)) <= its exponent; coefficients at or past depth(0) pass
+    as they are."""
+    first = depth(0)
+    for j, c in enumerate(M, ms):
+        if c and j < first:
+            v = _valuation(c, p, K)
+            if v < K and depth(v) > j:
+                return False
+    return True
+
+
+def _valuation(c, p, cap):
+    """min(v_p(c), cap) for c != 0, in O(log v_p(c)) divisions: strip
+    p, p^2, p^4, ... while they divide, then the powers below the first
+    that does not, largest first."""
+    pows, v = [p], 0
+    while v < cap:
+        q, r = divmod(c, pows[-1])
+        if r:
+            break
+        c, v = q, v + (1 << (len(pows) - 1))
+        pows.append(pows[-1] ** 2)
+    for i in range(len(pows) - 2, -1, -1):
+        if v >= cap:
+            break
+        q, r = divmod(c, pows[i])
+        if not r:
+            c, v = q, v + (1 << i)
+    return min(v, cap)
+
+
 # --- dense polynomials: int lists, lowest degree first ----------------------
 
+def _mixed_ints(x, p, k0):
+    """(N, ns, Q, qs) with y = x/p^k0 = t^ns*N / t^qs*Q, N and Q int lists
+    over one scale prime to p; Q's first coefficient prime to p sits at
+    t^0, as Element.make keeps it."""
+    num = {k: c * Fraction(p) ** -k0 for (k,), c in x.num.items()} if k0 \
+        else {k: c for (k,), c in x.num.items()}
+    den = {k: c for (k,), c in x.den.items()}
+    scale = lcm(*(c.denominator for c in (*num.values(), *den.values())))
+    return (*_int_list(num, scale), *_int_list(den, scale))
+
+
 def _int_list(lp, scale):
+    # scale is a multiple of every denominator
     lo = min(lp)
     out = [0] * (max(lp) - lo + 1)
     for k, c in lp.items():
-        out[k - lo] = int(c * scale)
+        out[k - lo] = c.numerator * (scale // c.denominator)
     return out, lo
 
 
@@ -388,8 +476,12 @@ def _zmul(a, b):
     w = bits // 8 + 1
     half = 1 << (8 * w - 1)
     n = len(a) + len(b) - 1
-    c = _pack(a, w, half) * _pack(b, w, half) + _bias(n, w, half)
-    raw = c.to_bytes(n * w, "little")
+    return _unpack(_pack(a, w, half) * _pack(b, w, half), n, w, half)
+
+
+def _unpack(c, n, w, half):
+    # the n coefficients of c = sum a_i X^i at X = 256^w, every |a_i| < half
+    raw = (c + _bias(n, w, half)).to_bytes(n * w, "little")
     return [int.from_bytes(raw[i:i + w], "little") - half
             for i in range(0, n * w, w)]
 

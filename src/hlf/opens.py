@@ -4,10 +4,21 @@ An open of a field with a series shape is described along the expansion in
 the top uniformizer: levels at or above `cutoff` are unconstrained, a finite
 window pins named levels to opens one dimension down, and a closed rule
 covers every level below the window.  Membership reads the element's digit
-stream (expansion.digits) up to the cutoff and stops at the first level that
-rejects its digit, or where the stream ends: later levels hold 0, which every
-open contains.  Everything here is finite data: descriptors serialize to
-plain dicts and reload losslessly.
+stream (expansion.digits) and stops at the first level that rejects its
+digit, or where the stream ends: later levels hold 0, which every open
+contains.  It reads no digit past `top`, one past the last level that
+constrains anything: levels in [lo, cutoff) outside the window are full,
+and so is every level below the window floor under a full rule.
+
+Over Qp{{t}} the digits follow the plain section and grow geometrically
+with the level, so an open shaped as a staircase is decided without them.
+When every level from the element's top valuation up to `top` is a t-ball
+or full, with depths that do not increase toward the cutoff, the open meets
+the integers in a Zp[[t]]-lattice that no section changes, and
+expansion.in_staircase tests the element's t-coefficients against it.
+The shape alone selects the route; every other open depends on the section
+and keeps the digit stream.  Everything here is finite data: descriptors
+serialize to plain dicts and reload losslessly.
 
 Plain valuation balls s^c O are only open when the coefficient side has
 dimension zero; above that the deep balls (the same cutoff imposed at every
@@ -19,6 +30,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import cached_property
 
 from .elements import Element
 from .errors import (
@@ -31,7 +43,7 @@ from .errors import (
     need_str,
     require,
 )
-from .expansion import digits
+from .expansion import digits, in_staircase
 from .fields import MixedExt, QpBase, SeriesExt
 from .valuation import in_integer_ring, monomial_with_valuation, unit_decompose
 
@@ -214,6 +226,14 @@ class LevelsOpen(Open):
                 raise FieldMismatchError("window entry lives over %r" % entry.field)
         self.below = below
         self.lo = min(self.window, default=cutoff)
+        # one past the last level that constrains anything: levels in
+        # [lo, cutoff) outside the window are full, and so is every level
+        # below lo under a full rule
+        tight = [i for i, e in self.window.items() if not e.is_full()]
+        if tight:
+            self.top = max(tight) + 1
+        else:
+            self.top = -_INF if _is_full(_profile(below, self.lo)) else self.lo
         if isinstance(below, AffineRule):
             ball_at(base, 0)  # raises where those balls are not open
         entries = []
@@ -235,10 +255,30 @@ class LevelsOpen(Open):
     def contains(self, x):
         if x.is_zero():
             return True
-        # past the end of the stream every level holds 0, in every open
         i0 = x.val_vector()[-1]
+        if i0 >= self.top:
+            return True
+        if isinstance(self.field, MixedExt) and i0 >= self._stairs_from:
+            depth = lambda i: _entry_depth(self.level(i0 + i))
+            return in_staircase(x, self.top - i0, depth)
+        # past the end of the stream every level holds 0, in every open
         return all(self.level(i).contains(d)
-                   for i, d in zip(range(i0, self.cutoff), digits(x)))
+                   for i, d in zip(range(i0, self.top), digits(x)))
+
+    @cached_property
+    def _stairs_from(self):
+        """The least level from which every level up to the top is a deep
+        ball or full, with depths that do not increase toward the cutoff:
+        a staircase; -inf when every level is, since below the probe the
+        rule repeats the steps the probe shows.  Walks down from the top,
+        so a full level under a ball ends the walk."""
+        prev = -_INF
+        for i in reversed(_probe(self)):
+            d = _entry_depth(self.level(i))
+            if d is None or d < prev:
+                return i + 1
+            prev = d
+        return -_INF
 
     def to_data(self):
         return {
@@ -758,25 +798,20 @@ def subgroup_shaped(U):
         return True
     if not isinstance(U, LevelsOpen):
         return False
-    # a cycle repeats below the floor: two whole periods show every step
-    # between consecutive levels, the wrap-around included
-    probe = range(U.lo - max(8, 2 * _period(U.below) + 1), U.cutoff)
+    probe = _probe(U)
     if not all(subgroup_shaped(U.level(i)) for i in probe):
         return False
-    if isinstance(U.field, SeriesExt):
-        return True
-    prev = None
-    for i in probe:
-        lev = U.level(i)
-        d = deep_depth(lev)
-        if d is None:
-            if not lev.is_full():
-                return False
-            d = -(10 ** 9)
-        if prev is not None and d > prev:
-            return False
-        prev = d
-    return True
+    return isinstance(U.field, SeriesExt) or U._stairs_from == -_INF
+
+
+def _probe(U):
+    """The levels of U up to U.top that show every step of its depth
+    profile.  Below the floor a rule repeats its shape: two whole periods,
+    and at least eight levels, show every step between consecutive levels,
+    the wrap-around included, and the steps of a quadratic only grow with
+    the distance."""
+    lo = U.lo - max(8, 2 * _period(U.below) + 1)
+    return range(lo, max(U.top, lo))
 
 
 def residue_image(U):

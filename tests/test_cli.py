@@ -354,6 +354,19 @@ def _malformed(kind):
                         ["weil", "--scheme"],
                         "scalar extension scheme 'modulus' must be a "
                         "string, not 1"),
+        "chart-int": ("X.json", dict(P1_DATA, charts=[5]),
+                      ["points-member", "--elem", "1", "--scheme"],
+                      "chart must be an object, not 5"),
+        "overlap-int": ("X.json", dict(P1_DATA, overlaps=[5]),
+                        ["points-member", "--elem", "1", "--scheme"],
+                        "overlap must be an object, not 5"),
+        "window-entry-int": opened(
+            "open descriptor must be an object, not 5", window={"0": 5}),
+        "cycle-entry-int": opened(
+            "open descriptor must be an object, not 5",
+            below={"rule": "periodic", "cycle": [5]}),
+        "below-int": opened("rule descriptor must be an object, not 5",
+                            below=5),
         "theta-list": ("Y.json", dict(SEXT_DATA, theta=["theta"]),
                        ["weil", "--scheme"],
                        "scalar extension scheme 'theta' must be a string, "
@@ -372,7 +385,10 @@ def _malformed(kind):
                                   "job-list", "task-int", "field-int",
                                   "ring-int", "gens-int", "vars-string",
                                   "unit-int", "map-string", "chart-vars-int",
-                                  "charts-int", "modulus-int", "theta-list"])
+                                  "charts-int", "modulus-int", "theta-list",
+                                  "chart-int", "overlap-int",
+                                  "window-entry-int", "cycle-entry-int",
+                                  "below-int"])
 def test_malformed_files_exit_two(kind, tmp_path, capsys):
     name, data, argv, fragment = _malformed(kind)
     path = tmp_path / name

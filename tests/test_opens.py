@@ -11,7 +11,7 @@ import pytest
 from hlf.elements import Element
 from hlf.errors import (UnsupportedFieldError, UnsupportedOpenError,
                         UnsupportedScalarError)
-from hlf.expansion import expand
+from hlf.expansion import digits, expand
 from hlf.fields import parse_field
 from hlf.opens import (AffineRule, ConstRule, FullOpen, FullRule, LevelsOpen,
                        PeriodicRule, QuadraticRule, ZeroOpen, admitted_depth,
@@ -112,6 +112,95 @@ def test_membership_matches_the_full_expansion(text):
             assert U.contains(x) == want, (U, x)
             seen[want] += 1
     assert min(seen.values()) > 10
+
+
+def _digit_path(U, x):
+    """Membership read level by level off the digit stream, the reference
+    for every shortcut."""
+    if x.is_zero():
+        return True
+    i0 = x.val_vector()[-1]
+    return all(U.level(i).contains(d)
+               for i, d in zip(range(i0, U.cutoff), digits(x)))
+
+
+def _rand_mixed(rng, F, p):
+    """num/den over Qp{{t}} with den's dominant monomial 1 at t^0 and
+    p-divisible terms at negative t-exponents, so den is no unit of
+    Zp[[t]] about half the time."""
+    def lp(n, lo, hi, neg):
+        out = {}
+        for _ in range(n):
+            k = rng.randint(lo, hi)
+            c = Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 1, 2))) \
+                * Fraction(p) ** rng.randint(-2, 2)
+            out[(k,)] = out.get((k,), 0) + (c * p if neg and k < 0 else c)
+        return out
+    den = lp(rng.randint(0, 3), -2, 3, True)
+    den[(0,)] = den.get((0,), 0) + 1
+    num = {k: c for k, c in lp(rng.randint(1, 4), -3, 4, False).items() if c}
+    den = {k: c for k, c in den.items() if c}
+    return Element.make(F, num, den) if num and den else None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_staircase_matches_the_digit_path(p):
+    F = parse_field("Qp(%d){{t}}" % p)
+    rng = random.Random("staircase %d" % p)
+    fixed = [e(F, s % {"p": p}) for s in (
+        "(%(p)d*t^-2 + t)/(1 + %(p)d*t^-1)", "t^3/(1 + %(p)d*t^-2)",
+        "(t + %(p)d^2*t^-1)/(1 - %(p)d*t^-1 + t^2)", "%(p)d^-1*(1 + t)/(1 - t)")]
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        U = random_open(rng, F) if rng.random() < 0.6 \
+            else deep_ball(F, rng.randint(-1, 5))
+        if not isinstance(U, LevelsOpen):
+            continue
+        for x in fixed + [_rand_mixed(rng, F, p) for _ in range(4)]:
+            if x is None:
+                continue
+            want = _digit_path(U, x)
+            assert U.contains(x) == want, (U, x)
+            seen[want] += 1
+    assert min(seen.values()) > 200, seen
+
+
+@pytest.mark.parametrize("d", [40, 80])
+def test_deep_mixed_balls_are_decided_quickly(d, deadline):
+    B = deep_ball(Q3M, d)
+    with deadline(1.0):
+        # a unit denominator of Zp[[t]]: in exactly when t^d divides
+        assert B.contains(e(Q3M, "t^%d*(1 + t)/(1 - 3*t - t^2)" % d))
+        assert not B.contains(e(Q3M, "t^%d*(1 + t)/(1 - 3*t - t^2)" % (d - 1)))
+        # a denominator with a p-divisible part below t^0 spreads the tail
+        # over every level: 3^d clears all d of them, 3^(d-1) leaves the last
+        assert B.contains(e(Q3M, "t^%d + 3^%d*t^-5/(1 + 3*t^-1)" % (d, d)))
+        assert not B.contains(
+            e(Q3M, "t^%d + 3^%d*t^-5/(1 + 3*t^-1)" % (d, d - 1)))
+
+
+def test_staircase_rejects_at_the_first_level_without_paying_for_the_rest(deadline):
+    x = e(Q3M, "3^-5*t^-1*(1 + t)/(1 - 3*t - t^2)")
+    y = e(Q3M, "3^-300*(1 + t)/(1 - 3*t - t^2)")
+    # the quadratic tail asks depth 300^2 at y's top level
+    U = LevelsOpen(Q3M, 0, {}, QuadraticRule(1, 0, 0))
+    with deadline(0.5):
+        assert not deep_ball(Q3M, 10 ** 6).contains(x)
+    with deadline(0.5):
+        assert not U.contains(y)
+    # with a p-divisible part below t^0 the precision grows from one level
+    z = e(Q3M, "3^-5*t^-1*(1 + t)/(1 + 3*t^-1)")
+    with deadline(0.5):
+        assert not deep_ball(Q3M, 10 ** 4).contains(z)
+
+
+def test_membership_reads_no_level_past_the_last_constraint(deadline):
+    # levels 3 .. 10^7 - 1 are full: nothing past level 2 is expanded
+    U = LevelsOpen(F5UT, 10 ** 7, {0: ball_at(F5U, 0), 2: ball_at(F5U, 0)},
+                   FullRule())
+    with deadline(0.5):
+        assert U.contains(e(F5UT, "1/(1 - t)"))
+        assert not U.contains(e(F5UT, "u^-1/(1 - t)"))
 
 
 def test_ball_at_legality():
