@@ -378,13 +378,14 @@ def _is_irreducible(modulus, p):
     return True
 
 
-def padic_val(x, p):
-    """v_p of an exact rational or an int; refuses zero."""
+def padic_val(x, p, cap=None):
+    """v_p of an exact rational or an int; refuses zero.  For an int, a
+    cap stops the count there: min(v_p(x), cap)."""
     if x == 0:
         raise ZeroElementError("valuation of zero")
     k = 0
     n = x.numerator
-    while n % p == 0:
+    while k != cap and n % p == 0:
         n //= p
         k += 1
     d = x.denominator

@@ -62,11 +62,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import islice, repeat
+from itertools import islice, repeat, zip_longest
 from math import gcd, lcm
 
 from .coeff import (UNKNOWN, FqElem, _fp_lowest_terms, _fq_reduced,
-                    rational_mod_p, teichmuller_exact)
+                    padic_val, rational_mod_p, teichmuller_exact)
 from .elements import Element
 from .errors import NotIntegralError, PrecisionExhaustedError, UnsupportedFieldError
 from .fields import FiniteBase, MixedExt, QpBase, SeriesExt
@@ -362,6 +362,10 @@ def in_staircase(x, k, depth):
     """
     p = x.field.prime()
     N, ns, Q, qs = _mixed_ints(x, p, x.val_vector()[-1])
+    if qs < 0:
+        # make cancels no common factor, so Q may keep a Q- that y in
+        # lowest terms lacks, and N S_K would then pass every round up to k
+        N, ns, Q, qs = _lowest_terms(N, ns, Q, qs, p)
     if qs >= 0:
         return _staircase_holds(N, ns, p, k, depth)
     # t^D Q+ and -t^D Q-, D = -qs, as polynomials
@@ -391,30 +395,21 @@ def _staircase_holds(M, ms, p, K, depth):
     first = depth(0)
     for j, c in enumerate(M, ms):
         if c and j < first:
-            v = _valuation(c, p, K)
+            v = padic_val(c, p, K)
             if v < K and depth(v) > j:
                 return False
     return True
 
 
-def _valuation(c, p, cap):
-    """min(v_p(c), cap) for c != 0, in O(log v_p(c)) divisions: strip
-    p, p^2, p^4, ... while they divide, then the powers below the first
-    that does not, largest first."""
-    pows, v = [p], 0
-    while v < cap:
-        q, r = divmod(c, pows[-1])
-        if r:
-            break
-        c, v = q, v + (1 << (len(pows) - 1))
-        pows.append(pows[-1] ** 2)
-    for i in range(len(pows) - 2, -1, -1):
-        if v >= cap:
-            break
-        q, r = divmod(c, pows[i])
-        if not r:
-            c, v = q, v + (1 << i)
-    return min(v, cap)
+def _lowest_terms(N, ns, Q, qs, p):
+    """t^ns*N / t^qs*Q with the common factor of N and Q over Z[t]
+    cancelled, Q's first coefficient prime to p back at t^0."""
+    g = _zgcd(N, Q)
+    if len(g) == 1:
+        return N, ns, Q, qs
+    N, Q = _zdiv(N, g), _zdiv(Q, g)
+    j = next(i for i, c in enumerate(Q) if c % p)
+    return N, ns - qs - j, Q, -j
 
 
 # --- dense polynomials: int lists, lowest degree first ----------------------
@@ -423,19 +418,17 @@ def _mixed_ints(x, p, k0):
     """(N, ns, Q, qs) with y = x/p^k0 = t^ns*N / t^qs*Q, N and Q int lists
     over one scale prime to p; Q's first coefficient prime to p sits at
     t^0, as Element.make keeps it."""
-    num = {k: c * Fraction(p) ** -k0 for (k,), c in x.num.items()} if k0 \
-        else {k: c for (k,), c in x.num.items()}
+    num = {k: c * Fraction(p) ** -k0 for (k,), c in x.num.items()}
     den = {k: c for (k,), c in x.den.items()}
     scale = lcm(*(c.denominator for c in (*num.values(), *den.values())))
     return (*_int_list(num, scale), *_int_list(den, scale))
 
 
 def _int_list(lp, scale):
-    # scale is a multiple of every denominator
     lo = min(lp)
     out = [0] * (max(lp) - lo + 1)
     for k, c in lp.items():
-        out[k - lo] = c.numerator * (scale // c.denominator)
+        out[k - lo] = int(c * scale)
     return out, lo
 
 
@@ -458,6 +451,41 @@ def _zadd(a, sa, b, sb):
     for i, c in enumerate(b, sb - lo):
         out[i] += c
     return _ztrim(out, lo)
+
+
+def _zgcd(a, b):
+    """A gcd over Z[t] of two nonzero lists, primitive, by the primitive
+    remainder sequence: pseudo-divide, then drop the content."""
+    a, b = _zprim(a[::-1]), _zprim(b[::-1])  # highest degree first
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = a
+        while len(r) >= len(b):
+            c = r[0]
+            r = [b[0] * u - c * v for u, v in zip_longest(r, b, fillvalue=0)]
+            while r and not r[0]:
+                r = r[1:]
+        a, b = b, _zprim(r)
+    return a[::-1] if not b else [1]
+
+
+def _zprim(a):
+    g = gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _zdiv(a, g):
+    """a/g over Z[t], for a primitive g that divides a: exact at every
+    step, by Gauss's lemma."""
+    a, q = list(a), []
+    for i in range(len(a) - len(g) + 1):
+        c = a[i] // g[0]
+        q.append(c)
+        if c:
+            for j, e in enumerate(g, i):
+                a[j] -= c * e
+    return q
 
 
 def _zmul(a, b):

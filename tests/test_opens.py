@@ -149,7 +149,8 @@ def test_staircase_matches_the_digit_path(p):
     rng = random.Random("staircase %d" % p)
     fixed = [e(F, s % {"p": p}) for s in (
         "(%(p)d*t^-2 + t)/(1 + %(p)d*t^-1)", "t^3/(1 + %(p)d*t^-2)",
-        "(t + %(p)d^2*t^-1)/(1 - %(p)d*t^-1 + t^2)", "%(p)d^-1*(1 + t)/(1 - t)")]
+        "(t + %(p)d^2*t^-1)/(1 - %(p)d*t^-1 + t^2)", "%(p)d^-1*(1 + t)/(1 - t)",
+        "t*(1 + %(p)d*t^-1)/((1 + %(p)d*t^-1)*(1 - t))")]
     seen = {True: 0, False: 0}
     for _ in range(400):
         U = random_open(rng, F) if rng.random() < 0.6 \
@@ -192,6 +193,23 @@ def test_staircase_rejects_at_the_first_level_without_paying_for_the_rest(deadli
     z = e(Q3M, "3^-5*t^-1*(1 + t)/(1 + 3*t^-1)")
     with deadline(0.5):
         assert not deep_ball(Q3M, 10 ** 4).contains(z)
+
+
+@pytest.mark.parametrize("den", ["1 + 3*t^-1", "(1 + 3*t^-1)*(1 + t)"])
+def test_staircase_cancels_a_common_factor_first(den, deadline):
+    # make keeps the factor 1 + 3t^-1 on both sides; uncancelled, the
+    # p-divisible part below t^0 would pass every round of the precision
+    # doubling up to the cutoff, while the digit stream ends at once
+    x = e(Q3M, "t^%d*(1 + 3*t^-1)/(%s)" % (10 ** 6, den))
+    assert min(k for (k,) in x.den) < 0
+    B = deep_ball(Q3M, 10 ** 6)
+    with deadline(0.5):
+        assert B.contains(x)
+    assert _digit_path(B, x)
+    y = x * e(Q3M, "t^-1")
+    with deadline(0.5):
+        assert not B.contains(y)
+    assert not _digit_path(B, y)
 
 
 def test_membership_reads_no_level_past_the_last_constraint(deadline):
