@@ -383,16 +383,25 @@ def padic_val(x, p, cap=None):
     cap stops the count there: min(v_p(x), cap)."""
     if x == 0:
         raise ZeroElementError("valuation of zero")
-    k = 0
-    n = x.numerator
-    while k != cap and n % p == 0:
-        n //= p
-        k += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        k -= 1
-    return k
+    n, d = x.numerator, x.denominator
+    # v_p(n) <= n.bit_length(): a cap that never binds
+    k = 0 if n % p else _int_val(n, p, n.bit_length() if cap is None else cap)
+    return k if d % p else k - _int_val(d, p, d.bit_length())
+
+
+def _int_val(n, p, cap):
+    """min(v_p(n), cap) for an int n != 0.  Divides by p, p^2, p^4, ...
+    while they divide and starts over at p when one does not, so a count
+    of v takes O(log(v)^2) divisions: accepting a staircase member of
+    depth k counts up to k on each t-coefficient."""
+    v = 0
+    while v < cap and n % p == 0:
+        q, step = p, 1
+        while v + step <= cap and n % q == 0:
+            n //= q
+            v += step
+            q, step = q * q, 2 * step
+    return v
 
 
 def rational_mod_p(x, p):
