@@ -4,10 +4,23 @@ Every suite draws its own generator from the seed and the suite name, so a
 suite reports the same bytes whether it runs alone or inside the full run.
 Reports carry counts and failures only; wall time stays on stderr so
 identical seeds give identical reports.
+
+Eight checks draw their cases with replacement from small fixed pools, so
+one run draws the same case many times.  Each such loop decides a drawn
+case through a memo keyed by the pool entries (functools.cache on a function
+defined inside the suite), so it lives for one run_suite call only.  The
+invariant that makes this safe: a decision draws nothing from the
+generator.  Every draw happens in the loop body before the lookup, so the
+generator's sequence, the counts and the report bytes do not depend on
+whether a case was decided or looked up.  A memo keeps verdict kinds, not
+Verdict objects: unit_converges rewrites the note of a witness it takes
+from an inner decision, so a shared Verdict could change under a later
+reader.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -15,7 +28,8 @@ from .convergence import (CONVERGES, DIVERGES, converges,
                           product_continuity_check, seq_closed_check_C,
                           unit_converges)
 from .elements import Element, lp_add
-from .errors import (UnsupportedFamilyError, UnsupportedOpenError)
+from .errors import (OutOfRangeError, UnsupportedFamilyError,
+                     UnsupportedOpenError)
 from .expansion import lift, residue
 from .fields import parse_field
 from .opens import (AffineRule, ConstRule, FullOpen, LevelsOpen, ZeroOpen,
@@ -303,33 +317,40 @@ def _topology_checks(rng, battery):
     _residue_image_checks(rng, battery, checks)
     _flagship_checks(rng, battery, checks)
 
-    fails = []
-    for _ in range(battery):
-        text = rng.choice(FIELD_TEXTS)
+    @functools.cache
+    def product_kind(text, ft, xt, gt, yt):
         f = parse_field(text)
-        (ft, xt), (gt, yt) = rng.choice(_CONV_POOL[text]), \
-            rng.choice(_CONV_POOL[text])
-        v = product_continuity_check(
+        return product_continuity_check(
             parse_family(f, ft), parse_element(f, xt),
-            parse_family(f, gt), parse_element(f, yt))
-        if v.kind != CONVERGES:
-            fails.append("%s: (%s)*(%s) came back %s" % (text, ft, gt, v.kind))
-    _record(checks, "products of convergent pairs converge", battery, fails)
+            parse_family(f, gt), parse_element(f, yt)).kind
 
     fails = []
     for _ in range(battery):
         text = rng.choice(FIELD_TEXTS)
+        (ft, xt), (gt, yt) = rng.choice(_CONV_POOL[text]), \
+            rng.choice(_CONV_POOL[text])
+        kind = product_kind(text, ft, xt, gt, yt)
+        if kind != CONVERGES:
+            fails.append("%s: (%s)*(%s) came back %s" % (text, ft, gt, kind))
+    _record(checks, "products of convergent pairs converge", battery, fails)
+
+    @functools.cache
+    def route_kinds(text, ft, lt):
         f = parse_field(text)
-        ft, lt, want = rng.choice(_UNIT_POOL[text])
         fam, L = parse_family(f, ft), parse_element(f, lt)
-        a = unit_converges(fam, L)
-        b = unit_converges(fam, L, route="decomposition")
-        if a.kind != b.kind:
-            fails.append("%s: %s routes split %s / %s"
-                         % (text, ft, a.kind, b.kind))
-        elif a.kind != want:
+        return (unit_converges(fam, L).kind,
+                unit_converges(fam, L, route="decomposition").kind)
+
+    fails = []
+    for _ in range(battery):
+        text = rng.choice(FIELD_TEXTS)
+        ft, lt, want = rng.choice(_UNIT_POOL[text])
+        a, b = route_kinds(text, ft, lt)
+        if a != b:
+            fails.append("%s: %s routes split %s / %s" % (text, ft, a, b))
+        elif a != want:
             fails.append("%s: %s -> %s expected %s, both routes said %s"
-                         % (text, ft, lt, want, a.kind))
+                         % (text, ft, lt, want, a))
     _record(checks, "unit routes agree", battery, fails)
     return checks
 
@@ -350,7 +371,7 @@ def _counterexample_checks(rng, battery):
     q3m = parse_field("Qp(3){{t}}")
 
     fails = []
-    n = battery // 2
+    n = max(battery // 2, 1)
     for _ in range(n):
         field = rng.choice((f5, q3m))
         U = _random_subgroup_open(rng, field)
@@ -365,17 +386,19 @@ def _counterexample_checks(rng, battery):
             fails.append("witness for %r dropped the sum claim" % U)
     _record(checks, "mirror pairs escape every integral subgroup", n, fails)
 
+    @functools.cache
+    def mirror_kind(a, c):
+        return seq_closed_check_C(_mirror_family(f5, a, c)).kind
+
     fails = []
     forms = [AffineForm(0, 1), AffineForm(0, 2), AffineForm(0, 4),
              AffineForm(1, 0), AffineForm(1, 2), AffineForm(2, 1)]
-    n = battery // 2
     for _ in range(n):
         a, c = rng.choice(forms), rng.choice(forms)
-        fam = _mirror_family(f5, a, c)
-        v = seq_closed_check_C(fam)
+        kind = mirror_kind(a, c)
         want = CONVERGES if a.a == 0 and c.a == 0 else DIVERGES
-        if v.kind != want:
-            fails.append("a=%s c=%s came back %s" % (a, c, v.kind))
+        if kind != want:
+            fails.append("a=%s c=%s came back %s" % (a, c, kind))
     _record(checks, "mirror families converge only when constant", n, fails)
 
     fails = []
@@ -434,36 +457,51 @@ def _points_checks(rng, battery):
     checks = []
     F = parse_field("Fq(5)((u))((t))")
     R0 = BaseRing(F, 0)
+    n, n3 = max(battery // 2, 1), max(battery // 3, 1)
 
     prod = product_presentation(AffinePresentation(R0, ("X",), []),
                                 AffinePresentation(R0, ("Y",), []))
-    fails = []
-    n = battery // 2
-    for _ in range(n):
-        (fx, lx), (fy, ly) = rng.choice(_POINT_POOL), rng.choice(_POINT_POOL)
+
+    @functools.cache
+    def product_kinds(fx, lx, fy, ly):
         famx, famy = parse_family(F, fx), parse_family(F, fy)
         Lx, Ly = parse_element(F, lx), parse_element(F, ly)
         want = PointVerdict.conjoin([converges(famx, limit=Lx),
                                      converges(famy, limit=Ly)]).kind
         v = point_seq_converges(prod, PointSeqFamily((famx, famy),
                                                      Point((Lx, Ly))))
-        if v.kind != want:
-            fails.append("(%s, %s) came back %s not %s" % (fx, fy, v.kind, want))
+        return want, v.kind
+
+    fails = []
+    for _ in range(n):
+        (fx, lx), (fy, ly) = rng.choice(_POINT_POOL), rng.choice(_POINT_POOL)
+        want, kind = product_kinds(fx, lx, fy, ly)
+        if kind != want:
+            fails.append("(%s, %s) came back %s not %s" % (fx, fy, kind, want))
     _record(checks, "product verdict is the factor conjunction", n, fails)
 
     hyp = AffinePresentation(R0, ("X", "Y"), ["X*Y - 1"])
     amb = AffinePresentation(R0, ("X", "Y"), [])
+
+    def unit_point(yt, lt):
+        """(y, L, the point family (y, 1/y) -> (L, 1/L)) of a _GM_POOL entry."""
+        y = parse_family(F, yt)
+        L = parse_element(F, lt)
+        return y, L, PointSeqFamily((y, SeqFamily(F, y.den, y.num)),
+                                    Point((L, L.inverse())))
+
+    @functools.cache
+    def immersion_kinds(yt, lt):
+        _, _, fam = unit_point(yt, lt)
+        return (point_seq_converges(amb, fam).kind,
+                point_seq_converges(hyp, fam).kind)
+
     fails = []
     for _ in range(n):
         yt, lt = rng.choice(_GM_POOL)
-        y = parse_family(F, yt)
-        L = parse_element(F, lt)
-        fam = PointSeqFamily((y, SeqFamily(F, y.den, y.num)),
-                             Point((L, L.inverse())))
-        va, vh = point_seq_converges(amb, fam), point_seq_converges(hyp, fam)
-        if va.kind != vh.kind:
-            fails.append("%s: closed immersion split %s / %s"
-                         % (yt, vh.kind, va.kind))
+        va, vh = immersion_kinds(yt, lt)
+        if va != vh:
+            fails.append("%s: closed immersion split %s / %s" % (yt, vh, va))
     _record(checks, "closed immersions preserve the verdict", n, fails)
 
     O2, O1 = BaseRing(F, 2), BaseRing(F, 1)
@@ -472,20 +510,24 @@ def _points_checks(rng, battery):
     Xup = base_change_presentation(incl, X2)
     ipool = [("t^(n)", "0"), ("u*t^(n)", "0"), ("u^2 + u*t^(2*n)", "u^2"),
              ("1 + u^(n)*t", "1"), ("u^(n) + t^(n)", "0")]
-    fails = []
-    for _ in range(n):
-        ft, lt = rng.choice(ipool)
+
+    @functools.cache
+    def base_change_kinds(ft, lt):
         fam = parse_family(F, ft)
         L = parse_element(F, lt)
         pf = PointSeqFamily((fam,), Point((L,)))
-        v2 = point_seq_converges(X2, pf)
-        v1 = point_seq_converges(Xup, base_change_family(incl, pf))
-        if not (v2.kind == v1.kind == CONVERGES):
+        return (point_seq_converges(X2, pf).kind,
+                point_seq_converges(Xup, base_change_family(incl, pf)).kind,
+                converges(_residue_family(fam), limit=residue(L)).kind)
+
+    fails = []
+    for _ in range(n):
+        ft, lt = rng.choice(ipool)
+        v2, v1, vr = base_change_kinds(ft, lt)
+        if not (v2 == v1 == CONVERGES):
             fails.append("%s: inclusion moved the verdict %s -> %s"
-                         % (ft, v2.kind, v1.kind))
-        rfam = _residue_family(fam)
-        vr = converges(rfam, limit=residue(L))
-        if vr.kind != CONVERGES:
+                         % (ft, v2, v1))
+        if vr != CONVERGES:
             fails.append("%s: residue family diverged" % ft)
     _record(checks, "base change preserves convergence", n * 2, fails)
 
@@ -502,19 +544,18 @@ def _points_checks(rng, battery):
             fails.append("residue point of %s not on the fiber" % x)
     _record(checks, "the reduction of a point is its residue", n, fails)
 
+    @functools.cache
+    def reading_kinds(yt, lt):
+        y, L, fam = unit_point(yt, lt)
+        return point_seq_converges(hyp, fam).kind, unit_converges(y, L).kind
+
     fails = []
-    n3 = battery // 3
     for _ in range(n3):
         yt, lt = rng.choice(_GM_POOL)
-        y = parse_family(F, yt)
-        L = parse_element(F, lt)
-        fam = PointSeqFamily((y, SeqFamily(F, y.den, y.num)),
-                             Point((L, L.inverse())))
-        vh = point_seq_converges(hyp, fam)
-        vu = unit_converges(y, L)
-        if vh.kind != vu.kind:
+        vh, vu = reading_kinds(yt, lt)
+        if vh != vu:
             fails.append("%s: unit scheme and unit topology split %s / %s"
-                         % (yt, vh.kind, vu.kind))
+                         % (yt, vh, vu))
     _record(checks, "the two unit readings agree", n3, fails)
     return checks
 
@@ -595,17 +636,22 @@ def _weil_checks(rng, battery):
 
     amb = AffinePresentation(R, ("Y0", "Y1"), [])
     zero = Element.zero(F)
+
+    @functools.cache
+    def encode_kinds(c0, c1):
+        comps = (parse_family(F, c0), parse_family(F, c1))
+        return (sext_converges([SExtFamily(S, comps, (zero, zero))]).kind,
+                point_seq_converges(amb, PointSeqFamily(
+                    comps, Point((zero, zero)))).kind)
+
     fails = []
-    n3 = battery // 3
+    n3 = max(battery // 3, 1)
     for _ in range(n3):
         c0, c1 = rng.choice(_WEIL_POOL)
-        comps = (parse_family(F, c0), parse_family(F, c1))
-        vS = sext_converges([SExtFamily(S, comps, (zero, zero))])
-        vR = point_seq_converges(amb, PointSeqFamily(comps,
-                                                     Point((zero, zero))))
-        if vS.kind != vR.kind:
+        vS, vR = encode_kinds(c0, c1)
+        if vS != vR:
             fails.append("(%s, %s): verdicts split %s / %s"
-                         % (c0, c1, vS.kind, vR.kind))
+                         % (c0, c1, vS, vR))
     _record(checks, "verdicts agree under encode", n3, fails)
     return checks
 
@@ -620,6 +666,9 @@ _SUITE_FNS = {"axioms": _axiom_checks, "topology": _topology_checks,
 def run_suite(name, seed=0, battery=100):
     if name not in _SUITE_FNS:
         raise ValueError("unknown check suite %r" % name)
+    if battery < 1:
+        raise OutOfRangeError("battery size must be at least 1, not %d"
+                              % battery)
     rng = random.Random("%s:%d" % (name, seed))
     checks = _SUITE_FNS[name](rng, battery)
     return {"suite": name, "seed": seed, "battery": battery, "checks": checks,

@@ -10,12 +10,14 @@ represented uniquely as 0/1.
 
 Finding that monomial is the work of normalization, so it is kept cheap on
 the shapes it almost always sees.  A one-term denominator is the monomial
-itself and is read directly.  Over towers of ((t)) over F_q or Q no
-coefficient carries a valuation: a monomial's valuation vector is its
-exponent tuple, so the inverse lexicographic valuation order is the order
-of reversed exponent tuples, and the descriptor says so once
-(exps_are_valuation).  Over Qp((t)) and Qp{{t}} the p-adic valuation of the
-coefficient is a component, and the valuation key is computed per
+itself and is read directly.  Over towers of ((t)) over F_q, Q or Qp the
+valuation order of distinct monomials is the order of their reversed
+exponent tuples: the exponents are the top components, and a
+coefficient's p-adic valuation, over Qp((t)) the bottom one, decides only
+between equal exponents, which distinct monomials never have.  The
+descriptor says so once (orders_by_reversed_exps), and padic_val is
+computed only for the winner's valuation vector.  Over Qp{{t}} the p-adic
+valuation is the top component, and the valuation key is computed per
 monomial.  Elements are immutable, so val_vector is computed once each.
 Callers that assemble a sum of monomials build one Laurent polynomial and
 call make once, rather than adding Elements term by term.
@@ -40,7 +42,7 @@ def _reversed_exps(kv):
 
 def _monomial_key(field):
     """Sort key on (exps, coeff) pairs in rank valuation order."""
-    if field.exps_are_valuation:
+    if field.orders_by_reversed_exps:
         return _reversed_exps
     return lambda kv: _vkey(field.monomial_valuation(kv[1], kv[0]))
 

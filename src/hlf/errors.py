@@ -87,6 +87,11 @@ class UnknownParameterError(ParseError):
     pass
 
 
+class OutOfRangeError(HlfError):
+    """An integer argument lies below its least value, such as a rank or a
+    check battery below 1."""
+
+
 class ZeroElementError(HlfError):
     """Valuation or decomposition of the zero element was requested."""
 

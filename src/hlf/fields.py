@@ -26,11 +26,12 @@ class FieldDescriptor:
     """Shared interface; concrete shapes are the four subclasses below."""
 
     dim = 0
-    #: True when a monomial's valuation vector is its exponent tuple, so
-    #: the inverse lexicographic valuation order is the order of reversed
-    #: exponents: towers of ((t)) over F_q or Q, where no coefficient
-    #: carries a valuation
-    exps_are_valuation = False
+    #: True when distinct monomials are in valuation order exactly when
+    #: their reversed exponent tuples are: towers of ((t)) over F_q, Q or
+    #: Qp, where a coefficient's p-adic valuation is the bottom component
+    #: and is reached only between equal exponents.  False over Qp{{t}},
+    #: where it outranks the exponent of t, and over towers above it
+    orders_by_reversed_exps = False
 
     def residue(self):
         """Descriptor of the first residue field, or None at dimension 0."""
@@ -100,7 +101,7 @@ class FieldDescriptor:
 
 
 class FiniteBase(FieldDescriptor):
-    exps_are_valuation = True
+    orders_by_reversed_exps = True
 
     def __init__(self, field: FqField):
         self.field = field
@@ -129,7 +130,7 @@ class RationalBase(FieldDescriptor):
     but carry no canonical choice of topology data beyond the level rules;
     coefficient_field_dependent() reports that."""
 
-    exps_are_valuation = True
+    orders_by_reversed_exps = True
 
     def monomial_valuation(self, coeff, exps):
         return ()
@@ -149,6 +150,8 @@ class RationalBase(FieldDescriptor):
 
 class QpBase(FieldDescriptor):
     dim = 1
+    # no series parameter: a Laurent polynomial has one monomial at most
+    orders_by_reversed_exps = True
 
     def __init__(self, p):
         if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
@@ -197,7 +200,7 @@ class SeriesExt(FieldDescriptor):
         self.dim = base.dim + 1
         self._params = base.params() + (param,)
         self._series = base.series_params() + (param,)
-        self.exps_are_valuation = base.exps_are_valuation
+        self.orders_by_reversed_exps = base.orders_by_reversed_exps
         # descriptors are immutable and key per-field caches: hash once
         self._hash = hash(("ser", param, base))
 

@@ -12,12 +12,19 @@ from fractions import Fraction
 
 from .coeff import FqElem, teichmuller_exact
 from .elements import Element
-from .errors import PrecisionExhaustedError, ZeroElementError
+from .errors import OutOfRangeError, PrecisionExhaustedError, ZeroElementError
 from .expansion import residue
 
 
+def _check_rank(r):
+    if r is not None and r < 1:
+        raise OutOfRangeError("rank must be at least 1, not %d" % r)
+
+
 def rank_valuation(x, r=None):
-    """Last r components (v_{n-r+1}, ..., v_n) of the valuation vector."""
+    """Last r components (v_{n-r+1}, ..., v_n) of the valuation vector; r
+    is at least 1, and None or r >= n gives the full vector."""
+    _check_rank(r)
     v = x.val_vector()
     if r is None or r >= len(v):
         return v
@@ -38,12 +45,14 @@ def _pos(v):
 
 def in_integer_ring(x, r=None):
     """Whether x lies in the rank r integer ring; zero always does."""
+    _check_rank(r)
     if x.is_zero():
         return True
     return _nonneg(rank_valuation(x, r))
 
 
 def in_max_ideal(x, r=None):
+    _check_rank(r)
     if x.is_zero():
         return True
     return _pos(rank_valuation(x, r))

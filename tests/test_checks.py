@@ -1,8 +1,14 @@
 """The seeded suites run green and reproduce themselves."""
 
+import functools
+import types
+from collections import Counter
+
 import pytest
 
+from hlf import checks
 from hlf.checks import SUITES, run_all, run_suite
+from hlf.errors import HlfError, OutOfRangeError
 
 
 def test_every_suite_is_green_at_small_battery():
@@ -40,3 +46,109 @@ def test_counts_scale_with_the_battery():
 def test_unknown_suite_is_rejected():
     with pytest.raises(ValueError):
         run_suite("nope")
+
+
+@pytest.mark.parametrize("battery", [0, -3])
+def test_a_battery_below_one_is_refused(battery):
+    for call in (lambda: run_suite("axioms", battery=battery),
+                 lambda: run_all(battery=battery)):
+        with pytest.raises(OutOfRangeError) as err:
+            call()
+        assert isinstance(err.value, HlfError)
+        assert str(err.value) == \
+            "battery size must be at least 1, not %d" % battery
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_check_runs_at_battery_one(seed):
+    # battery // 2 and battery // 3 used to give eight checks no draw at
+    # battery 1, each still reporting ok
+    for rep in run_all(seed=seed, battery=1)["suites"]:
+        for c in rep["checks"]:
+            assert c["count"] >= 1, (rep["suite"], c)
+
+
+# Each memoised pool decision of checks.py, the check that reports it, and
+# the decision functions it calls for one key, with how often.
+POOL_DECISIONS = {
+    "product_kind": ("products of convergent pairs converge",
+                     {"product_continuity_check": 1}),
+    "route_kinds": ("unit routes agree", {"unit_converges": 2}),
+    "mirror_kind": ("mirror families converge only when constant",
+                    {"seq_closed_check_C": 1}),
+    "product_kinds": ("product verdict is the factor conjunction",
+                      {"converges": 2, "point_seq_converges": 1}),
+    "immersion_kinds": ("closed immersions preserve the verdict",
+                        {"point_seq_converges": 2}),
+    "base_change_kinds": ("base change preserves convergence",
+                          {"point_seq_converges": 2, "converges": 1}),
+    "reading_kinds": ("the two unit readings agree",
+                      {"point_seq_converges": 1, "unit_converges": 1}),
+    "encode_kinds": ("verdicts agree under encode",
+                     {"sext_converges": 1, "point_seq_converges": 1}),
+}
+DECISIONS = ("product_continuity_check", "unit_converges",
+             "seq_closed_check_C", "converges", "point_seq_converges",
+             "sext_converges")
+
+
+def _counted_run(monkeypatch, name, seed, battery):
+    """run_suite with every pool lookup recorded by key and every decision
+    call counted under the lookup that made it."""
+    lookups, calls, inside = Counter(), Counter(), []
+
+    def recording_cache(decide):
+        memo = functools.cache(decide)
+
+        def lookup(*key):
+            lookups[decide.__name__, key] += 1
+            inside.append(decide.__name__)
+            try:
+                return memo(*key)
+            finally:
+                inside.pop()
+        return lookup
+
+    def counted(fname, real):
+        def call(*args, **kw):
+            calls[inside[-1] if inside else None, fname] += 1
+            return real(*args, **kw)
+        return call
+
+    monkeypatch.setattr(checks, "functools",
+                        types.SimpleNamespace(cache=recording_cache))
+    for fname in DECISIONS:
+        monkeypatch.setattr(checks, fname, counted(fname, getattr(checks, fname)))
+    try:
+        rep = run_suite(name, seed=seed, battery=battery)
+    finally:
+        monkeypatch.undo()
+    return rep, lookups, calls
+
+
+@pytest.mark.parametrize("name", ["topology", "counterexamples", "points",
+                                  "weil"])
+def test_each_pool_draw_is_decided_once_per_run(name, monkeypatch):
+    battery = 60
+    rep, lookups, calls = _counted_run(monkeypatch, name, 11, battery)
+    assert rep == run_suite(name, seed=11, battery=battery)
+    counts = {c["name"]: c["count"] for c in rep["checks"]}
+    seen = {fn for fn, _ in lookups}
+    assert seen == {fn for fn, (check, _) in POOL_DECISIONS.items()
+                    if check in counts}
+    repeats = 0
+    for fn in seen:
+        check, per_key = POOL_DECISIONS[fn]
+        draws = sum(k for (f, _), k in lookups.items() if f == fn)
+        keys = sum(1 for f, _ in lookups if f == fn)
+        # every draw is still looked up and counted ...
+        per_draw = 2 if fn == "base_change_kinds" else 1
+        assert draws * per_draw == counts[check]
+        # ... but each distinct key is decided exactly once
+        for dec in DECISIONS:
+            assert calls[fn, dec] == per_key.get(dec, 0) * keys, (fn, dec)
+        repeats += draws - keys
+    assert repeats > 0
+    # nothing is kept from one run to the next
+    again = _counted_run(monkeypatch, name, 11, battery)
+    assert again[1:] == (lookups, calls)

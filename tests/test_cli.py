@@ -418,6 +418,33 @@ def test_run_records_a_malformed_rank(tmp_path, capsys):
         "'rank' must be an integer, not 'x'"
 
 
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_a_rank_below_one_exits_two(rank, tmp_path, capsys):
+    code = main(["val", "--field", "Qp(3)((t))", "--elem", "3^-1*t^-1",
+                 "--rank", rank])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: rank must be at least 1, not %s\n" % rank
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"tasks": [
+        {"id": "r", "kind": "valuation", "field": "Qp(3)((t))",
+         "elem": "t", "rank": int(rank)}]}))
+    code, out = run(capsys, "run", str(job))
+    assert code == 2
+    assert json.loads(out)["tasks"][0]["error"] == \
+        "rank must be at least 1, not %s" % rank
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_a_battery_below_one_exits_two(size, capsys):
+    # -3 used to report "count": -45 and "ok": true
+    assert main(["check", "axioms", "--battery-size", size]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: battery size must be at least 1, not %s\n" % size
+
+
 def test_run_records_non_string_inputs(tmp_path, capsys):
     # a wrongly typed field or open fails its own task, not the whole job
     job = tmp_path / "job.json"

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from hlf.elements import Element
-from hlf.errors import PrecisionExhaustedError, ZeroElementError
+from hlf.errors import (OutOfRangeError, PrecisionExhaustedError,
+                        ZeroElementError)
 from hlf.fields import parse_field
 from hlf.parsing import parse_element
 from hlf.valuation import (
@@ -30,6 +31,17 @@ def test_rank_truncation():
     assert rank_valuation(x, 1) == (2,)
     assert rank_valuation(x, 2) == (-3, 2)
     assert rank_valuation(x, 7) == (-3, 2)
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_a_rank_below_one_is_refused(r):
+    # rank 0 used to give () and call 3^-1*t^-1 integral
+    x = parse_element(Q3T, "3^-1*t^-1")
+    for fn in (rank_valuation, in_integer_ring, in_max_ideal):
+        with pytest.raises(OutOfRangeError, match="rank must be at least 1"):
+            fn(x, r)
+        with pytest.raises(OutOfRangeError):
+            fn(Element.zero(Q3T), r)
 
 
 def test_membership_rank_interplay():
