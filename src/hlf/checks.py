@@ -7,8 +7,10 @@ identical seeds give identical reports.
 
 Eight checks draw their cases with replacement from small fixed pools, so
 one run draws the same case many times.  Each such loop decides a drawn
-case through a memo keyed by the pool entries (functools.cache on a function
-defined inside the suite), so it lives for one run_suite call only.  The
+case through memos keyed by the pool entries (functools.cache on a function
+defined inside the suite), so they live for one run_suite call only.  The
+closed-immersion and unit-reading loops both draw from _GM_POOL and share
+the memo of the hyperbola verdict.  The
 invariant that makes this safe: a decision draws nothing from the
 generator.  Every draw happens in the loop body before the lookup, so the
 generator's sequence, the counts and the report bytes do not depend on
@@ -490,16 +492,19 @@ def _points_checks(rng, battery):
         return y, L, PointSeqFamily((y, SeqFamily(F, y.den, y.num)),
                                     Point((L, L.inverse())))
 
+    # the hyperbola verdict serves both the immersion and the unit readings
     @functools.cache
-    def immersion_kinds(yt, lt):
-        _, _, fam = unit_point(yt, lt)
-        return (point_seq_converges(amb, fam).kind,
-                point_seq_converges(hyp, fam).kind)
+    def ambient_kind(yt, lt):
+        return point_seq_converges(amb, unit_point(yt, lt)[2]).kind
+
+    @functools.cache
+    def hyperbola_kind(yt, lt):
+        return point_seq_converges(hyp, unit_point(yt, lt)[2]).kind
 
     fails = []
     for _ in range(n):
         yt, lt = rng.choice(_GM_POOL)
-        va, vh = immersion_kinds(yt, lt)
+        va, vh = ambient_kind(yt, lt), hyperbola_kind(yt, lt)
         if va != vh:
             fails.append("%s: closed immersion split %s / %s" % (yt, vh, va))
     _record(checks, "closed immersions preserve the verdict", n, fails)
@@ -545,14 +550,14 @@ def _points_checks(rng, battery):
     _record(checks, "the reduction of a point is its residue", n, fails)
 
     @functools.cache
-    def reading_kinds(yt, lt):
-        y, L, fam = unit_point(yt, lt)
-        return point_seq_converges(hyp, fam).kind, unit_converges(y, L).kind
+    def unit_kind(yt, lt):
+        y, L, _ = unit_point(yt, lt)
+        return unit_converges(y, L).kind
 
     fails = []
     for _ in range(n3):
         yt, lt = rng.choice(_GM_POOL)
-        vh, vu = reading_kinds(yt, lt)
+        vh, vu = hyperbola_kind(yt, lt), unit_kind(yt, lt)
         if vh != vu:
             fails.append("%s: unit scheme and unit topology split %s / %s"
                          % (yt, vh, vu))
@@ -588,13 +593,12 @@ def _weil_checks(rng, battery):
 
     fails = []
     count = 0
-    cases = [Y, ScalarExtPresentation(
+    Y3 = ScalarExtPresentation(
         MonogenicExt(R, "w", "w^3 - t*w - u"), ("Y", "Z"),
-        ["Y^3 - w*Y + u", "Z*Y - w"])]
+        ["Y^3 - w*Y + u", "Z*Y - w"])
     from .points import Poly, parse_poly
-    for pres in cases:
+    for pres, Wp in ((Y, W), (Y3, weil_restrict(Y3))):
         ext = pres.ext
-        Wp = weil_restrict(pres)
         subst = {}
         for vname in pres.variables:
             text = " + ".join("%s%d*%s^%d" % (vname, k, ext.theta, k)

@@ -24,13 +24,23 @@ Plain valuation balls s^c O are only open when the coefficient side has
 dimension zero; above that the deep balls (the same cutoff imposed at every
 level, recursively) take their place, which is what keeps escape witnesses
 and divergence certificates expressible at any dimension.
+
+Opens are immutable values: nothing changes an open after __init__, and
+two opens are equal when their fields and to_data() agree.  So the balls
+are shared.  ball_at and deep_ball return one object per distinct (field,
+depth), at most _SHARED_MAX of each kept, the least recently used dropped
+first; equal field descriptors share one ball, and a ball that is not open
+raises again on every call.  The rule levels AffineRule and QuadraticRule
+(without a scale) hand out these shared balls, so what an open works out
+about itself, its staircase floor _stairs_from and its subgroup shape, is
+worked out once per process for each shared ball.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .elements import Element
 from .errors import (
@@ -266,6 +276,15 @@ class LevelsOpen(Open):
                    for i, d in zip(range(i0, self.top), digits(x)))
 
     @cached_property
+    def _subgroup_shaped(self):
+        """subgroup_shaped(self), decided once: every probed level is a
+        subgroup, and along p the levels form a staircase all the way
+        down."""
+        if not all(subgroup_shaped(self.level(i)) for i in _probe(self)):
+            return False
+        return isinstance(self.field, SeriesExt) or self._stairs_from == -_INF
+
+    @cached_property
     def _stairs_from(self):
         """The least level from which every level up to the top is a deep
         ball or full, with depths that do not increase toward the cutoff:
@@ -298,6 +317,12 @@ class LevelsOpen(Open):
 
 # --- constructors -------------------------------------------------------------
 
+# How many balls of each constructor stay shared: seven battery-100 passes
+# of every check suite ask for 216 distinct (field, depth) deep balls.
+_SHARED_MAX = 512
+
+
+@lru_cache(maxsize=_SHARED_MAX, typed=True)
 def ball_at(field, depth):
     """The valuation ball of the top rank one valuation, where it is open."""
     if isinstance(field, QpBase):
@@ -307,6 +332,7 @@ def ball_at(field, depth):
     raise UnsupportedFieldError("the valuation ball is not open over %r" % field)
 
 
+@lru_cache(maxsize=_SHARED_MAX, typed=True)
 def deep_ball(field, depth):
     """Open imposing the same depth at every level all the way down."""
     if field.dim == 0:
@@ -793,15 +819,11 @@ def subgroup_shaped(U):
     """Closed under addition and negation.  Along a series top this is
     levelwise; along p the digit carries force the depth profile to be
     nonincreasing with the level.  Conservative: a False only means the
-    shape analysis could not certify the group structure."""
+    shape analysis could not certify the group structure.  A level open
+    decides it once and keeps the answer."""
     if isinstance(U, (FullOpen, ZeroOpen, BallOpen)):
         return True
-    if not isinstance(U, LevelsOpen):
-        return False
-    probe = _probe(U)
-    if not all(subgroup_shaped(U.level(i)) for i in probe):
-        return False
-    return isinstance(U.field, SeriesExt) or U._stairs_from == -_INF
+    return isinstance(U, LevelsOpen) and U._subgroup_shaped
 
 
 def _probe(U):

@@ -68,23 +68,26 @@ def test_every_check_runs_at_battery_one(seed):
             assert c["count"] >= 1, (rep["suite"], c)
 
 
-# Each memoised pool decision of checks.py, the check that reports it, and
-# the decision functions it calls for one key, with how often.
+# Each memoised pool decision of checks.py, the checks whose draws look it
+# up, and the decision functions it calls for one key, with how often.  The
+# closed-immersion and unit-reading checks share the hyperbola verdict.
 POOL_DECISIONS = {
-    "product_kind": ("products of convergent pairs converge",
+    "product_kind": (("products of convergent pairs converge",),
                      {"product_continuity_check": 1}),
-    "route_kinds": ("unit routes agree", {"unit_converges": 2}),
-    "mirror_kind": ("mirror families converge only when constant",
+    "route_kinds": (("unit routes agree",), {"unit_converges": 2}),
+    "mirror_kind": (("mirror families converge only when constant",),
                     {"seq_closed_check_C": 1}),
-    "product_kinds": ("product verdict is the factor conjunction",
+    "product_kinds": (("product verdict is the factor conjunction",),
                       {"converges": 2, "point_seq_converges": 1}),
-    "immersion_kinds": ("closed immersions preserve the verdict",
-                        {"point_seq_converges": 2}),
-    "base_change_kinds": ("base change preserves convergence",
+    "ambient_kind": (("closed immersions preserve the verdict",),
+                     {"point_seq_converges": 1}),
+    "hyperbola_kind": (("closed immersions preserve the verdict",
+                        "the two unit readings agree"),
+                       {"point_seq_converges": 1}),
+    "base_change_kinds": (("base change preserves convergence",),
                           {"point_seq_converges": 2, "converges": 1}),
-    "reading_kinds": ("the two unit readings agree",
-                      {"point_seq_converges": 1, "unit_converges": 1}),
-    "encode_kinds": ("verdicts agree under encode",
+    "unit_kind": (("the two unit readings agree",), {"unit_converges": 1}),
+    "encode_kinds": (("verdicts agree under encode",),
                      {"sext_converges": 1, "point_seq_converges": 1}),
 }
 DECISIONS = ("product_continuity_check", "unit_converges",
@@ -134,16 +137,16 @@ def test_each_pool_draw_is_decided_once_per_run(name, monkeypatch):
     assert rep == run_suite(name, seed=11, battery=battery)
     counts = {c["name"]: c["count"] for c in rep["checks"]}
     seen = {fn for fn, _ in lookups}
-    assert seen == {fn for fn, (check, _) in POOL_DECISIONS.items()
-                    if check in counts}
+    assert seen == {fn for fn, (drawn_by, _) in POOL_DECISIONS.items()
+                    if counts.keys() & set(drawn_by)}
     repeats = 0
     for fn in seen:
-        check, per_key = POOL_DECISIONS[fn]
+        drawn_by, per_key = POOL_DECISIONS[fn]
         draws = sum(k for (f, _), k in lookups.items() if f == fn)
         keys = sum(1 for f, _ in lookups if f == fn)
         # every draw is still looked up and counted ...
         per_draw = 2 if fn == "base_change_kinds" else 1
-        assert draws * per_draw == counts[check]
+        assert draws * per_draw == sum(counts[c] for c in drawn_by)
         # ... but each distinct key is decided exactly once
         for dec in DECISIONS:
             assert calls[fn, dec] == per_key.get(dec, 0) * keys, (fn, dec)
@@ -152,3 +155,15 @@ def test_each_pool_draw_is_decided_once_per_run(name, monkeypatch):
     # nothing is kept from one run to the next
     again = _counted_run(monkeypatch, name, 11, battery)
     assert again[1:] == (lookups, calls)
+
+
+def test_the_weil_suite_restricts_each_scheme_once(monkeypatch):
+    restricted = []
+    real = checks.weil_restrict
+    monkeypatch.setattr(checks, "weil_restrict",
+                        lambda Y: restricted.append(Y) or real(Y))
+    rep = run_suite("weil", seed=4, battery=10)
+    monkeypatch.undo()
+    assert rep == run_suite("weil", seed=4, battery=10)
+    assert len(restricted) == 3
+    assert len({id(Y) for Y in restricted}) == 3

@@ -8,13 +8,16 @@ from fractions import Fraction
 
 import pytest
 
+from hlf import opens as opens_module
+from hlf.checks import _random_element
 from hlf.elements import Element
 from hlf.errors import (UnsupportedFieldError, UnsupportedOpenError,
                         UnsupportedScalarError)
 from hlf.expansion import digits, expand
-from hlf.fields import parse_field
-from hlf.opens import (AffineRule, ConstRule, FullOpen, FullRule, LevelsOpen,
-                       PeriodicRule, QuadraticRule, ZeroOpen, admitted_depth,
+from hlf.fields import QpBase, parse_field
+from hlf.opens import (_SHARED_MAX, AffineRule, BallOpen, ConstRule, FullOpen,
+                       FullRule, LevelsOpen, PeriodicRule, QuadraticRule,
+                       ZeroOpen, admitted_depth,
                        ball_at, deep_ball, deep_depth, excluding_ball,
                        first_nonneg,
                        intersect_open,
@@ -588,3 +591,105 @@ def test_periodic_rule_round_trip():
     assert U.contains(e(F5UT, "u^2"))
     assert U.contains(e(F5UT, "u^-5*t^-1"))
     assert not U.contains(e(F5UT, "u^-5*t^-2"))
+
+
+# --- shared balls -------------------------------------------------------------
+
+def _direct_deep_ball(field, depth):
+    """deep_ball(field, depth) built afresh, sharing nothing."""
+    if field.dim == 0:
+        return ZeroOpen(field)
+    if isinstance(field, QpBase):
+        return BallOpen(field, depth)
+    return LevelsOpen(field, depth, {},
+                      ConstRule(_direct_deep_ball(field.residue(), depth)))
+
+
+def _direct_ball_at(field, depth):
+    if isinstance(field, QpBase):
+        return BallOpen(field, depth)
+    return LevelsOpen(field, depth, {}, ConstRule(ZeroOpen(field.residue())))
+
+
+def test_each_ball_is_one_shared_object():
+    for f in FIELDS + (F5U, Q3M.residue()):
+        for d in (-2, 0, 3):
+            assert deep_ball(f, d) is deep_ball(f, d)
+    for f in (F5U, Q3M.residue()):
+        assert ball_at(f, 2) is ball_at(f, 2)
+        assert ball_at(f, 2) is not ball_at(f, 3)
+    # equal but distinct descriptors share one ball
+    twin = parse_field("Fq(5)((u))((t))")
+    assert twin is not F5UT and twin == F5UT
+    assert deep_ball(twin, 4) is deep_ball(F5UT, 4)
+    assert ball_at(parse_field("Fq(5)((u))"), 1) is ball_at(F5U, 1)
+    # rule levels hand out the shared balls
+    assert AffineRule(1, 0).at(F5U, 2, 0) is ball_at(F5U, 2)
+    assert QuadraticRule(1, 0, 0).at(Q3M.residue(), -2, 0) \
+        is deep_ball(Q3M.residue(), 4)
+    assert deep_ball(F5UT, 4).below.entry is deep_ball(F5U, 4)
+
+
+def test_shared_balls_stay_within_their_bound():
+    for ctor in (deep_ball, ball_at):
+        assert ctor.cache_info().maxsize == _SHARED_MAX
+        for d in range(_SHARED_MAX + 20):
+            B = ctor(F5U, 10_000 + d)
+            assert B.cutoff == 10_000 + d
+            assert ctor.cache_info().currsize <= _SHARED_MAX
+        # an evicted key is built again, equal to what it was
+        assert ctor(F5U, 10_000) == _direct_ball_at(F5U, 10_000)
+
+
+def test_a_refused_ball_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(UnsupportedFieldError):
+            ball_at(F5UT, 1)
+        with pytest.raises(UnsupportedFieldError):
+            ball_at(Q3T, 0)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_shared_balls_answer_as_fresh_ones(field):
+    rng = random.Random("shared %r" % field)
+    pairs = []
+    for f in (field, field.residue()):
+        for _ in range(4):
+            d = rng.randint(-3, 5)
+            pairs.append((deep_ball(f, d), _direct_deep_ball(f, d)))
+            if f.dim == 1 or (f.dim == 2 and f.residue().dim == 0):
+                pairs.append((ball_at(f, d), _direct_ball_at(f, d)))
+    for shared, fresh in pairs:
+        f = shared.field
+        # ask the shared ball twice, the second time from its caches
+        for _ in range(2):
+            assert shared.to_data() == fresh.to_data() and shared == fresh
+            assert subgroup_shaped(shared) == subgroup_shaped(fresh)
+            if f.residue() is not None and not isinstance(f, QpBase):
+                assert residue_image(shared) == residue_image(fresh)
+            for _ in range(6):
+                x = _random_element(rng, f, span=4)
+                assert shared.contains(x) == fresh.contains(x), (shared, x)
+
+
+def test_subgroup_shape_is_decided_once_per_open(monkeypatch):
+    probed = []
+    real = opens_module._probe
+    monkeypatch.setattr(opens_module, "_probe",
+                        lambda U: probed.append(U) or real(U))
+    base = Q3M.residue()
+    U = LevelsOpen(Q3M, 2, {0: ball_at(base, 2), 1: ball_at(base, 1)},
+                   ConstRule(ball_at(base, 2)))
+    assert subgroup_shaped(U)
+    walked = [V for V in probed if V is U]
+    assert 1 <= len(walked) <= 2  # the shape and the staircase floor
+    for _ in range(3):
+        assert subgroup_shaped(U)
+        assert subgroup_escape_witness(U).checked()
+    assert [V for V in probed if V is U] == walked
+    # a shared ball and every shared level below it: walked at most once
+    B = deep_ball(Q3M, 7)
+    subgroup_shaped(B)
+    del probed[:]
+    assert subgroup_shaped(B) and subgroup_shaped(deep_ball(Q3M, 7))
+    assert probed == []
