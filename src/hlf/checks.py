@@ -492,14 +492,17 @@ def _points_checks(rng, battery):
         return y, L, PointSeqFamily((y, SeqFamily(F, y.den, y.num)),
                                     Point((L, L.inverse())))
 
-    # the hyperbola verdict serves both the immersion and the unit readings
+    # parsed once for the three memos below; the hyperbola verdict serves
+    # both the immersion and the unit readings
+    units = {entry: unit_point(*entry) for entry in _GM_POOL}
+
     @functools.cache
     def ambient_kind(yt, lt):
-        return point_seq_converges(amb, unit_point(yt, lt)[2]).kind
+        return point_seq_converges(amb, units[yt, lt][2]).kind
 
     @functools.cache
     def hyperbola_kind(yt, lt):
-        return point_seq_converges(hyp, unit_point(yt, lt)[2]).kind
+        return point_seq_converges(hyp, units[yt, lt][2]).kind
 
     fails = []
     for _ in range(n):
@@ -551,7 +554,7 @@ def _points_checks(rng, battery):
 
     @functools.cache
     def unit_kind(yt, lt):
-        y, L, _ = unit_point(yt, lt)
+        y, L, _ = units[yt, lt]
         return unit_converges(y, L).kind
 
     fails = []

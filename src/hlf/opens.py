@@ -28,9 +28,9 @@ and divergence certificates expressible at any dimension.
 Opens are immutable values: nothing changes an open after __init__, and
 two opens are equal when their fields and to_data() agree.  So the balls
 are shared.  ball_at and deep_ball return one object per distinct (field,
-depth), at most _SHARED_MAX of each kept, the least recently used dropped
-first; equal field descriptors share one ball, and a ball that is not open
-raises again on every call.  The rule levels AffineRule and QuadraticRule
+depth), the depth's type included, at most _SHARED_MAX of each kept, the
+least recently used dropped first; equal field descriptors share one ball,
+and a ball that is not open raises again on every call.  The rule levels AffineRule and QuadraticRule
 (without a scale) hand out these shared balls, so what an open works out
 about itself, its staircase floor _stairs_from and its subgroup shape, is
 worked out once per process for each shared ball.
