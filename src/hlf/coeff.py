@@ -14,6 +14,7 @@ truncated p-adic type.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import FieldMismatchError, ZeroElementError
 
@@ -145,6 +146,12 @@ class FqField:
 
     def __hash__(self):
         return hash((self.q, self.modulus))
+
+    @cached_property
+    def residues(self):
+        """Residue c mod p -> its FqElem over this prime field, one table
+        shared by every caller (FqElems are immutable)."""
+        return _Residues(self)
 
     def __repr__(self):
         if self.deg == 1:
@@ -316,6 +323,25 @@ def _fq_reduced(field, coeffs):
     x.field = field
     x.coeffs = coeffs
     return x
+
+
+# Residues a table keeps; past that a residue's FqElem is built anew.
+_RESIDUE_MAX = 1 << 12
+
+
+class _Residues(dict):
+    """FqField.residues: filled as residues are asked for, since p may be
+    large, each FqElem built without a second reduction."""
+
+    def __init__(self, field):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, c):
+        x = _fq_reduced(self.field, (c,))
+        if len(self) < _RESIDUE_MAX:
+            self[c] = x
+        return x
 
 
 def _poly_str(coeffs, gen):

@@ -28,12 +28,12 @@ addition.  Over Q, Qp and Qp{{u}} the coefficients are ints: P and Q are
 scaled by the lcm of their coefficient denominators, and a digit's
 coefficients are Fraction(a, d) with d the least coefficient of N^e; over
 a prime field they are ints mod p, and a digit takes the FqElem of each
-residue from one table per prime field (_residue_table), shared by every
-stream: FqElems are immutable.  A table fills as residues turn up, since p
-may be large, and keeps at most _RESIDUE_MAX of them.  A digit adds all
-its products into one accumulator, reduced mod p once, and the table
-Q_j N^(j-1) is built only when a second digit is asked for, so residue()
-pays for one digit.
+residue from the field's one residue table (FqField.residues), shared by
+every stream over that field: FqElems are immutable.  The table fills as
+residues turn up, since p may be large.  A digit adds all its products
+into one accumulator, reduced mod p once, and the table Q_j N^(j-1) is
+built only when a second digit is asked for, so residue() pays for one
+digit.
 Where Q_0 is one monomial (always over Qp((t)), Q((t)) and Fq((t))) N^e is
 a constant and each digit is a Laurent polynomial, which has one
 representation; otherwise Element.make finds the least monomial of N^e
@@ -65,7 +65,6 @@ digit size, dominates.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice, repeat, zip_longest
 from math import gcd, lcm
 
@@ -191,7 +190,7 @@ def _series_digits(x):
         # ints mod p, read back through the field's residue table
         p = fq.p
         conv = FqElem.as_int
-        elem = _residue_table(fq).__getitem__
+        elem = fq.residues.__getitem__
         coeffs = lambda cs, d: map(elem, cs)
     else:
         conv = lambda c: c
@@ -235,30 +234,6 @@ def _series_digits(x):
         yield element(a, D)
         run = run + 1 if not a else 0
         i += 1
-
-
-# Residues kept per prime field; past that a residue's FqElem is built anew.
-_RESIDUE_MAX = 1 << 12
-
-
-class _Residues(dict):
-    """Residue c mod p -> its FqElem over fq, built without a second
-    reduction the first time c is asked for."""
-
-    def __init__(self, fq):
-        super().__init__()
-        self.fq = fq
-
-    def __missing__(self, c):
-        x = _fq_reduced(self.fq, (c,))
-        if len(self) < _RESIDUE_MAX:
-            self[c] = x
-        return x
-
-
-@lru_cache(maxsize=64)
-def _residue_table(fq):
-    return _Residues(fq)
 
 
 def _exponent_keys(nlow, lps):

@@ -5,12 +5,12 @@ from itertools import islice
 
 import pytest
 
-from hlf import expansion
+from hlf import coeff
 from hlf.coeff import FqField
 from hlf.elements import Element
 from hlf.errors import NotIntegralError, PrecisionExhaustedError
-from hlf.expansion import (Jet, _residue_table, canonical_fraction, digits,
-                           expand, lift, residue)
+from hlf.expansion import (Jet, canonical_fraction, digits, expand, lift,
+                           residue)
 from hlf.fields import parse_field
 from hlf.opens import FullOpen, FullRule, LevelsOpen
 from hlf.parsing import parse_element
@@ -560,22 +560,25 @@ def test_residue_reprs_pinned():
         "ae9574e23a8529395319800f58ccc0dae355fc78e28fd9ac2f123c6c36dcf419"
 
 
-def test_prime_field_digits_share_one_residue_table():
-    # two streams over equal but distinct descriptors take every residue
-    # from the one table of F_5
-    x = parse_element(F5UT, "(2 + u*t)/(1 - t)")
-    y = parse_element(parse_field("Fq(5)((u))((t))"), "(3*u + 2*t^2)/(1 + u*t)")
-    table = _residue_table(F5UT.residue().fq())
-    coeffs = [c for z in (x, y) for d in islice(digits(z), 6)
+def test_prime_field_digits_share_the_residue_table_of_their_field():
+    # every stream over one field takes its residues from that field's
+    # table, and a digit's FqElems keep the stream's own field object, so
+    # FqElem arithmetic stays on its identity fast path
+    fq = F5UT.residue().fq()
+    coeffs = [c for text in ("(2 + u*t)/(1 - t)", "(3*u + 2*t^2)/(1 + u*t)")
+              for d in islice(digits(parse_element(F5UT, text)), 6)
               for c in d.num.values()]
     assert len({c.as_int() for c in coeffs}) >= 3
     for c in coeffs:
-        assert c is table[c.as_int()]
+        assert c is fq.residues[c.as_int()] and c.field is fq
+    twin = parse_field("Fq(5)((u))((t))")
+    x = next(digits(parse_element(twin, "2 + u*t")))
+    assert all(c.field is twin.residue().fq() for c in x.num.values())
 
 
 def test_a_residue_table_keeps_at_most_its_bound(monkeypatch):
-    monkeypatch.setattr(expansion, "_RESIDUE_MAX", 2)
-    table = expansion._Residues(FqField(7))
+    monkeypatch.setattr(coeff, "_RESIDUE_MAX", 2)
+    table = coeff._Residues(FqField(7))
     got = [table[c] for c in (1, 2, 3, 4, 3)]
     assert len(table) == 2
     assert [g.as_int() for g in got] == [1, 2, 3, 4, 3]
