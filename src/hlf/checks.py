@@ -6,18 +6,17 @@ Reports carry counts and failures only; wall time stays on stderr so
 identical seeds give identical reports.
 
 Eight checks draw their cases with replacement from small fixed pools, so
-one run draws the same case many times.  Each such loop decides a drawn
-case through memos keyed by the pool entries (functools.cache on a function
+one run draws the same case many times.  Each such loop decides a drawn case
+through memos keyed by the pool entries (functools.cache on a function
 defined inside the suite), so they live for one run_suite call only.  The
 closed-immersion and unit-reading loops both draw from _GM_POOL and share
-the memo of the hyperbola verdict.  The
-invariant that makes this safe: a decision draws nothing from the
-generator.  Every draw happens in the loop body before the lookup, so the
-generator's sequence, the counts and the report bytes do not depend on
-whether a case was decided or looked up.  A memo keeps verdict kinds, not
-Verdict objects: unit_converges rewrites the note of a witness it takes
-from an inner decision, so a shared Verdict could change under a later
-reader.
+the memo of the hyperbola verdict.  The invariant that makes this safe: a
+decision draws nothing from the generator.  Every draw happens in the loop
+body before the lookup, so the generator's sequence, the counts and the
+report bytes do not depend on whether a case was decided or looked up.  A
+memo keeps verdict kinds, not Verdict objects: unit_converges rewrites the
+note of a witness it takes from an inner decision, so a shared Verdict
+could change under a later reader.
 """
 
 from __future__ import annotations

@@ -30,10 +30,10 @@ two opens are equal when their fields and to_data() agree.  So the balls
 are shared.  ball_at and deep_ball return one object per distinct (field,
 depth), the depth's type included, at most _SHARED_MAX of each kept, the
 least recently used dropped first; equal field descriptors share one ball,
-and a ball that is not open raises again on every call.  The rule levels AffineRule and QuadraticRule
-(without a scale) hand out these shared balls, so what an open works out
-about itself, its staircase floor _stairs_from and its subgroup shape, is
-worked out once per process for each shared ball.
+and a ball that is not open raises again on every call.  The levels of the
+rules AffineRule and QuadraticRule (without a scale) are these shared
+balls, so what a ball works out about itself, its staircase floor
+_stairs_from and its subgroup shape, is worked out once per process.
 """
 
 from __future__ import annotations

@@ -593,7 +593,7 @@ def test_periodic_rule_round_trip():
     assert not U.contains(e(F5UT, "u^-5*t^-2"))
 
 
-# --- shared balls -------------------------------------------------------------
+# --- shared balls -----------------------------------------------------------
 
 def _direct_deep_ball(field, depth):
     """deep_ball(field, depth) built afresh, sharing nothing."""
