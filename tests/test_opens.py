@@ -665,8 +665,7 @@ def test_shared_balls_answer_as_fresh_ones(field):
         for _ in range(2):
             assert shared.to_data() == fresh.to_data() and shared == fresh
             assert subgroup_shaped(shared) == subgroup_shaped(fresh)
-            if f.residue() is not None and not isinstance(f, QpBase):
-                assert residue_image(shared) == residue_image(fresh)
+            assert residue_image(shared) == residue_image(fresh)
             for _ in range(6):
                 x = _random_element(rng, f, span=4)
                 assert shared.contains(x) == fresh.contains(x), (shared, x)
