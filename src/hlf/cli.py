@@ -12,7 +12,10 @@ files again, but an open or scheme file is parsed, built and checked once
 per process for each distinct content (path and text, or the JSON text of
 an inline job object), a scalar extension together with its Weil
 restriction; at most _BUILT_MAX = 64 contents stay built, the least
-recently used dropped first.
+recently used dropped first.  When the first argument names a
+subcommand, that subcommand's parser reads the rest directly, without the
+top-level pass, which gives the same namespace, usage errors and exit
+codes.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import os
 import reprlib
 import sys
 import time
+from gettext import gettext
 
 from .convergence import DIVERGES, converges, unit_converges
 from .errors import HlfError, ParseError
@@ -106,14 +110,19 @@ def _parse_object(path, text):
 def _built(kind, path, text, field_text=None):
     """What a file of this content holds, parsed, built and checked once per
     distinct (kind, path, text, field_text): (field, open) for "open", the
-    presentation or scheme for "scheme", (Y, weil_restrict(Y)) for "weil".
+    presentation or scheme for "scheme", and for "weil" Y, weil_restrict(Y)
+    and the restricted generators' texts with the V(...) in A^n line.
     A load that fails raises again on the next call: lru_cache keeps no
     exception.  Every caller gets the same objects and none mutates them."""
     if kind == "weil":
         Y = _built("scheme", path, text)
         if not isinstance(Y, ScalarExtPresentation):
             raise ParseError("weil needs a scalar extension scheme file")
-        return Y, weil_restrict(Y)
+        W = weil_restrict(Y)
+        pres = W.presentation
+        gens = tuple(g.text() for g in pres.gens)
+        return Y, W, gens, "V(%s) in A^%d" % (", ".join(gens) or "0",
+                                              pres.arity)
     data = _parse_object(path, text)
     if kind == "open":
         ftext = data.get("field") or field_text
@@ -289,12 +298,11 @@ def _task_points_converge(inp):
 
 
 def _task_weil(inp):
-    Y, W = _built("weil", *_read_spec(_need(inp, "scheme")))
+    Y, W, gens, head = _built("weil", *_read_spec(_need(inp, "scheme")))
     pres = W.presentation
     rep = {"task": "weil", "ring": pres.ring.describe(),
-           "vars": list(pres.variables),
-           "gens": [g.text() for g in pres.gens]}
-    lines = ["V(%s) in A^%d" % (", ".join(rep["gens"]) or "0", pres.arity)]
+           "vars": list(pres.variables), "gens": list(gens)}
+    lines = [head]
     if inp.get("elem") is not None:
         coords = _scalar_coords(Y, inp["elem"])
         x = W.encode(coords)
@@ -442,6 +450,8 @@ def _cmd_run(args):
 
 @functools.cache  # parse_args leaves the parser as it found it
 def _build_parser():
+    """The top-level parser and its subcommand parsers by name, aliases
+    included."""
     ap = argparse.ArgumentParser(
         prog="hlf",
         description="Exact arithmetic, topology and rational point checks "
@@ -503,11 +513,26 @@ def _build_parser():
     pr.add_argument("job")
     pr.add_argument("--json", action="store_true")
     pr.set_defaults(fn=_cmd_run)
-    return ap
+    return ap, sub.choices
+
+
+def _parse_args(argv):
+    """What the top-level parser gives for argv.  When argv[0] names a
+    subcommand, its parser reads the rest directly, as the top-level pass
+    would hand it over; leftovers are still the top-level parser's error."""
+    ap, subcommands = _build_parser()
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return ap.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:],
+                                       argparse.Namespace(command=argv[0]))
+    if extra:
+        ap.error(gettext("unrecognized arguments: %s") % " ".join(extra))
+    return args
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.fn(args)
     except HlfError as err:

@@ -387,7 +387,7 @@ def _level_verdict(g, vf, n_cross):
     n_ref = n_cross + 1
     m = g.min_term(g.den, n_ref)
     num = [t.div(m) for t in g.num]
-    rest = [t.div(m) for t in g.den if t.key() != m.key()]
+    rest = [t.div(m) for t in g.den if t.key != m.key]
     flat, climb = [], []
     for t in rest:
         tf = _top_form(t, f)

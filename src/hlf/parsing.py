@@ -9,11 +9,21 @@ t^-1, u^(n), t^(2*n+1); on a parenthesized expression only integers.  What a
 name means (series parameter, finite field generator, scheme variable) is
 decided by the handler, so the one grammar serves every consumer; element
 parsing rejects any n-dependence.
+
+Element parsing keeps a product, quotient, power or negation of monomials
+as one term node, a coefficient and an exponent tuple: monomial *, / and
+^ are exact and need no normalization.  The Element is made only at a sum
+or a difference, at an operand that is already an Element, and at the end,
+so each sum still goes through Element.__add__, whose shortcut for equal
+denominators relies on normalized ones.  The result is the Element that
+factor-by-factor Element arithmetic gives, with the same entries in the
+same order.
 """
 
 from __future__ import annotations
 
 import re
+from operator import add, sub
 
 from .elements import Element
 from .errors import ParseError, UnknownParameterError
@@ -24,19 +34,17 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-zA-Z_]\w*)|(\^|\*|/|\+|-|\(|\)|,))")
 def tokenize(text):
     pos = 0
     out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError("unexpected character %r" % text[pos], text, pos)
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
             break
-        if m.group(1):
+        kind = m.lastindex
+        if kind == 1:
             out.append(("num", int(m.group(1)), pos))
-        elif m.group(2):
-            out.append(("name", m.group(2), pos))
         else:
-            out.append(("op", m.group(3), pos))
+            out.append(("name" if kind == 2 else "op", m.group(kind), pos))
         pos = m.end()
+    if text[pos:].strip():
+        raise ParseError("unexpected character %r" % text[pos], text, pos)
     out.append(("end", None, len(text)))
     return out
 
@@ -192,15 +200,78 @@ class ExprParser:
         raise ParseError("bad affine exponent term", self.text, pos)
 
 
+class _Monomial:
+    """coeff * prod params^exps while parsing an element, exps aligned
+    with the field's series parameters."""
+
+    __slots__ = ("field", "coeff", "exps")
+
+    def __init__(self, field, coeff, exps):
+        self.field = field
+        self.coeff = coeff
+        self.exps = exps
+
+    def element(self):
+        c = self.coeff
+        return Element.make(self.field, {self.exps: c} if c else {})
+
+    def __neg__(self):
+        return _Monomial(self.field, -self.coeff, self.exps)
+
+    def __mul__(self, other):
+        if other.__class__ is not _Monomial:
+            return self.element() * other
+        return _Monomial(self.field, self.coeff * other.coeff,
+                         tuple(map(add, self.exps, other.exps)))
+
+    def __truediv__(self, other):
+        if other.__class__ is not _Monomial:
+            return self.element() / other
+        if not other.coeff:
+            raise ZeroDivisionError("inverse of zero")
+        return _Monomial(self.field, self.coeff / other.coeff,
+                         tuple(map(sub, self.exps, other.exps)))
+
+    def __pow__(self, k):
+        # a zero coefficient raises ZeroDivisionError on a negative k
+        return _Monomial(self.field, self.coeff ** k,
+                         tuple(e * k for e in self.exps))
+
+    def __add__(self, other):
+        return self.element() + as_element(other)
+
+    def __sub__(self, other):
+        return self.element() - as_element(other)
+
+    def __rmul__(self, other):
+        return other * self.element()
+
+    def __rtruediv__(self, other):
+        return other / self.element()
+
+    def __radd__(self, other):
+        return other + self.element()
+
+    def __rsub__(self, other):
+        return other - self.element()
+
+
+def as_element(node):
+    """The Element of an element parse node."""
+    return node.element() if node.__class__ is _Monomial else node
+
+
 class ElementHandler:
-    """Builds Elements; names resolve to series parameters or the finite
-    field generator."""
+    """Builds element parse nodes, term nodes where it can; names resolve
+    to series parameters or the finite field generator."""
 
     def __init__(self, field):
         self.field = field
+        self.const_exps = (0,) * len(field.series_params())
 
     def const(self, k):
-        return Element.from_coeff(self.field, k)
+        return _Monomial(self.field, self.field.coerce_coeff(k),
+                         self.const_exps)
 
     def int_power(self, base, a, b, pos):
         if a != 0:
@@ -210,11 +281,15 @@ class ElementHandler:
     def powered(self, name, a, b, pos):
         if a != 0:
             raise ParseError("n is only allowed in sequence exponents", pos=pos)
-        if name in self.field.series_params():
-            return Element.monomial(self.field, 1, **{name: b})
-        fq = self.field.fq()
+        f = self.field
+        sp = f.series_params()
+        if name in sp:
+            return _Monomial(f, f.coeff_one(),
+                             tuple(b if v == name else 0 for v in sp))
+        fq = f.fq()
         if fq is not None and fq.deg > 1 and name == fq.gen:
-            return self._ipow(Element.from_coeff(self.field, fq.generator()), b, pos)
+            return self._ipow(_Monomial(f, fq.generator(), self.const_exps),
+                              b, pos)
         raise UnknownParameterError("unknown symbol %r" % name, pos=pos)
 
     def node_power(self, node, b, pos):
@@ -228,4 +303,4 @@ class ElementHandler:
 
 
 def parse_element(field, text):
-    return ExprParser(text, ElementHandler(field)).parse()
+    return as_element(ExprParser(text, ElementHandler(field)).parse())

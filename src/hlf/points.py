@@ -21,7 +21,7 @@ from .errors import (ArityMismatchError, FieldMismatchError, ParseError,
 from .expansion import residue
 from .fields import parse_field
 from .opens import residue_image
-from .parsing import ElementHandler, ExprParser
+from .parsing import ElementHandler, ExprParser, as_element
 from .sequences import SeqFamily
 from .valuation import in_integer_ring, rank_valuation
 
@@ -177,15 +177,18 @@ class Poly:
 
     def evaluate(self, env, lift=None):
         """Value at env, a mapping from variable names.  lift carries the
-        Element coefficients into the value domain; identity by default."""
+        Element coefficients into the value domain; identity by default.
+        The sum starts at the first term: adding it to zero would give an
+        equal value with the same entries."""
         lift = lift or (lambda c: c)
-        total = lift(Element.zero(self.field))
+        total = None
         for key, c in self.terms.items():
             v = lift(c)
             for name, e in key:
-                v = v * env[name] ** e
-            total = total + v
-        return total
+                x = env[name]
+                v = v * (x if e == 1 else x ** e)
+            total = v if total is None else total + v
+        return lift(Element.zero(self.field)) if total is None else total
 
     def substitute(self, repl):
         """Plug polynomials in for variables; unmapped names stay."""
@@ -203,9 +206,8 @@ class Poly:
         for key, c in self.terms.items():
             e = dict(key).get(name, 0)
             rest = tuple((n, d) for n, d in key if n != name)
-            comp = out.setdefault(e, Poly(self.field))
-            out[e] = comp + Poly(self.field, {rest: c})
-        return {e: p for e, p in out.items() if not p.is_zero()}
+            out.setdefault(e, {})[rest] = c
+        return {e: Poly(self.field, terms) for e, terms in out.items()}
 
     def text(self):
         if not self.terms:
@@ -239,7 +241,7 @@ class PolyHandler:
         self.elem = ElementHandler(field)
 
     def _const(self, x):
-        return Poly.const(self.field, x)
+        return Poly.const(self.field, as_element(x))
 
     def const(self, k):
         return self._const(self.elem.const(k))

@@ -6,6 +6,19 @@ Everything about such a family is eventually affine: beyond the crossing
 bound the valuation vectors of distinct terms never tie, so the minimal term
 and with it the whole valuation vector of F_n is an exact affine function
 of n.  That is what the convergence procedures consume.
+
+A Term computes its hashable key (its exponent forms and p-power slope)
+once, and _merge sums terms by that key, building a new Term only where
+two meet; sides keep the order in which their keys first occur, and a key
+whose coefficients sum to zero is dropped.  Family arithmetic builds its
+sides in a fixed order, so equal inputs give families with equal sides in
+equal order, which evaluate and the verdicts iterate.
+
+parse_family builds a product, quotient, power or negation of monomials
+as one term node, a one-term numerator over a one-term denominator, and
+makes the SeqFamily only where a sum or a family operand needs it.  A
+quotient stays (n*d')/(d*n') and a power is taken on each side, as the
+family operations would give, so 3^(-2) is 1 over 9.
 """
 
 from __future__ import annotations
@@ -13,8 +26,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .coeff import FqElem, padic_val, power
-from .elements import Element, exps_key, lp_add
+from .coeff import padic_val, power
+from .elements import Element, exps_key
 from .errors import (FieldMismatchError, ParseError, UnsupportedFamilyError,
                      ZeroElementError)
 from .parsing import ExprParser
@@ -65,42 +78,41 @@ class AffineForm:
 _ZERO_FORM = AffineForm(0, 0)
 
 
-def _coeff_is_zero(c):
-    if isinstance(c, FqElem):
-        return c.is_zero()
-    return c == 0
-
-
 class Term:
     """coeff * p^(pa*n) * prod params^form; constant p-powers live in the
-    coefficient, so pa carries only the n-dependence."""
+    coefficient, so pa carries only the n-dependence.  key, the exponent
+    forms and pa, is computed once: terms are never changed."""
 
-    __slots__ = ("coeff", "exps", "pa", "_forms")
+    __slots__ = ("coeff", "exps", "pa", "key", "_forms")
 
     def __init__(self, coeff, exps=None, pa=0):
         self.coeff = coeff
-        self.exps = {k: f for k, f in (exps or {}).items()
-                     if f.key() != (0, 0)}
         self.pa = pa
         self._forms = {}
+        if not exps:
+            self.exps = {}
+            self.key = ((), pa)
+            return
+        self.exps = {k: f for k, f in exps.items() if f.a or f.b}
+        self.key = (tuple(sorted((k, (f.a, f.b))
+                                 for k, f in self.exps.items())), pa)
 
-    def key(self):
-        return (tuple(sorted((k, f.key()) for k, f in self.exps.items())), self.pa)
-
-    def is_zero(self):
-        return _coeff_is_zero(self.coeff)
-
-    def mul(self, other):
+    def mul(self, other, neg=False):
+        """self * other, or its negative."""
         exps = dict(self.exps)
         for k, f in other.exps.items():
             exps[k] = exps.get(k, _ZERO_FORM) + f
-        return Term(self.coeff * other.coeff, exps, self.pa + other.pa)
+        c = self.coeff * other.coeff
+        return Term(-c if neg else c, exps, self.pa + other.pa)
 
     def div(self, other):
         exps = dict(self.exps)
         for k, f in other.exps.items():
             exps[k] = exps.get(k, _ZERO_FORM) - f
         return Term(self.coeff / other.coeff, exps, self.pa - other.pa)
+
+    def __neg__(self):
+        return Term(-self.coeff, self.exps, self.pa)
 
     def val_forms(self, field):
         """Valuation vector of the term as affine forms, one per parameter,
@@ -118,13 +130,12 @@ class Term:
             self._forms[field] = forms = tuple(out)
         return forms
 
-    def monomial(self, field, n):
-        """The term at n as a one-monomial Laurent polynomial {exps: coeff}."""
+    def at(self, field, n):
+        """The term at n as (exponent tuple, coefficient)."""
         coeff = self.coeff
         if self.pa:
             coeff = coeff * Fraction(field.prime()) ** (self.pa * n)
-        return {exps_key(field, {k: f(n) for k, f in self.exps.items()}):
-                coeff}
+        return exps_key(field, {k: f(n) for k, f in self.exps.items()}), coeff
 
     def __repr__(self):
         bits = []
@@ -139,15 +150,27 @@ class Term:
 def _merge(terms):
     out = {}
     for t in terms:
-        if t.is_zero():
+        if not t.coeff:
             continue
-        k = t.key()
-        if k in out:
-            c = out[k].coeff + t.coeff
-            out[k] = Term(c, t.exps, t.pa)
-        else:
-            out[k] = t
-    return tuple(t for t in out.values() if not t.is_zero())
+        s = out.get(t.key)
+        out[t.key] = t if s is None else Term(s.coeff + t.coeff, t.exps, t.pa)
+    return tuple(t for t in out.values() if t.coeff)
+
+
+def _sum_at(side, field, n):
+    """The terms of side at n summed into one Laurent polynomial, entries
+    in the order lp_add gives them: one that cancels is deleted, and comes
+    back at the end if a later term brings it back."""
+    out = {}
+    for t in side:
+        k, c = t.at(field, n)
+        s = out.get(k)
+        s = c if s is None else s + c
+        if s:
+            out[k] = s
+        elif k in out:
+            del out[k]
+    return out
 
 
 class SeqFamily:
@@ -161,6 +184,7 @@ class SeqFamily:
         self.den = _merge(den)
         if not self.den:
             raise ZeroElementError("zero denominator family")
+        self._bound = None
 
     def is_zero(self):
         return not self.num
@@ -169,15 +193,10 @@ class SeqFamily:
         """F_n as one exact element: the terms of each side, evaluated at n,
         sum into one Laurent polynomial, and Element.make normalizes the
         quotient once.  ZeroElementError when the denominator vanishes."""
-        f = self.field
-        num, den = {}, {}
-        for t in self.den:
-            den = lp_add(den, t.monomial(f, n))
+        den = _sum_at(self.den, self.field, n)
         if not den:
             raise ZeroElementError("denominator vanishes at n=%d" % n)
-        for t in self.num:
-            num = lp_add(num, t.monomial(f, n))
-        return Element.make(f, num, den)
+        return Element.make(self.field, _sum_at(self.num, self.field, n), den)
 
     # -- eventual valuation ----------------------------------------------
 
@@ -185,14 +204,16 @@ class SeqFamily:
         """N with: for every n > N the pairwise inverse lexicographic order
         of term valuation vectors inside num and inside den is strict and
         constant.  Beyond it the denominator cannot vanish and valuation
-        vectors of both sums are single-term exact."""
-        bound = 0
-        for side in (self.num, self.den):
-            forms = [t.val_forms(self.field) for t in side]
-            for i in range(len(forms)):
-                for j in range(i + 1, len(forms)):
-                    bound = max(bound, _pair_crossing(forms[i], forms[j]))
-        return bound
+        vectors of both sums are single-term exact.  Worked out once."""
+        if self._bound is None:
+            bound = 0
+            for side in (self.num, self.den):
+                forms = [t.val_forms(self.field) for t in side]
+                for i in range(len(forms)):
+                    for j in range(i + 1, len(forms)):
+                        bound = max(bound, _pair_crossing(forms[i], forms[j]))
+            self._bound = bound
+        return self._bound
 
     def min_term(self, side, n_ref):
         """The term of side (num or den) with the least valuation vector at
@@ -209,32 +230,31 @@ class SeqFamily:
         df = self.min_term(self.den, n_ref).val_forms(self.field)
         return tuple(a - b for a, b in zip(nf, df))
 
-    def top_val_form(self):
-        vf = self.val_form()
-        return None if vf is None else vf[-1]
-
     # -- arithmetic -------------------------------------------------------
 
     def _binop(self, other, combine):
+        if not isinstance(other, SeqFamily):
+            return NotImplemented
         if self.field != other.field:
             raise FieldMismatchError("families over different fields")
         return combine(self, other)
 
-    def __add__(self, other):
+    def _sum(self, other, neg):
         def go(f, g):
             num = [a.mul(b) for a in f.num for b in g.den]
-            num += [a.mul(b) for a in g.num for b in f.den]
+            num += [a.mul(b, neg) for a in g.num for b in f.den]
             den = [a.mul(b) for a in f.den for b in g.den]
             return SeqFamily(f.field, num, den)
         return self._binop(other, go)
 
+    def __add__(self, other):
+        return self._sum(other, False)
+
     def __sub__(self, other):
-        return self + (-other)
+        return self._sum(other, True)
 
     def __neg__(self):
-        return SeqFamily(self.field,
-                         [Term(-t.coeff, t.exps, t.pa) for t in self.num],
-                         list(self.den))
+        return SeqFamily(self.field, [-t for t in self.num], self.den)
 
     def __mul__(self, other):
         def go(f, g):
@@ -253,6 +273,8 @@ class SeqFamily:
         return self._binop(other, go)
 
     def __pow__(self, k):
+        if k == 1:
+            return self
         x = SeqFamily(self.field, list(self.den), list(self.num)) if k < 0 else self
         return power(x, abs(k), SeqFamily.constant(self.field, self.field.coeff_one()))
 
@@ -292,12 +314,89 @@ def _pair_crossing(f1, f2):
     return 0
 
 
+class _TermNode:
+    """A product, quotient, power or negation of monomials while parsing a
+    family: num over den, one Term each, num with a zero coefficient for
+    the zero family.  A sum or a family operand makes the SeqFamily that
+    the family operations would have built; there num is dropped if
+    zero."""
+
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field, num, den=None):
+        self.field = field
+        self.num = num
+        self.den = den or Term(field.coeff_one())
+
+    def family(self):
+        return SeqFamily(self.field, [self.num], [self.den])
+
+    def __neg__(self):
+        return _TermNode(self.field, -self.num, self.den)
+
+    def __mul__(self, other):
+        if other.__class__ is not _TermNode:
+            return self.family() * other
+        return _TermNode(self.field, self.num.mul(other.num),
+                         self.den.mul(other.den))
+
+    def __truediv__(self, other):
+        if other.__class__ is not _TermNode:
+            return self.family() / other
+        if not other.num.coeff:
+            raise ZeroElementError("division by the zero family")
+        return _TermNode(self.field, self.num.mul(other.den),
+                         self.den.mul(other.num))
+
+    def __pow__(self, k):
+        num, den = self.num, self.den
+        if k < 0:
+            if not num.coeff:
+                raise ZeroElementError("zero denominator family")
+            num, den = den, num
+        k, one = abs(k), self.field.coeff_one()
+        return _TermNode(self.field, _term_power(num, k, one),
+                         _term_power(den, k, one))
+
+    def __add__(self, other):
+        return self.family() + _family(other)
+
+    def __sub__(self, other):
+        return self.family() - _family(other)
+
+    def __rmul__(self, other):
+        return other * self.family()
+
+    def __rtruediv__(self, other):
+        return other / self.family()
+
+    def __radd__(self, other):
+        return other + self.family()
+
+    def __rsub__(self, other):
+        return other - self.family()
+
+
+def _term_power(t, k, one):
+    """t**k for an int k >= 0, the coefficient by coeff.power from one."""
+    return Term(power(t.coeff, k, one),
+                {name: AffineForm(f.a * k, f.b * k)
+                 for name, f in t.exps.items()}, t.pa * k)
+
+
+def _family(node):
+    return node.family() if node.__class__ is _TermNode else node
+
+
 class FamilyHandler:
+    """Builds term nodes; names resolve to series parameters, the finite
+    field generator or, in exponents, n."""
+
     def __init__(self, field):
         self.field = field
 
     def const(self, k):
-        return SeqFamily.constant(self.field, self.field.coerce_coeff(k))
+        return _TermNode(self.field, Term(self.field.coerce_coeff(k)))
 
     def int_power(self, base, a, b, pos):
         if a == 0:
@@ -308,20 +407,20 @@ class FamilyHandler:
                 "only %s^(...) may carry an n-dependent exponent here"
                 % (p if p is not None else "a prime"))
         coeff = self.field.coerce_coeff(1) * Fraction(p) ** b
-        return SeqFamily(self.field, [Term(coeff, {}, a)])
+        return _TermNode(self.field, Term(coeff, {}, a))
 
     def powered(self, name, a, b, pos):
         f = self.field
         if name == "n":
             raise UnsupportedFamilyError("n may only appear in exponents")
         if name in f.series_params():
-            return SeqFamily(f, [Term(f.coeff_one(), {name: AffineForm(a, b)})])
+            return _TermNode(f, Term(f.coeff_one(), {name: AffineForm(a, b)}))
         fq = f.fq()
         if fq is not None and fq.deg > 1 and name == fq.gen:
             if a != 0:
                 raise UnsupportedFamilyError(
                     "generator powers cannot depend on n")
-            return SeqFamily.constant(f, fq.generator()) ** b
+            return _TermNode(f, Term(fq.generator())) ** b
         raise ParseError("unknown symbol %r" % name, pos=pos)
 
     def node_power(self, node, b, pos):
@@ -329,4 +428,4 @@ class FamilyHandler:
 
 
 def parse_family(field, text):
-    return ExprParser(text, FamilyHandler(field)).parse()
+    return _family(ExprParser(text, FamilyHandler(field)).parse())

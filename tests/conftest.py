@@ -1,4 +1,4 @@
-"""Shared fixtures."""
+"""Shared fixtures and helpers."""
 
 import math
 import signal
@@ -29,3 +29,11 @@ def deadline():
         elapsed = time.perf_counter() - t0
         assert elapsed < seconds, "took %.3f s, allowed %.2f s" % (elapsed, seconds)
     return within
+
+
+def same_element(x, y):
+    """The same entries in the same order: later builds iterate these
+    dicts."""
+    return (list(x.num.items()) == list(y.num.items())
+            and list(x.den.items()) == list(y.den.items())
+            and repr(x) == repr(y))

@@ -641,6 +641,99 @@ def test_repeated_queries_share_one_parser(deadline, capsys):
     assert capsys.readouterr().out == "(2, 0)\n" * 501
 
 
+# --- a subcommand's parser reads its arguments directly ----------------------
+
+def _top_level(argv, capsys):
+    """Exit code and output of the full top-level argparse pass."""
+    from hlf import cli
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser()[0].parse_args(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["val", "--field", "Qp(3){{t}}", "--elem", "t", "--bogus"],
+    ["valuation", "--field", "Q", "--elem", "1", "--rank", "1", "x", "-z"],
+    ["converge", "--field", "Qp(3)((t))", "--seq", "t^n", "--nope", "3"],
+    ["witness-product", "--open", "a.json", "--open"],
+    ["check", "axioms", "--seed", "x"],
+    ["run"],
+    ["val", "--field", "Q"],
+    [],
+    ["bogus", "--field", "Q"],
+    ["--json", "val"],
+])
+def test_a_usage_error_reads_as_the_top_level_pass(argv, capsys):
+    code, want = _top_level(argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code == 2
+    assert capsys.readouterr() == want
+
+
+def test_an_unknown_flag_is_the_top_level_parsers_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["val", "--field", "Q", "--elem", "1", "--bogus", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hlf [-h]")
+    assert err.endswith("\nhlf: error: unrecognized arguments: --bogus x\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["val", "--help"],
+                                  ["weil", "-h"], ["check", "--help"]])
+def test_help_reads_as_the_top_level_pass(argv, capsys):
+    code, want = _top_level(argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code == 0
+    assert capsys.readouterr() == want
+
+
+def test_a_subcommand_gets_the_namespace_of_the_top_level_pass(tmp_path):
+    from hlf import cli
+    ap = cli._build_parser()[0]
+    argvs = list(query_argvs(tmp_path).values()) + [
+        ["check", "axioms", "--seed", "3"], ["run", "job.json", "--json"],
+        ["val", "--elem", "t", "--field", "Q", "--json"]]
+    for argv in argvs:
+        assert list(vars(cli._parse_args(argv)).items()) \
+            == list(vars(ap.parse_args(argv)).items())
+
+
+def test_a_subcommand_skips_the_top_level_pass(monkeypatch, capsys):
+    import argparse
+    calls = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def counted(self, *args, **kw):
+        calls.append(self.prog)
+        return parse_args(self, *args, **kw)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
+    assert run(capsys, "val", "--field", "Qp(3){{t}}",
+               "--elem", "3*t^-7") == (0, "(-7, 1)")
+    assert calls == []
+
+
+def test_the_restricted_presentation_is_rendered_once(tmp_path, capsys,
+                                                      monkeypatch):
+    from hlf.points import Poly
+    argv = query_argvs(tmp_path)["weil"]
+    texts = []
+    text = Poly.text
+
+    def counted(self):
+        texts.append(1)
+        return text(self)
+    monkeypatch.setattr(Poly, "text", counted)
+    first = in_process(capsys, argv + ["--json"])
+    assert texts
+    texts.clear()
+    assert in_process(capsys, argv + ["--json"]) == first
+    assert in_process(capsys, argv)[0] == 0
+    assert texts == []
+
+
 # --- each distinct file content is built once per process --------------------
 
 _FILE_KINDS = ["member", "points-member", "points-map", "points-converge",

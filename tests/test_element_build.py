@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import same_element
 
 from hlf import checks
 from hlf.elements import Element, lp_min_monomial
@@ -122,13 +123,6 @@ def random_lp(rng, field):
     nv = len(field.series_params())
     return {tuple(rng.randint(-3, 3) for _ in range(nv)):
             random_coeff(rng, field) for _ in range(rng.randint(1, 6))}
-
-
-def same_element(x, y):
-    # the same entries in the same order: later builds iterate these dicts
-    return (list(x.num.items()) == list(y.num.items())
-            and list(x.den.items()) == list(y.den.items())
-            and repr(x) == repr(y))
 
 
 # --- tests ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import same_element
 
 from hlf.convergence import CONVERGES, DIVERGES, UNKNOWN, converges, unit_converges
 from hlf.elements import Element
@@ -14,10 +15,11 @@ from hlf.fields import parse_field
 from hlf.opens import deep_ball, residue_image
 from hlf.parsing import parse_element
 from hlf.points import (OUT_OF_CHART, YES, NO, AffinePresentation, BaseRing,
-                        ChartedScheme, Point, PointSeqFamily, RingMorphism,
-                        apply_map, base_change_point, base_change_presentation,
-                        chart_transfer, in_principal_open, member_points,
-                        parse_base_ring, parse_poly, point_seq_converges,
+                        ChartedScheme, Point, PointSeqFamily, Poly,
+                        RingMorphism, apply_map, base_change_point,
+                        base_change_presentation, chart_transfer,
+                        in_principal_open, member_points, parse_base_ring,
+                        parse_poly, point_seq_converges,
                         presentation_from_data, product_presentation,
                         projective_line, reduction_open_image, scheme_from_data)
 from hlf.sequences import parse_family
@@ -123,6 +125,96 @@ def test_polynomial_powers():
     # than read as 1
     with pytest.raises(ValueError):
         p ** -1
+
+
+def _ref_split_var(p, name):
+    # each term added to its component one at a time
+    out = {}
+    for key, c in p.terms.items():
+        e = dict(key).get(name, 0)
+        rest = tuple((n, d) for n, d in key if n != name)
+        comp = out.setdefault(e, Poly(p.field))
+        out[e] = comp + Poly(p.field, {rest: c})
+    return {e: q for e, q in out.items() if not q.is_zero()}
+
+
+def _random_poly(rng, field, variables):
+    text = " + ".join(
+        "%d*%s" % (rng.randint(1, 9), "*".join(
+            "%s^%d" % (v, rng.randint(0, 3)) for v in variables
+            if rng.random() < 0.7) or "1")
+        for _ in range(rng.randint(1, 12)))
+    return parse_poly(field, variables, text)
+
+
+def test_split_var_matches_the_term_by_term_split(monkeypatch):
+    built = []
+    init = Poly.__init__
+
+    def counted(self, *args, **kw):
+        built.append(1)
+        init(self, *args, **kw)
+    monkeypatch.setattr(Poly, "__init__", counted)
+    rng = random.Random("split_var")
+    variables = ("X", "Y", "theta")
+    for _ in range(60):
+        p = _random_poly(rng, F, variables)
+        name = rng.choice(variables)
+        want = _ref_split_var(p, name)
+        built.clear()
+        got = p.split_var(name)
+        # one Poly per component, each built once
+        assert len(built) == len(got)
+        assert list(got) == list(want)
+        for e in got:
+            assert list(got[e].terms) == list(want[e].terms)
+            assert got[e] == want[e]
+
+
+def _ref_evaluate(p, env, lift=lambda c: c):
+    # the sum from zero, every variable raised to its power
+    total = lift(Element.zero(p.field))
+    for key, c in p.terms.items():
+        v = lift(c)
+        for name, d in key:
+            v = v * env[name] ** d
+        total = total + v
+    return total
+
+
+def test_evaluation_matches_the_sum_from_zero():
+    rng = random.Random("evaluate")
+    variables = ("X", "Y", "theta")
+    for field in (F, parse_field("Qp(3){{t}}")):
+        pool = [e(text, field) for text in
+                ("1 + t", "t^-1", "2*t^2 - 1/3", "(1 + t)/(1 - t^3)", "0")]
+        for _ in range(40):
+            p = _random_poly(rng, field, variables)
+            env = {v: rng.choice(pool) for v in variables}
+            assert same_element(p.evaluate(env), _ref_evaluate(p, env))
+            repl = {"X": _random_poly(rng, field, ("Y", "theta"))}
+            lift = lambda c: Poly.const(field, c)
+            penv = {v: repl.get(v, Poly.var(field, v)) for v in p.vars_used()}
+            got, want = p.evaluate(penv, lift), _ref_evaluate(p, penv, lift)
+            assert list(got.terms) == list(want.terms)
+            assert all(same_element(got.terms[k], want.terms[k])
+                       for k in got.terms)
+        assert same_element(Poly(field).evaluate({}), Element.zero(field))
+
+
+def test_evaluation_at_first_powers_multiplies_no_power(monkeypatch):
+    p = parse_poly(F, ("X", "Y"), "X*Y^2 + u*X - 1")
+    x, y = e("1 + t"), e("u^-1")
+    want = x * y ** 2 + e("u") * x - 1
+    powers = []
+    pow_ = Element.__pow__
+
+    def counted(self, k):
+        powers.append(k)
+        return pow_(self, k)
+    monkeypatch.setattr(Element, "__pow__", counted)
+    assert p.evaluate({"X": x, "Y": y}) == want
+    assert powers == [2]
 
 
 # --- point families -----------------------------------------------------------

@@ -80,7 +80,7 @@ def test_val_forms_hit_on_every_equal_descriptor():
     (F5UT, "t^n/(1-t)", AffineForm(1, 0)),
 ])
 def test_top_valuation_form(field, fam, form):
-    assert parse_family(field, fam).top_val_form() == form
+    assert parse_family(field, fam).val_form()[-1] == form
 
 
 def test_denominator_vanishing_inside_crossing_range():
