@@ -36,7 +36,7 @@ from .opens import open_from_data, product_escape_witness, \
     subgroup_escape_witness
 from .parsing import parse_element
 from .points import (ChartedScheme, OUT_OF_CHART, Point, PointSeqFamily,
-                     chart_transfer, member_points, point_seq_converges,
+                     member_points, point_seq_converges,
                      presentation_from_data, scheme_from_data)
 from .sequences import parse_family
 from .valuation import rank_valuation
@@ -272,7 +272,7 @@ def _task_points_map(inp):
     i = _chart_index(X, inp, "chart")
     j = _chart_index(X, inp, "to_chart")
     coords = _split_coords(X.ring.field, _need(inp, "elem"))
-    res = chart_transfer(X, Point(coords, chart=i), j)
+    res = X.transfer(Point(coords, chart=i), j)
     if res == OUT_OF_CHART:
         return {"task": "points-map", "result": OUT_OF_CHART}, 0, OUT_OF_CHART
     human = "(%s)@%d" % (", ".join(str(c) for c in res.coords), j)

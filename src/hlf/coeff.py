@@ -3,10 +3,10 @@
 Finite fields F_q are F_p[w]/(m(w)) with an explicit monic modulus; the
 prime field is the case m = w.  One element class serves both: a prime
 field element holds one reduced int and multiplies as an int, while an
-extension field multiplies through the schoolbook product and reduction.
-Polynomials over F_p are int lists, lowest degree first, and one kernel
-(remainder, gcd, exact quotient) serves both the extension arithmetic here
-and the digit lifts of expansion.
+extension field multiplies through the integer product and reduction.
+Polynomials over Z and F_p are int lists, lowest degree first, and one
+kernel (product, remainder, gcd, exact quotient) serves the extension
+arithmetic here and the digit lifts and staircase of expansion.
 Rationals carry their p-adic valuation and residue exactly; there is no
 truncated p-adic type.
 """
@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
+from math import gcd, isqrt
 
-from .errors import FieldMismatchError, ZeroElementError
+from .errors import FieldMismatchError, UnsupportedFieldError, ZeroElementError
 
 
 class _Unknown:
@@ -45,7 +47,7 @@ def power(x, k, one):
     return out
 
 
-# --- F_p[x] on int lists, lowest degree first ---------------------------------
+# --- dense polynomials: int lists, lowest degree first -----------------------
 
 def _poly_trim(cs):
     cs = list(cs)
@@ -105,15 +107,100 @@ def _fp_lowest_terms(a, b, p):
 
 
 def _poly_mulmod(a, b, mod, p):
-    # schoolbook product of nonzero a and b, then the remainder by the monic
-    # modulus, all mod p
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            res[i + j] = (res[i + j] + ai * bj) % p
-    return _fp_rem(res, mod, p)
+    """a*b mod the monic mod over F_p, for nonzero a and b."""
+    return _fp_rem([c % p for c in _zmul(a, b)], mod, p)
+
+
+def _ztrim(a, shift):
+    """Drop zero coefficients at both ends; (list, exponent of its head)."""
+    lo = 0
+    while lo < len(a) and not a[lo]:
+        lo += 1
+    hi = len(a)
+    while hi > lo and not a[hi - 1]:
+        hi -= 1
+    return a[lo:hi], shift + lo
+
+
+def _zadd(a, sa, b, sb):
+    lo = min(sa, sb)
+    out = [0] * (max(sa + len(a), sb + len(b)) - lo)
+    for i, c in enumerate(a, sa - lo):
+        out[i] = c
+    for i, c in enumerate(b, sb - lo):
+        out[i] += c
+    return _ztrim(out, lo)
+
+
+def _zgcd(a, b):
+    """A gcd over Z[t] of two nonzero lists, primitive, by the primitive
+    remainder sequence: pseudo-divide, then drop the content."""
+    a, b = _zprim(a[::-1]), _zprim(b[::-1])  # highest degree first
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = a
+        while len(r) >= len(b):
+            c = r[0]
+            r = [b[0] * u - c * v for u, v in zip_longest(r, b, fillvalue=0)]
+            while r and not r[0]:
+                r = r[1:]
+        a, b = b, _zprim(r)
+    return a[::-1] if not b else [1]
+
+
+def _zprim(a):
+    g = gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _zdiv(a, g):
+    """a/g over Z[t], for a primitive g that divides a: exact at every
+    step, by Gauss's lemma."""
+    a, q = list(a), []
+    for i in range(len(a) - len(g) + 1):
+        c = a[i] // g[0]
+        q.append(c)
+        if c:
+            for j, e in enumerate(g, i):
+                a[j] -= c * e
+    return q
+
+
+def _zmul(a, b):
+    """Product over Z.  Past a dozen terms on each side, by Kronecker
+    substitution: pack each list into one int with slots wide enough for
+    every product coefficient, multiply once, unpack with a bias."""
+    if min(len(a), len(b)) <= 12:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, e in enumerate(b, i):
+                    out[j] += c * e
+        return out
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    w = bits // 8 + 1
+    half = 1 << (8 * w - 1)
+    n = len(a) + len(b) - 1
+    return _unpack(_pack(a, w, half) * _pack(b, w, half), n, w, half)
+
+
+def _unpack(c, n, w, half):
+    # the n coefficients of c = sum a_i X^i at X = 256^w, every |a_i| < half
+    raw = (c + _bias(n, w, half)).to_bytes(n * w, "little")
+    return [int.from_bytes(raw[i:i + w], "little") - half
+            for i in range(0, n * w, w)]
+
+
+def _bias(n, w, half):
+    return int.from_bytes(half.to_bytes(w, "little") * n, "little")
+
+
+def _pack(a, w, half):
+    # sum a_i X^i at X = 256^w, given every |a_i| < half = X/2
+    raw = b"".join((c + half).to_bytes(w, "little") for c in a)
+    return int.from_bytes(raw, "little") - _bias(len(a), w, half)
 
 
 class FqField:
@@ -302,16 +389,6 @@ class FqElem:
             raise ValueError("as_int on an extension field element")
         return self.coeffs[0] if self.coeffs else 0
 
-    def multiplicative_order(self):
-        if not self.coeffs:
-            raise ZeroElementError("order of zero")
-        k, acc = 1, self
-        one = self.field.one()
-        while acc != one:
-            acc = acc * self
-            k += 1
-        return k
-
     def __repr__(self):
         return _poly_str(self.coeffs, self.field.gen) if self.coeffs else "0"
 
@@ -358,49 +435,46 @@ def _poly_str(coeffs, gen):
     return " + ".join(reversed(parts)) if parts else "0"
 
 
+# Field sizes from here on are refused: trial division factors q up to
+# this bound in well under a second.
+_Q_MAX = 1 << 40
+
+
 def _prime_power(q):
-    if q < 2:
-        raise ValueError("field size must be a prime power, got %d" % q)
-    p = None
-    for c in range(2, q + 1):
-        if q % c == 0:
-            p = c
-            break
+    """(p, n) with q = p^n, by trial division up to isqrt(q)."""
+    if not 2 <= q < _Q_MAX:
+        raise UnsupportedFieldError("field size %d is outside [2, 2^40)" % q)
+    p = next((c for c in range(2, isqrt(q) + 1) if q % c == 0), q)
     deg = 0
     n = q
     while n % p == 0:
         n //= p
         deg += 1
     if n != 1:
-        raise ValueError("%d is not a prime power" % q)
+        raise UnsupportedFieldError("%d is not a prime power" % q)
     return p, deg
 
 
-def _is_irreducible(modulus, p):
-    deg = len(modulus) - 1
-    # no roots kills degree <= 3; beyond that, trial division by low factors
-    for a in range(p):
-        acc = 0
-        for c in reversed(modulus):
-            acc = (acc * a + c) % p
-        if acc == 0:
+def _is_irreducible(f, p):
+    """Ben-Or's test: a monic f of degree n over F_p is irreducible exactly
+    when gcd(x^(p^i) - x mod f, f) = 1 for every 1 <= i <= n/2."""
+    f = list(f)
+    xq = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        # xq <- xq^p mod f, by square-and-multiply
+        b, k, xq = xq, p, [1]
+        while k:
+            if k & 1:
+                xq = _poly_mulmod(xq, b, f, p)
+            k >>= 1
+            if k:
+                b = _poly_mulmod(b, b, f, p)
+        # x^(p^i) - x
+        d = xq + [0] * (2 - len(xq))
+        d[1] -= 1
+        d = _poly_trim(c % p for c in d)
+        if not d or len(_fp_gcd(d, f, p)) > 1:
             return False
-    if deg <= 3:
-        return True
-    def monics(d):
-        def rec(k):
-            if k == 0:
-                yield ()
-                return
-            for rest in rec(k - 1):
-                for c in range(p):
-                    yield rest + (c,)
-        for tail in rec(d):
-            yield list(tail) + [1]
-    for d in range(2, deg // 2 + 1):
-        for cand in monics(d):
-            if not _fp_rem(modulus, cand, p):
-                return False
     return True
 
 

@@ -159,7 +159,8 @@ class Element:
 
     @classmethod
     def monomial(cls, field, coeff=1, **exps):
-        """Element.monomial(F, 2, t=-1, u=3) is 2*t^-1*u^3."""
+        """Element.monomial(F, 2, t=-1, u=3) is 2*t^-1*u^3; tests build
+        reference sums from it."""
         c = field.coerce_coeff(coeff)
         return cls.make(field, {exps_key(field, exps): c} if c else {})
 

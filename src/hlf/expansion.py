@@ -65,13 +65,14 @@ digit size, dominates.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice, repeat, zip_longest
+from itertools import islice, repeat
 from math import gcd, lcm
 
-from .coeff import (UNKNOWN, FqElem, _fp_lowest_terms, _fq_reduced,
-                    padic_val, rational_mod_p, teichmuller_exact)
+from .coeff import (UNKNOWN, FqElem, _fp_lowest_terms, _fq_reduced, _pack,
+                    _unpack, _zadd, _zdiv, _zgcd, _zmul, _ztrim, padic_val,
+                    rational_mod_p)
 from .elements import Element
-from .errors import NotIntegralError, PrecisionExhaustedError, UnsupportedFieldError
+from .errors import NotIntegralError, UnsupportedFieldError
 from .fields import FiniteBase, MixedExt, QpBase, SeriesExt
 
 
@@ -113,12 +114,16 @@ class Jet:
                 and self._trimmed() == other._trimmed())
 
     def __add__(self, other):
+        """Sum on the common window; tests check expand against Element
+        addition through it."""
         lo = min(self.start, other.start)
         hi = min(self.stop(), other.stop())
         return Jet(self.field, lo,
                    [self.coeff(i) + other.coeff(i) for i in range(lo, hi)], self.var)
 
     def __mul__(self, other):
+        """Truncated Cauchy product; tests compare expand(x) * expand(y)
+        with expand(x * y) through it."""
         n = min(len(self.coeffs), len(other.coeffs))
         out = []
         for k in range(n):
@@ -414,7 +419,7 @@ def _lowest_terms(N, ns, Q, qs, p):
     return N, ns - qs - j, Q, -j
 
 
-# --- dense polynomials: int lists, lowest degree first ----------------------
+# --- elements over Qp{{t}} as int lists, lowest degree first ----------------
 
 def _mixed_ints(x, p, k0):
     """(N, ns, Q, qs) with y = x/p^k0 = t^ns*N / t^qs*Q, N and Q int lists
@@ -434,98 +439,6 @@ def _int_list(lp, scale):
     return out, lo
 
 
-def _ztrim(a, shift):
-    """Drop zero coefficients at both ends; (list, exponent of its head)."""
-    lo = 0
-    while lo < len(a) and not a[lo]:
-        lo += 1
-    hi = len(a)
-    while hi > lo and not a[hi - 1]:
-        hi -= 1
-    return a[lo:hi], shift + lo
-
-
-def _zadd(a, sa, b, sb):
-    lo = min(sa, sb)
-    out = [0] * (max(sa + len(a), sb + len(b)) - lo)
-    for i, c in enumerate(a, sa - lo):
-        out[i] = c
-    for i, c in enumerate(b, sb - lo):
-        out[i] += c
-    return _ztrim(out, lo)
-
-
-def _zgcd(a, b):
-    """A gcd over Z[t] of two nonzero lists, primitive, by the primitive
-    remainder sequence: pseudo-divide, then drop the content."""
-    a, b = _zprim(a[::-1]), _zprim(b[::-1])  # highest degree first
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = a
-        while len(r) >= len(b):
-            c = r[0]
-            r = [b[0] * u - c * v for u, v in zip_longest(r, b, fillvalue=0)]
-            while r and not r[0]:
-                r = r[1:]
-        a, b = b, _zprim(r)
-    return a[::-1] if not b else [1]
-
-
-def _zprim(a):
-    g = gcd(*a)
-    return [c // g for c in a] if g > 1 else a
-
-
-def _zdiv(a, g):
-    """a/g over Z[t], for a primitive g that divides a: exact at every
-    step, by Gauss's lemma."""
-    a, q = list(a), []
-    for i in range(len(a) - len(g) + 1):
-        c = a[i] // g[0]
-        q.append(c)
-        if c:
-            for j, e in enumerate(g, i):
-                a[j] -= c * e
-    return q
-
-
-def _zmul(a, b):
-    """Product over Z.  Past a dozen terms on each side, by Kronecker
-    substitution: pack each list into one int with slots wide enough for
-    every product coefficient, multiply once, unpack with a bias."""
-    if min(len(a), len(b)) <= 12:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, e in enumerate(b, i):
-                    out[j] += c * e
-        return out
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + min(len(a), len(b)).bit_length() + 1)
-    w = bits // 8 + 1
-    half = 1 << (8 * w - 1)
-    n = len(a) + len(b) - 1
-    return _unpack(_pack(a, w, half) * _pack(b, w, half), n, w, half)
-
-
-def _unpack(c, n, w, half):
-    # the n coefficients of c = sum a_i X^i at X = 256^w, every |a_i| < half
-    raw = (c + _bias(n, w, half)).to_bytes(n * w, "little")
-    return [int.from_bytes(raw[i:i + w], "little") - half
-            for i in range(0, n * w, w)]
-
-
-def _bias(n, w, half):
-    return int.from_bytes(half.to_bytes(w, "little") * n, "little")
-
-
-def _pack(a, w, half):
-    # sum a_i X^i at X = 256^w, given every |a_i| < half = X/2
-    raw = b"".join((c + half).to_bytes(w, "little") for c in a)
-    return int.from_bytes(raw, "little") - _bias(len(a), w, half)
-
-
 # --- residue map -------------------------------------------------------------
 
 def residue(x):
@@ -541,94 +454,37 @@ def residue(x):
 
 # --- sections of the residue map --------------------------------------------
 
-def _upoly_trim(cs):
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def _upoly_divmod(a, b):
-    a = list(a)
-    q = [a[0].field.zero() for _ in range(max(0, len(a) - len(b) + 1))]
-    inv = b[-1].inverse()
-    while len(a) >= len(b):
-        c = a[-1] * inv
-        q[len(a) - len(b)] = c
-        for k in range(len(b)):
-            a[len(a) - len(b) + k] = a[len(a) - len(b) + k] - c * b[k]
-        _upoly_trim(a)
-        if not a:
-            break
-    return q, a
-
-
-def _upoly_gcd(a, b):
-    while b:
-        _, r = _upoly_divmod(a, b)
-        a, b = b, r
-    return a
-
-
 def canonical_fraction(x):
-    """Unique reduced form for fractions over a one variable series field with
-    finite coefficients: gcd removed, denominator's lowest monomial 1."""
+    """Unique reduced form of a fraction over F_p((t)) with F_p a prime
+    field: gcd removed, denominator's lowest monomial 1.  Every other x
+    comes back unchanged; lift, its one caller, reduces residues of
+    Qp{{t}}, which lie in F_p((t))."""
     f = x.field
-    if not (isinstance(f, SeriesExt) and isinstance(f.residue(), FiniteBase)):
+    if not (isinstance(f, SeriesExt) and isinstance(f.residue(), FiniteBase)
+            and f.residue().field.deg == 1) or x.is_zero():
         return x
-    if x.is_zero():
-        return x
-    ns = min(k[0] for k in x.num)
-    ds = min(k[0] for k in x.den)
-    np = _poly_list(x.num, ns)
-    dp = _poly_list(x.den, ds)
     fq = f.residue().field
-    if fq.deg == 1:
-        # prime fields, the residue fields of Qp{{t}} among them, reduce on ints
-        np, dp = _fp_lowest_terms([c.as_int() for c in np],
-                                  [c.as_int() for c in dp], fq.p)
-        # in [0, p) already: no second reduction
-        back = lambda cs: [_fq_reduced(fq, (c,)) if c else fq.zero() for c in cs]
-        np, dp = back(np), back(dp)
-    else:
-        g = _upoly_gcd(list(np), list(dp))
-        if len(g) > 1:
-            np, _ = _upoly_divmod(np, g)
-            dp, _ = _upoly_divmod(dp, g)
-            _upoly_trim(np)
-            _upoly_trim(dp)
-    num = {(ns + i,): c for i, c in enumerate(np) if not c.is_zero()}
-    den = {(ds + i,): c for i, c in enumerate(dp) if not c.is_zero()}
+    ints = lambda lp: _int_list({k: c.as_int() for (k,), c in lp.items()}, 1)
+    (np, ns), (dp, ds) = ints(x.num), ints(x.den)
+    np, dp = _fp_lowest_terms(np, dp, fq.p)
+    # in [0, p) already: no second reduction
+    num = {(ns + i,): _fq_reduced(fq, (c,)) for i, c in enumerate(np) if c}
+    den = {(ds + i,): _fq_reduced(fq, (c,)) for i, c in enumerate(dp) if c}
     return Element.make(f, num, den)
 
 
-def _poly_list(lp, shift):
-    deg = max(k[0] for k in lp) - shift
-    fq = next(iter(lp.values())).field
-    out = [fq.zero()] * (deg + 1)
-    for k, c in lp.items():
-        out[k[0] - shift] = c
-    return out
-
-
-def _mixed_lift(f, xbar, coeff_lift):
+def _mixed_lift(f, xbar):
     xbar = canonical_fraction(xbar)
-    def conv(lp):
-        out = {}
-        for k, c in lp.items():
-            v = coeff_lift(c.as_int())
-            if v:
-                out[k] = v
-        return out
     if xbar.is_zero():
         return Element.zero(f)
+    conv = lambda lp: {k: Fraction(c.as_int()) for k, c in lp.items()}
     return Element.make(f, conv(xbar.num), conv(xbar.den))
 
 
-def lift(field, xbar, section="plain"):
+def lift(field, xbar):
     """Lift an element of field.residue() back up, a right inverse of
-    residue().  The plain section lifts digits as integers and is exact for
-    every p; the teichmuller section is multiplicative on coefficients but
-    only has exact values for p <= 3."""
+    residue(): the plain section, which lifts digits as integers and is
+    exact for every p."""
     rf = field.residue()
     if rf is None or xbar.field != rf:
         raise UnsupportedFieldError("lift target %r does not match %r" % (field, xbar.field))
@@ -637,17 +493,7 @@ def lift(field, xbar, section="plain"):
             return Element.zero(field)
         grow = lambda lp: {k + (0,): c for k, c in lp.items()}
         return Element.make(field, grow(xbar.num), grow(xbar.den))
-    p = field.prime()
-    up = (lambda a: _teich_or_raise(a, p)) if section == "teichmuller" else Fraction
     if isinstance(field, MixedExt):
-        return _mixed_lift(field, xbar, up)
+        return _mixed_lift(field, xbar)
     a = 0 if xbar.is_zero() else xbar.num[()].as_int()
-    return Element.from_coeff(field, up(a))
-
-
-def _teich_or_raise(a, p):
-    v = teichmuller_exact(a, p)
-    if v is None:
-        raise PrecisionExhaustedError(
-            "no exact multiplicative representative for %d mod %d" % (a, p))
-    return v
+    return Element.from_coeff(field, Fraction(a))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .coeff import FqField, padic_val
+from .coeff import FqField, _prime_power, padic_val
 from .errors import ParseError, UnsupportedFieldError
 
 
@@ -50,9 +50,6 @@ class FieldDescriptor:
     def char(self):
         return 0
 
-    def residue_char(self):
-        return self.last_residue().char()
-
     def last_residue(self):
         # descriptors are immutable: the walk down the tower is made once
         try:
@@ -61,12 +58,6 @@ class FieldDescriptor:
             r = self.residue()
             self._last = self if r is None else r.last_residue()
             return self._last
-
-    def is_higher_local(self):
-        return isinstance(self.last_residue(), FiniteBase)
-
-    def coefficient_field_dependent(self):
-        return isinstance(self.last_residue(), RationalBase)
 
     def fq(self):
         """The finite coefficient field for equal characteristic towers."""
@@ -127,8 +118,7 @@ class FiniteBase(FieldDescriptor):
 
 class RationalBase(FieldDescriptor):
     """The field Q as a coefficient base.  Towers over it are constructible
-    but carry no canonical choice of topology data beyond the level rules;
-    coefficient_field_dependent() reports that."""
+    but carry no canonical choice of topology data beyond the level rules."""
 
     orders_by_reversed_exps = True
 
@@ -154,7 +144,7 @@ class QpBase(FieldDescriptor):
     orders_by_reversed_exps = True
 
     def __init__(self, p):
-        if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
+        if _prime_power(p)[1] != 1:
             raise UnsupportedFieldError("Qp needs a prime, got %d" % p)
         self.p = p
 
@@ -339,20 +329,18 @@ def _fq_from_text(q, modtext, fulltext):
     if len(gens) != 1:
         raise ParseError("modulus needs exactly one symbol", fulltext)
     gen = gens[0]
-    from .coeff import _prime_power
     p, deg_needed = _prime_power(q)
     coeffs = [0] * (deg_needed + 1)
     for term in re.findall(r"[+-]?[^+-]+", modtext.replace(" ", "")):
         sign = -1 if term.startswith("-") else 1
-        term = term.lstrip("+-")
-        if term == gen:
-            coeffs[1] += sign
-        elif term.startswith(gen + "^"):
-            coeffs[int(term[len(gen) + 1:])] += sign
-        elif "*" in term:
-            c, _, rest = term.partition("*")
-            e = 1 if rest == gen else int(rest[len(gen) + 1:])
-            coeffs[e] += sign * int(c)
+        body = term.lstrip("+-")
+        if "*" in body:
+            c, _, mono = body.partition("*")
         else:
-            coeffs[0] += sign * int(term)
+            c, mono = ("1", body) if body.startswith(gen) else (body, None)
+        e = 0 if mono is None else 1 if mono == gen else int(mono[len(gen) + 1:])
+        if e > deg_needed:
+            raise ParseError("modulus term %r is past degree %d"
+                             % (term, deg_needed), fulltext)
+        coeffs[e] += sign * int(c)
     return FqField(q, modulus=tuple(c % p for c in coeffs), gen=gen)

@@ -342,13 +342,6 @@ def deep_ball(field, depth):
     return LevelsOpen(field, depth, {}, ConstRule(deep_ball(field.residue(), depth)))
 
 
-def excluding_ball(x):
-    """A basic open around 0 that misses x: a deep ball cutting strictly
-    deeper than every component of v(x)."""
-    c = max(x.val_vector()) + 1
-    return deep_ball(x.field, c)
-
-
 def deep_depth(U):
     """c when U is exactly the deep ball of depth c, else None.  At dimension
     one this is the plain valuation ball."""
@@ -530,7 +523,8 @@ def product_escape_witness(V1, V2, W):
 # --- scaling ------------------------------------------------------------------
 
 def scale_open(U, y):
-    """Descriptor of y * U for y a coefficient times parameter monomial."""
+    """Descriptor of y * U for y a coefficient times parameter monomial:
+    the tested way into _scale, which scaled quadratic rules also use."""
     parts = unit_decompose(y)
     if not parts.principal.is_zero():
         raise UnsupportedScalarError("scaling needs a monomial scalar, got %r" % y)
@@ -597,6 +591,9 @@ def _scale_rule(rule, e, ydown, v):
 # --- intersection -------------------------------------------------------------
 
 def intersect_open(U, V):
+    """U meet V as one descriptor: basic opens are closed under finite
+    intersection, the basis axiom of the topology.  No verdict needs it;
+    the tests and the benchmark's tracer call it by name."""
     if U.field != V.field:
         raise FieldMismatchError("opens over %r and %r" % (U.field, V.field))
     if U.is_full():

@@ -20,7 +20,6 @@ from .errors import (ArityMismatchError, FieldMismatchError, ParseError,
                      need_list_of_str, need_str, require)
 from .expansion import residue
 from .fields import parse_field
-from .opens import residue_image
 from .parsing import ElementHandler, ExprParser, as_element
 from .sequences import SeqFamily
 from .valuation import in_integer_ring, rank_valuation
@@ -432,19 +431,6 @@ def member_points(X, coords):
     return YES
 
 
-def apply_map(source, phi, x, target=None):
-    """Image of x under a polynomial tuple on the source chart, verified
-    against the target presentation when one is declared."""
-    env = source.env(x.coords)
-    phi = [parse_poly(source.ring.field, source.variables, p)
-           if isinstance(p, str) else p for p in phi]
-    coords = tuple(p.evaluate(env) for p in phi)
-    if target is not None:
-        if member_points(target, coords) != YES:
-            raise TargetViolationError("image %r misses the target" % (coords,))
-    return Point(coords, chart=x.chart)
-
-
 def in_principal_open(X, f, x):
     """Whether x lands in the locus where f is a unit of the base ring;
     over the integer rings that is vanishing of the tracked valuation
@@ -615,7 +601,8 @@ class ChartedScheme:
 
     def transfer_family(self, f, i, j):
         """Coordinate families pushed through a transition, with the limit
-        transferred alongside; None when the limit leaves the overlap."""
+        transferred alongside; None when the limit leaves the overlap.  Only
+        tests call it so far: convergence across charts builds on it."""
         lim = self.transfer(f.limit, j)
         if lim == OUT_OF_CHART:
             return None
@@ -637,10 +624,6 @@ class ChartedScheme:
                              for (i, j), ov in sorted(self.overlaps.items())]}
 
 
-def chart_transfer(X, x, j):
-    return X.transfer(x, j)
-
-
 def scheme_from_data(data):
     ring = parse_base_ring(require(data, "ring", "scheme"))
     charts = [AffinePresentation(
@@ -659,7 +642,8 @@ def scheme_from_data(data):
 
 
 def projective_line(ring):
-    """P^1 as two affine lines glued along inversion."""
+    """P^1 as two affine lines glued along inversion; tests build their
+    scheme files from it."""
     charts = [AffinePresentation(ring, ("X",), []),
               AffinePresentation(ring, ("Y",), [])]
     overlaps = {(0, 1): ("X", ["1/X"]), (1, 0): ("Y", ["1/Y"])}
@@ -730,9 +714,3 @@ def base_change_family(sigma, f):
         raise UnsupportedFieldError(
             "families push forward along inclusions only")
     return f
-
-
-def reduction_open_image(U):
-    """Image on the residue line of a basic open cut down to the rank one
-    integers; open because the level zero entry is what survives."""
-    return residue_image(U)

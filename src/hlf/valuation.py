@@ -93,6 +93,7 @@ class UnitParts:
         self.principal = principal
 
     def recompose(self):
+        """theta * monomial * (1 + principal), the tests' oracle for x."""
         one = Element.one(self.x.field)
         return self.theta * self.monomial * (one + self.principal)
 

@@ -35,8 +35,7 @@ from hlf.points import (AffinePresentation, BaseRing, NO, Point,
                         PointSeqFamily, RingMorphism, YES,
                         base_change_family, base_change_point,
                         base_change_presentation, member_points,
-                        point_seq_converges, product_presentation,
-                        reduction_open_image)
+                        point_seq_converges, product_presentation)
 from hlf.sequences import AffineForm, SeqFamily, parse_family
 from hlf.valuation import in_integer_ring, rank_valuation
 from hlf.weil import (MonogenicExt, ScalarExtPresentation, SExtFamily,
@@ -408,7 +407,7 @@ def test_criterion_11_reduction_of_models():
 
     for _ in range(50):
         U = random_open(rng, F5UT)
-        img = reduction_open_image(U)
+        img = residue_image(U)
         if isinstance(U, FullOpen):
             assert img == FullOpen(F5U)
         else:

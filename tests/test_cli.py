@@ -246,6 +246,28 @@ def test_input_errors_exit_two(argv, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+# Field sizes that once stalled in trial division up to q or in a search
+# over every monic of half the degree: each answers at once or exits 2.
+@pytest.mark.parametrize("field, code, out, err", [
+    ("Fq(1000000007)((t))", 0, "(1,)", ""),
+    ("Qp(1000000007)", 2, "", "error: unknown symbol 't' (at position 0)\n"),
+    ("Qp(1000000000000000003)((t))", 2, "",
+     "error: field size 1000000000000000003 is outside [2, 2^40)\n"),
+    ("Fq(9223372036854775808;w^63+w+1)((t))", 2, "",
+     "error: field size 9223372036854775808 is outside [2, 2^40)\n"),
+])
+def test_large_fields_answer_at_once(field, code, out, err, deadline, capsys):
+    with deadline(2):
+        assert main(["val", "--field", field, "--elem", "t"]) == code
+    assert capsys.readouterr() == (out and out + "\n", err)
+
+
+def test_a_modulus_past_the_field_degree_is_named(capsys):
+    assert main(["val", "--field", "Fq(4;w^3+1)((t))", "--elem", "t"]) == 2
+    assert capsys.readouterr().err == \
+        "error: modulus term 'w^3' is past degree 2\n"
+
+
 P1_DATA = {
     "ring": "Fq(5)((u))((t))",
     "charts": [{"vars": ["X"], "gens": []}, {"vars": ["Y"], "gens": []}],

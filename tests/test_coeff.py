@@ -6,12 +6,14 @@ implementation under test.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hlf.coeff import FqField, padic_val, rational_mod_p, teichmuller_exact
-from hlf.errors import FieldMismatchError, ZeroElementError
+from hlf.coeff import (FqField, _is_irreducible, padic_val, rational_mod_p,
+                       teichmuller_exact)
+from hlf.errors import FieldMismatchError, UnsupportedFieldError, ZeroElementError
 
 F5 = FqField(5)
 F4 = FqField(4, modulus=(1, 1, 1))  # w^2 + w + 1
@@ -86,18 +88,38 @@ def test_prime_fields_match_integer_arithmetic_mod_p(p):
                         lhs / rhs
 
 
+def test_irreducible_counts_match_gauss():
+    # Ben-Or's test finds (1/n) sum_{d | n} mu(d) p^(n/d) monic irreducibles
+    # of each degree n over F_p
+    mu = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0}
+    for p, top in ((2, 8), (3, 5), (5, 3)):
+        for n in range(1, top + 1):
+            got = sum(_is_irreducible(tail + (1,), p)
+                      for tail in product(range(p), repeat=n))
+            want = sum(mu[d] * p ** (n // d)
+                       for d in range(1, n + 1) if n % d == 0) // n
+            assert got == want
+
+
+def test_field_sizes_near_the_bound(deadline):
+    with deadline(1):
+        # 2^40 - 87 is the largest prime below 2^40
+        assert FqField(2**40 - 87).deg == 1
+        w39 = (1, 0, 0, 0, 1) + (0,) * 34 + (1,)
+        assert FqField(2**39, modulus=w39).deg == 39
+        with pytest.raises(ValueError):
+            FqField(2**39, modulus=(0, 0, 0, 0, 1) + (0,) * 34 + (1,))
+        for q in (2**40, 10**18 + 3, 1, 6):
+            with pytest.raises(UnsupportedFieldError):
+                FqField(q)
+
+
 def test_reducible_modulus_without_roots_is_rejected():
-    # w^4 + w^2 + 1 = (w^2 + w + 1)^2 over F_2 has no root, so only trial
-    # division by the quadratic factor finds it
+    # w^4 + w^2 + 1 = (w^2 + w + 1)^2 over F_2 has no root, so a root test
+    # alone misses it
     assert all((a**4 + a**2 + 1) % 2 for a in range(2))
     with pytest.raises(ValueError):
         FqField(16, modulus=(1, 0, 1, 0, 1))
-
-
-def test_f5_multiplicative_orders_divide_4():
-    for a in F5.elements():
-        if a:
-            assert 4 % a.multiplicative_order() == 0
 
 
 def test_field_mismatch_rejected():

@@ -51,11 +51,6 @@ def test_residue_towers():
     assert repr(Q3M.residue()) == "Fq(3)((t))"
     assert repr(Q3T.residue()) == "Qp(3)"
     assert F5UT.char() == 5 and Q3T.char() == 0
-    assert Q3T.residue_char() == 3 and Q3M.residue_char() == 3
-    assert F5UT.is_higher_local() and Q3T.is_higher_local() and Q3M.is_higher_local()
-    assert not QT.is_higher_local()
-    assert QT.coefficient_field_dependent()
-    assert not F5UT.coefficient_field_dependent()
 
 
 def test_descriptor_rejections():

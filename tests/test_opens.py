@@ -18,7 +18,7 @@ from hlf.fields import QpBase, parse_field
 from hlf.opens import (_SHARED_MAX, AffineRule, BallOpen, ConstRule, FullOpen,
                        FullRule, LevelsOpen, PeriodicRule, QuadraticRule,
                        ZeroOpen, admitted_depth,
-                       ball_at, deep_ball, deep_depth, excluding_ball,
+                       ball_at, deep_ball, deep_depth,
                        first_nonneg,
                        intersect_open,
                        open_from_data, product_escape_witness, random_open,
@@ -231,14 +231,6 @@ def test_ball_at_legality():
         ball_at(F5UT, 1)
     with pytest.raises(UnsupportedFieldError):
         ball_at(Q3M, 1)
-
-
-def test_excluding_ball():
-    for f, s in ((F5UT, "u^-1*t^2"), (Q3M, "3^2*t^-1"), (Q3T, "3*t^-2")):
-        x = e(f, s)
-        B = excluding_ball(x)
-        assert not B.contains(x)
-        assert B.contains(e(f, "0"))
 
 
 def test_depth_probes():
