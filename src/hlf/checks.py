@@ -28,7 +28,7 @@ from fractions import Fraction
 from .convergence import (CONVERGES, DIVERGES, converges,
                           product_continuity_check, seq_closed_check_C,
                           unit_converges)
-from .elements import Element, lp_add
+from .elements import Element
 from .errors import (OutOfRangeError, UnsupportedFamilyError,
                      UnsupportedOpenError)
 from .expansion import lift, residue
@@ -43,8 +43,8 @@ from .points import (AffinePresentation, BaseRing, Point, PointSeqFamily,
                      base_change_point, base_change_presentation,
                      member_points, point_seq_converges, product_presentation)
 from .sequences import AffineForm, SeqFamily, Term, parse_family
-from .valuation import (monomial_parts, monomial_with_valuation,
-                        rank_valuation)
+from .valuation import (monomial_with_valuation, rank_valuation,
+                        valuation_split)
 from .weil import (MonogenicExt, ScalarExtPresentation, SExtFamily,
                    sext_converges, weil_restrict)
 
@@ -66,31 +66,46 @@ def _random_coeff(rng, field):
     return Fraction(rng.randrange(1, 10), rng.choice((1, 2)))
 
 
-def _random_term(rng, field, v):
-    """A random coefficient times monomial_with_valuation(field, v), as a
-    one-entry Laurent polynomial."""
-    exps, m = monomial_parts(field, v)
-    return {exps: field.coerce_coeff(_random_coeff(rng, field)) * m}
+def _random_lp(rng, field, count, draw_v):
+    """`count` terms, each a random coefficient times the monomial of
+    valuation draw_v(), summed into one Laurent polynomial under lp_add's
+    rules: a key that cancels is deleted, and comes back at the end when a
+    later term brings it back.  A term is one entry: the power of p folds
+    into the drawn Fraction, and over F_q the coefficient is the field's
+    own residue FqElem."""
+    fq, p = field.fq(), field.prime()
+    out = {}
+    for _ in range(count):
+        exps, e = valuation_split(field, draw_v())
+        c = _random_coeff(rng, field)
+        if fq is not None:
+            c = fq.residues[c]
+        elif e:
+            c = Fraction(c.numerator * p ** e, c.denominator) if e > 0 \
+                else Fraction(c.numerator, c.denominator * p ** -e)
+        s = out.get(exps)
+        if s is None:
+            out[exps] = c
+        elif s := s + c:
+            out[exps] = s
+        else:
+            del out[exps]
+    return out
 
 
 def _random_element(rng, field, span=3, terms=3):
     nv = len(field.params())
-    out = {}
-    for _ in range(rng.randrange(1, terms + 1)):
-        v = tuple(rng.randrange(-span, span + 1) for _ in range(nv))
-        out = lp_add(out, _random_term(rng, field, v))
+    v = lambda: tuple(rng.randrange(-span, span + 1) for _ in range(nv))
+    out = _random_lp(rng, field, rng.randrange(1, terms + 1), v)
     return Element.make(field, out) if out else Element.one(field)
 
 
 def _random_integral(rng, field):
     # nonnegative top valuation, lower slots unrestricted
     nv = len(field.params())
-    out = {}
-    for _ in range(rng.randrange(1, 3)):
-        v = tuple(rng.randrange(-2, 3) for _ in range(nv - 1)) \
-            + (rng.randrange(0, 3),)
-        out = lp_add(out, _random_term(rng, field, v))
-    return Element.make(field, out)
+    v = lambda: tuple(rng.randrange(-2, 3) for _ in range(nv - 1)) \
+        + (rng.randrange(0, 3),)
+    return Element.make(field, _random_lp(rng, field, rng.randrange(1, 3), v))
 
 
 def _sample_open_member(rng, U):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import FieldMismatchError, UnsupportedFieldError, ZeroElementError
 
@@ -435,24 +435,53 @@ def _poly_str(coeffs, gen):
     return " + ".join(reversed(parts)) if parts else "0"
 
 
-# Field sizes from here on are refused: trial division factors q up to
-# this bound in well under a second.
+# Field sizes from here on are refused.  Below it the Miller-Rabin test
+# with the bases _MR_BASES is exact: the least strong pseudoprime to all
+# six is 3,474,749,660,383 (Jaeschke 1993).
 _Q_MAX = 1 << 40
+_MR_BASES = (2, 3, 5, 7, 11, 13)
 
 
 def _prime_power(q):
-    """(p, n) with q = p^n, by trial division up to isqrt(q)."""
+    """(p, n) with q = p^n: the prime n-th root of q, tried for each n."""
     if not 2 <= q < _Q_MAX:
         raise UnsupportedFieldError("field size %d is outside [2, 2^40)" % q)
-    p = next((c for c in range(2, isqrt(q) + 1) if q % c == 0), q)
-    deg = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        deg += 1
-    if n != 1:
-        raise UnsupportedFieldError("%d is not a prime power" % q)
-    return p, deg
+    for n in range(1, q.bit_length()):
+        r = _iroot(q, n)
+        if r ** n == q and _is_prime(r):
+            return r, n
+    raise UnsupportedFieldError("%d is not a prime power" % q)
+
+
+def _iroot(q, n):
+    """The integer n-th root of q: the float root corrected exactly."""
+    r = round(q ** (1 / n))
+    while r ** n > q:
+        r -= 1
+    while (r + 1) ** n <= q:
+        r += 1
+    return r
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for 1 < n < _Q_MAX."""
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _is_irreducible(f, p):

@@ -9,6 +9,13 @@ each level as its digit arrives and returns at the first that fails, except
 over Qp{{t}} against a staircase of t-balls, which in_staircase decides
 from the element's integer polynomials without a digit.
 
+A Laurent polynomial over base((t)), an element whose denominator
+Element.make has left exactly 1, skips the stream in residue and
+membership: slice_digits(x) gives its nonzero digits as (level, digit)
+pairs, the numerator's t-slices, so one step per term however far apart
+its terms lie, where the stream pays one step per level between them.
+Each digit has the entries and coefficients the stream gives it.
+
 Over base((t)) an element P/Q, cut by t exponent into slices P_i and Q_j
 one level down, expands into residue field coefficients X_i by the linear
 recursion Q_0 X_i = P_i - sum_{j>=1} Q_j X_{i-j}; normalization makes Q_0 a
@@ -59,7 +66,8 @@ them, so the cost of a jet follows the size of its digits, geometric in
 their count: no exact algorithm for these digits is linear in the count.
 What the loop saves is the constant: big products go through one int
 multiply each (Kronecker substitution), and the F_p gcd, quadratic in the
-digit size, dominates.
+digit size, dominates.  A remainder past _DIGIT_BUDGET integer
+coefficients raises PrecisionExhaustedError rather than run on.
 """
 
 from __future__ import annotations
@@ -72,7 +80,8 @@ from .coeff import (UNKNOWN, FqElem, _fp_lowest_terms, _fq_reduced, _pack,
                     _unpack, _zadd, _zdiv, _zgcd, _zmul, _ztrim, padic_val,
                     rational_mod_p)
 from .elements import Element
-from .errors import NotIntegralError, UnsupportedFieldError
+from .errors import (NotIntegralError, PrecisionExhaustedError,
+                     UnsupportedFieldError)
 from .fields import FiniteBase, MixedExt, QpBase, SeriesExt
 
 
@@ -166,6 +175,17 @@ def digits(x):
     else:
         raise UnsupportedFieldError("no uniformizer to expand along in %r" % f)
     return iter(()) if x.is_zero() else gen(x)
+
+
+def slice_digits(x):
+    """(level, digit) for each nonzero digit of x over base((t)) whose
+    denominator is a monomial, in increasing level.  Element.make leaves
+    such a denominator exactly 1, so the digit at level i is the
+    numerator's t^i slice, and every other level holds 0: one step per
+    term, however far apart the terms lie."""
+    base = x.field.residue()
+    slices = _t_slices(x.num, lambda k: k[:-1], lambda c: c)
+    return ((i, Element.make(base, slices[i])) for i in sorted(slices))
 
 
 def expand(x, terms):
@@ -273,7 +293,7 @@ def _exponent_keys(nlow, lps):
 
 def _t_slices(lp, pack, conv):
     """A Laurent polynomial over base((t)) as {t exponent: {packed lower
-    exps: converted coeff}}."""
+    exps: converted coeff}}, each slice in the order of lp."""
     out = {}
     for k, c in lp.items():
         out.setdefault(k[-1], {})[pack(k)] = conv(c)
@@ -312,6 +332,16 @@ def _qp_digits(x):
         c = (c - d) / p
 
 
+# Most integer coefficients, numerator and denominator together, that the
+# remainder of a digit stream along p may carry into its next digit.  Under
+# the plain section they can double with every level and a digit costs
+# about their square, so a stream that passes this raises
+# PrecisionExhaustedError instead of running on without end: that of
+# (1 + t)/(1 - t - t^2) does so before its 12th digit, in about 0.4 s.
+# The first digit is read off the element as it is, at any size.
+_DIGIT_BUDGET = 4096
+
+
 def _mixed_digits(x):
     f = x.field
     p = f.prime()
@@ -319,6 +349,7 @@ def _mixed_digits(x):
     rf = f.residue()
     fq = rf.fq()
     N, ns, Q, qs = _mixed_ints(x, p, k0)
+    level = k0
     while N:
         nbar, nbs = _ztrim([c % p for c in N], ns)
         qbar, _ = _ztrim([c % p for c in Q[-qs:]], 0)
@@ -338,10 +369,15 @@ def _mixed_digits(x):
                 N, ns = _zadd(_zmul(N, dt), ns, [-c for c in _zmul(nt, Q)], nbs + qs)
                 Q = _zmul(Q, dt)
         N = [c // p for c in N]
+        level += 1
         g = gcd(*N, *Q)
         if g > 1:
             N = [c // g for c in N]
             Q = [c // g for c in Q]
+        if N and len(N) + len(Q) > _DIGIT_BUDGET:
+            raise PrecisionExhaustedError(
+                "the digit at level %d along %d needs more than %d integer "
+                "coefficients" % (level, p, _DIGIT_BUDGET))
 
 
 def in_staircase(x, k, depth):
@@ -449,7 +485,12 @@ def residue(x):
     top = 1 if x.is_zero() else x.val_vector()[-1]
     if top < 0:
         raise NotIntegralError("negative top valuation %r" % (x.val_vector(),))
-    return next(stream) if top == 0 else Element.zero(x.field.residue())
+    if top > 0:
+        return Element.zero(x.field.residue())
+    if isinstance(x.field, SeriesExt) and len(x.den) == 1:
+        # the t^0 slice, the first of the slices
+        return next(slice_digits(x))[1]
+    return next(stream)
 
 
 # --- sections of the residue map --------------------------------------------

@@ -8,7 +8,11 @@ stream (expansion.digits) and stops at the first level that rejects its
 digit, or where the stream ends: later levels hold 0, which every open
 contains.  It reads no digit past `top`, one past the last level that
 constrains anything: levels in [lo, cutoff) outside the window are full,
-and so is every level below the window floor under a full rule.
+and so is every level below the window floor under a full rule.  Over a
+series top, an element with a monomial denominator is a Laurent
+polynomial whose digits are its t-slices (expansion.slice_digits): only
+the levels of its terms below `top` are checked, since every other level
+holds 0, so membership costs one step per term and never the cutoff.
 
 Over Qp{{t}} the digits follow the plain section and grow geometrically
 with the level, so an open shaped as a staircase is decided without them.
@@ -17,8 +21,9 @@ or full, with depths that do not increase toward the cutoff, the open meets
 the integers in a Zp[[t]]-lattice that no section changes, and
 expansion.in_staircase tests the element's t-coefficients against it.
 The shape alone selects the route; every other open depends on the section
-and keeps the digit stream.  Everything here is finite data: descriptors
-serialize to plain dicts and reload losslessly.
+and keeps the digit stream.  So the shapes of the element and of the open
+select the route, never a flag or a size.  Everything here is finite data:
+descriptors serialize to plain dicts and reload losslessly.
 
 Plain valuation balls s^c O are only open when the coefficient side has
 dimension zero; above that the deep balls (the same cutoff imposed at every
@@ -53,7 +58,7 @@ from .errors import (
     need_str,
     require,
 )
-from .expansion import digits, in_staircase
+from .expansion import digits, in_staircase, slice_digits
 from .fields import MixedExt, QpBase, SeriesExt
 from .valuation import in_integer_ring, monomial_with_valuation, unit_decompose
 
@@ -271,6 +276,15 @@ class LevelsOpen(Open):
         if isinstance(self.field, MixedExt) and i0 >= self._stairs_from:
             depth = lambda i: _entry_depth(self.level(i0 + i))
             return in_staircase(x, self.top - i0, depth)
+        if isinstance(self.field, SeriesExt) and len(x.den) == 1:
+            # a Laurent polynomial: only the levels of its terms hold
+            # anything but 0
+            for i, d in slice_digits(x):
+                if i >= self.top:
+                    return True
+                if not self.level(i).contains(d):
+                    return False
+            return True
         # past the end of the stream every level holds 0, in every open
         return all(self.level(i).contains(d)
                    for i, d in zip(range(i0, self.top), digits(x)))

@@ -68,17 +68,27 @@ def monomial_with_valuation(field, v):
 def monomial_parts(field, v):
     """(exps, coeff) of monomial_with_valuation(field, v), the monomial as
     one Laurent polynomial entry."""
+    exps, e = valuation_split(field, v)
+    if e is None:
+        return exps, field.coeff_one()
+    return exps, Fraction(field.prime()) ** e
+
+
+def valuation_split(field, v):
+    """(exps, e) for a valuation vector v over field: the exponents of its
+    series parameters, and the exponent of p from the one slot that is no
+    series parameter (None when every slot is one)."""
     names = field.params()
     if len(v) != len(names):
         raise ValueError("expected %d components, got %d" % (len(names), len(v)))
     sp = field.series_params()
-    exps, coeff = [], field.coeff_one()
+    exps, pe = [], None
     for name, e in zip(names, v):
         if name in sp:
             exps.append(e)
         else:
-            coeff = Fraction(field.prime()) ** e
-    return tuple(exps), coeff
+            pe = e
+    return tuple(exps), pe
 
 
 class UnitParts:

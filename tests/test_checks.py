@@ -1,14 +1,19 @@
 """The seeded suites run green and reproduce themselves."""
 
 import functools
+import random
 import types
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from hlf import checks
 from hlf.checks import SUITES, run_all, run_suite
+from hlf.elements import Element, lp_add
 from hlf.errors import HlfError, OutOfRangeError
+from hlf.fields import parse_field
+from hlf.valuation import monomial_parts
 
 
 def test_every_suite_is_green_at_small_battery():
@@ -167,3 +172,74 @@ def test_the_weil_suite_restricts_each_scheme_once(monkeypatch):
     assert rep == run_suite("weil", seed=4, battery=10)
     assert len(restricted) == 3
     assert len({id(Y) for Y in restricted}) == 3
+
+
+# --- the random material against the generator it replaced -------------------
+
+def _ref_random_coeff(rng, field):
+    if field.fq() is not None:
+        return rng.randrange(1, field.char())
+    return Fraction(rng.randrange(1, 10), rng.choice((1, 2)))
+
+
+def _ref_random_term(rng, field, v):
+    exps, m = monomial_parts(field, v)
+    return {exps: field.coerce_coeff(_ref_random_coeff(rng, field)) * m}
+
+
+def _ref_random_element(rng, field, span=3, terms=3):
+    """The generator that built each term as coerce_coeff(c) * p^e and
+    summed the terms with lp_add; kept as the reference for the draws and
+    the entries of the check material."""
+    nv = len(field.params())
+    out = {}
+    for _ in range(rng.randrange(1, terms + 1)):
+        v = tuple(rng.randrange(-span, span + 1) for _ in range(nv))
+        out = lp_add(out, _ref_random_term(rng, field, v))
+    return Element.make(field, out) if out else Element.one(field)
+
+
+def _ref_random_integral(rng, field):
+    nv = len(field.params())
+    out = {}
+    for _ in range(rng.randrange(1, 3)):
+        v = tuple(rng.randrange(-2, 3) for _ in range(nv - 1)) \
+            + (rng.randrange(0, 3),)
+        out = lp_add(out, _ref_random_term(rng, field, v))
+    return Element.make(field, out)
+
+
+MATERIAL_FIELDS = ("Fq(5)((u))((t))", "Qp(3)((t))", "Qp(3){{t}}", "Q((t))",
+                   "Fq(4;w^2+w+1)((u))((t))", "Fq(5)((u))", "Fq(3)((t))",
+                   "Qp(3)")
+# the variants the suites and tests draw
+MATERIAL_BUILDS = (
+    ("element", lambda rng, f: checks._random_element(rng, f),
+     lambda rng, f: _ref_random_element(rng, f)),
+    ("member", lambda rng, f: checks._random_element(rng, f, span=2, terms=2),
+     lambda rng, f: _ref_random_element(rng, f, span=2, terms=2)),
+    ("span4", lambda rng, f: checks._random_element(rng, f, span=4),
+     lambda rng, f: _ref_random_element(rng, f, span=4)),
+    ("integral", checks._random_integral, _ref_random_integral),
+    # enough terms on few keys that a key cancels and comes back
+    ("crowded", lambda rng, f: checks._random_element(rng, f, span=1, terms=6),
+     lambda rng, f: _ref_random_element(rng, f, span=1, terms=6)),
+)
+
+
+@pytest.mark.parametrize("text", MATERIAL_FIELDS)
+def test_random_material_matches_the_reference_generator(text):
+    field = parse_field(text)
+    entries = lambda lp: [(k, type(c), c) for k, c in lp.items()]
+    fq = field.fq()
+    for name, build, ref in MATERIAL_BUILDS:
+        new_rng, old_rng = random.Random(name + text), random.Random(name + text)
+        for _ in range(1000):
+            got, want = build(new_rng, field), ref(old_rng, field)
+            assert entries(got.num) == entries(want.num), (name, want)
+            assert entries(got.den) == entries(want.den), (name, want)
+            assert repr(got) == repr(want)
+            assert new_rng.getstate() == old_rng.getstate()
+            # no FqElem of another field object
+            if fq is not None:
+                assert all(c.field is fq for c in got.num.values())

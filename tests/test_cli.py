@@ -11,7 +11,7 @@ import pytest
 from hlf.checks import SUITES
 from hlf.cli import main
 from hlf.fields import parse_field
-from hlf.opens import deep_ball
+from hlf.opens import LevelsOpen, QuadraticRule, ball_at, deep_ball
 from hlf.points import AffinePresentation, BaseRing, projective_line
 
 F5UT = parse_field("Fq(5)((u))((t))")
@@ -158,6 +158,41 @@ def test_witness_subgroup_checked(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["checked"] and len(rep["witness"]["elements"]) == 3
+
+
+def test_witness_subgroup_answers_at_a_huge_cutoff(tmp_path, capsys,
+                                                 deadline):
+    # the mirror pair sits 2*10^30 levels apart; each membership reads
+    # only the levels of its terms
+    B = F5UT.residue()
+    U = LevelsOpen(F5UT, 10 ** 30, {0: ball_at(B, 1), 2: ball_at(B, 0)},
+                   QuadraticRule(1, 0, 1))
+    path = open_file(tmp_path, "U.json", U)
+    with deadline(0.5):
+        code, out = run(capsys, "witness-subgroup", "--open", path)
+    assert code == 0
+    assert out.splitlines()[0] == "checked"
+
+
+def test_member_stops_at_the_digit_budget_along_p(tmp_path, capsys, deadline):
+    # the open pins the t^0 coefficient of digit 19 over Qp(3){{t}}; under
+    # the plain section the digits of the element double in size with each
+    # level, so the digit path stops at its budget, never with an answer
+    p = tmp_path / "U.json"
+    p.write_text(json.dumps({"field": "Qp(3){{t}}", "open": {
+        "kind": "levels", "cutoff": 20,
+        "window": {"19": {"kind": "levels", "cutoff": 1,
+                          "window": {"0": {"kind": "zero"}},
+                          "below": {"rule": "full"}}},
+        "below": {"rule": "full"}}}))
+    assert len(p.read_text()) < 210
+    with deadline(2.0):
+        code = main(["member", "--elem", "(1 + t)/(1 - t - t^2)",
+                     "--open", str(p)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == ("error: the digit at level 11 along 3 needs more than "
+                       "4096 integer coefficients\n")
 
 
 def test_check_is_byte_deterministic(capsys):

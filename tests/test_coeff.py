@@ -7,13 +7,15 @@ implementation under test.
 
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hlf.coeff import (FqField, _is_irreducible, padic_val, rational_mod_p,
-                       teichmuller_exact)
+from hlf.coeff import (FqField, _is_irreducible, _prime_power, padic_val,
+                       rational_mod_p, teichmuller_exact)
 from hlf.errors import FieldMismatchError, UnsupportedFieldError, ZeroElementError
+from hlf.fields import parse_field
 
 F5 = FqField(5)
 F4 = FqField(4, modulus=(1, 1, 1))  # w^2 + w + 1
@@ -112,6 +114,45 @@ def test_field_sizes_near_the_bound(deadline):
         for q in (2**40, 10**18 + 3, 1, 6):
             with pytest.raises(UnsupportedFieldError):
                 FqField(q)
+
+
+def _trial_prime_power(q):
+    """(p, n) with q = p^n by trial division, or None."""
+    p = next((c for c in range(2, isqrt(q) + 1) if q % c == 0), q)
+    n = 0
+    while q % p == 0:
+        q //= p
+        n += 1
+    return (p, n) if q == 1 else None
+
+
+def _prime_power_or_none(q):
+    try:
+        return _prime_power(q)
+    except UnsupportedFieldError as err:
+        assert str(err) == "%d is not a prime power" % q
+        return None
+
+
+def test_prime_powers_agree_with_trial_division():
+    below = range(2**40 - 400, 2**40)
+    powers = [2**39, 3**25, 5**17, 1048573**2, 10007**3, 101**6, 65537**2,
+              1048573 * 1048571, 3**24 * 2]
+    for q in [*range(2, 10**4), *below, *powers]:
+        assert _prime_power_or_none(q) == _trial_prime_power(q), q
+    # strong pseudoprimes to the first bases, and Carmichael numbers
+    for q in (2047, 1373653, 25326001, 3215031751, 561, 41041):
+        assert _prime_power_or_none(q) is None, q
+
+
+def test_field_size_check_takes_no_trial_division(deadline):
+    # trial division up to isqrt(q) took 60-160 ms for each of these
+    with deadline(0.5):
+        for _ in range(20):
+            assert _prime_power(1099511627689) == (1099511627689, 1)
+            assert parse_field("Qp(1099511627689)((t))").prime() == 1099511627689
+            assert parse_field("Fq(1099511627689)((t))").char() == 1099511627689
+            assert _prime_power(1048573**2) == (1048573, 2)
 
 
 def test_reducible_modulus_without_roots_is_rejected():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -8,11 +9,11 @@ import pytest
 from hlf import coeff
 from hlf.coeff import FqField
 from hlf.elements import Element
-from hlf.errors import NotIntegralError
+from hlf.errors import NotIntegralError, PrecisionExhaustedError
 from hlf.expansion import (Jet, canonical_fraction, digits, expand, lift,
-                           residue)
+                           residue, slice_digits)
 from hlf.fields import parse_field
-from hlf.opens import FullOpen, FullRule, LevelsOpen
+from hlf.opens import FullOpen, FullRule, LevelsOpen, deep_ball, random_open
 from hlf.parsing import parse_element
 from hlf.valuation import monomial_with_valuation
 
@@ -423,6 +424,89 @@ def test_series_digits_take_polynomial_time(deadline):
     with deadline(1.0):
         assert full.contains(x)
     assert expand(x, 12) * expand(q, 12) == expand(Element.one(F), 12)
+
+
+# --- Laurent polynomials: digits off the t-slices ------------------------------
+
+SLICE_FIELDS = ("Fq(5)((u))((t))", "Qp(3)((t))", "Q((u))((t))",
+                "Fq(4;w^2+w+1)((u))((t))")
+
+
+def _rand_laurent(rng, F):
+    """1-4 terms with t-exponents in [-50, 50] over a random monomial
+    denominator, so the digits lie up to 100 levels apart."""
+    sp = F.series_params()
+    fq = F.fq()
+    def coeff():
+        if fq is None:
+            c = Fraction(rng.choice((-7, -2, 1, 3, 5, 10)), rng.choice((1, 2, 9)))
+            return c * Fraction(F.prime()) ** rng.randint(-2, 2) if F.prime() else c
+        if fq.deg > 1:
+            return fq.generator() ** rng.randrange(fq.q - 1)
+        return fq(rng.randrange(1, fq.p))
+    def exps(span):
+        return tuple(rng.randint(-3, 3) for _ in sp[:-1]) \
+            + (rng.randint(-span, span),)
+    num = {exps(50): coeff() for _ in range(rng.randint(1, 4))}
+    return Element.make(F, num, {exps(5): coeff()})
+
+
+def _stream_member(U, x):
+    """Membership read off the digit stream level by level."""
+    i0 = x.val_vector()[-1]
+    return i0 >= U.top or all(U.level(i).contains(d)
+                              for i, d in zip(range(i0, U.top), digits(x)))
+
+
+@pytest.mark.parametrize("text", SLICE_FIELDS)
+def test_slices_match_the_digit_stream(text):
+    # the digits of a Laurent polynomial are its t-slices, membership reads
+    # only them, and residue is the t^0 slice, each as the stream gives it
+    F = parse_field(text)
+    rng = random.Random("slices:" + text)
+    opens = [deep_ball(F, d) for d in range(-3, 8)] \
+        + [random_open(rng, F) for _ in range(60)]
+    opens = [U for U in opens if isinstance(U, LevelsOpen)]
+    t = F.series_params()[-1]
+    seen = Counter()
+    for _ in range(120):
+        x = _rand_laurent(rng, F)
+        assert len(x.den) == 1
+        i0 = x.val_vector()[-1]
+        stream = list(digits(x))
+        want = [(i, d) for i, d in enumerate(stream, i0) if not d.is_zero()]
+        got = list(slice_digits(x))
+        assert [i for i, _ in got] == [i for i, _ in want], x
+        for (_, g), (_, w) in zip(got, want):
+            assert _same_digit(g, w), x
+        for U in rng.sample(opens, 12):
+            verdict = U.contains(x)
+            assert verdict == _stream_member(U, x), (U, x)
+            seen[verdict] += 1
+        y = x * Element.monomial(F, 1, **{t: -i0})
+        assert _same_digit(residue(y), next(digits(y))), y
+        seen["gap"] += any(b - a > 10 for (a, _), (b, _) in zip(got, got[1:]))
+    assert seen[True] > 200 and seen[False] > 200 and seen["gap"] > 50, seen
+
+
+# --- the digit budget along p ----------------------------------------------------
+
+def test_the_digit_stream_along_p_has_a_budget(deadline):
+    # under the plain section the digits of (1 + t)/(1 - t - t^2) double
+    # in size with each level; past the budget every reader raises
+    x = parse_element(Q3M, "(1 + t)/(1 - t - t^2)")
+    assert len(expand(x, 11).coeffs) == 11
+    with deadline(2.0):
+        with pytest.raises(PrecisionExhaustedError) as err:
+            expand(x, 20)
+    assert str(err.value) == ("the digit at level 11 along 3 needs more "
+                              "than 4096 integer coefficients")
+    # a stream whose remainder stays small reads its digits at any size
+    y = parse_element(Q3M, "3 + t^5000")
+    with deadline(1.0):
+        assert repr(expand(y, 4)) == "t^5000 + 3 + O(3^4)"
+        assert residue(parse_element(Q3M, "1 + t^5000 + 3*t^-5000")) \
+            == parse_element(Q3M.residue(), "1 + t^5000")
 
 
 # --- residue maps ------------------------------------------------------------

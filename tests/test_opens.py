@@ -224,6 +224,39 @@ def test_membership_reads_no_level_past_the_last_constraint(deadline):
         assert not U.contains(e(F5UT, "u^-1/(1 - t)"))
 
 
+def _item_one_open(c):
+    # levels 0 and 2 pinned, every level below under a quadratic tail
+    return LevelsOpen(F5UT, c, {0: ball_at(F5U, 1), 2: ball_at(F5U, 0)},
+                      QuadraticRule(1, 0, 1))
+
+
+def test_a_laurent_polynomial_is_read_at_its_terms_below_top():
+    U = _item_one_open(10 ** 6)
+    read = []
+    level = U.level
+    U.level = lambda i: read.append(i) or level(i)
+    # level -40 is the deep ball of depth 40^2 + 1, level -3 of depth 10
+    assert U.contains(e(F5UT, "u^2000*t^-40 + u^12*t^-3 + u + u^2*t^2"
+                              " + u^-5*t^3 + t^7 + u^-1*t^900"))
+    assert read == [-40, -3, 0, 2]
+    read.clear()
+    assert not U.contains(e(F5UT, "u^2000*t^-40 + u^9*t^-3 + t^2"))
+    assert read == [-40, -3]
+    read.clear()
+    # a monomial denominator is normalized away first
+    assert U.contains(e(F5UT, "(u^2000*t^-38 + u^12*t^-1 + t^9)/(u^-1*t^2)"))
+    assert read == [-40, -3]
+
+
+@pytest.mark.parametrize("c", [10 ** 5, 10 ** 19])
+def test_the_mirror_witness_pays_no_level_between_its_terms(c, deadline):
+    U = _item_one_open(c)
+    with deadline(0.5):
+        w = subgroup_escape_witness(U)
+        assert w.checked()
+    assert [fact for fact, _ in w.claims][-1] == "mirror sum in U"
+
+
 def test_ball_at_legality():
     assert ball_at(Q3T.residue(), 2).contains(e(Q3T.residue(), "3^2"))
     assert ball_at(F5UT.residue(), 2).contains(e(F5UT.residue(), "u^3"))
