@@ -5,17 +5,19 @@ prime field is the case m = w.  One element class serves both: a prime
 field element holds one reduced int and multiplies as an int, while an
 extension field multiplies through the integer product and reduction.
 Polynomials over Z and F_p are int lists, lowest degree first, and one
-kernel (product, remainder, gcd, exact quotient) serves the extension
-arithmetic here and the digit lifts and staircase of expansion.
+kernel (product, remainder, gcd, exact quotient, lowest terms against a
+coprime basis of the denominator) serves the extension arithmetic here and
+the digit lifts and staircase of expansion.
 Rationals carry their p-adic valuation and residue exactly; there is no
 truncated p-adic type.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import gcd
 
 from .errors import FieldMismatchError, UnsupportedFieldError, ZeroElementError
@@ -84,16 +86,22 @@ def _fp_gcd(a, b, p):
     return a
 
 
-def _fp_quo(a, b, p):
-    """Exact quotient a/b over F_p, b monic."""
+def _fp_divmod(a, b, p):
+    """Quotient and remainder of a by monic b over F_p; the remainder
+    trimmed."""
     a = list(a)
     m = len(b) - 1
-    q = [0] * (len(a) - m)
+    q = [0] * max(len(a) - m, 0)
     for k in range(len(q) - 1, -1, -1):
         c = q[k] = a[k + m]
         if c:
             a[k:k + m] = [(x - c * y) % p for x, y in zip(a[k:k + m], b)]
-    return q
+    return q, _poly_trim(a[:m])
+
+
+def _fp_quo(a, b, p):
+    """Exact quotient a/b over F_p, b monic."""
+    return _fp_divmod(a, b, p)[0]
 
 
 def _fp_lowest_terms(a, b, p):
@@ -104,6 +112,142 @@ def _fp_lowest_terms(a, b, p):
         a, b = _fp_quo(a, g, p), _fp_quo(b, g, p)
     inv = pow(b[0], -1, p)
     return [c * inv % p for c in a], [c * inv % p for c in b]
+
+
+def _fp_coprime(pairs, p):
+    """Factor refinement (Bach, Driscoll and Shallit): monic pairwise
+    coprime nonconstant (c, m) with prod c^m = prod f^e over the monic
+    (f, e) of pairs.  Two pieces with a common factor h give way to h and
+    their cofactors, which lowers their total degree, so it ends."""
+    out, todo = [], list(pairs)
+    while todo:
+        f, e = todo.pop()
+        for i, (c, m) in enumerate(out):
+            h = _fp_gcd(f, c, p)
+            if len(h) > 1:
+                del out[i]
+                todo.append((h, e + m))
+                todo += [(_fp_quo(u, h, p), n) for u, n in ((f, e), (c, m))
+                         if len(u) > len(h)]
+                break
+        else:
+            out.append((f, e))
+    return out
+
+
+def _fp_strip(a, f, e, p):
+    """(q, k, r) for a nonzero a and a monic f with f(0) != 0 over F_p:
+    q = a/f^k for the largest k <= e with f^k | a, and r = [] when k = e,
+    else a nonzero r of degree below deg f with q = t^j*r mod f for some
+    j >= 0, so that r shares with f what q shares with it.
+
+    A two-term f = t^d + c divides as d interleaved prefix sums.  In the
+    class of exponents j + d*i (i = 0, 1, ...) the quotient of a by s + c,
+    s = t^d, is q_i = z*y^i*S_i with z = 1/c, y = -z and S the prefix sums
+    of a_i*y^-i, and the class divides exactly when the sum one past q's
+    top is 0 mod p.  So k divisions are k passes of prefix sums, reduced
+    mod p once at the end.  Any other f takes the schoolbook division."""
+    d = len(f) - 1
+    if any(f[1:-1]):
+        k, r = 0, []
+        while k < e:
+            q, r = _fp_divmod(a, f, p)
+            if r:
+                break
+            a, k = q, k + 1
+        return a, k, r
+    z = pow(f[0], -1, p)
+    y = p - z
+    cls = [[c * w for c, w in zip(a[j::d], _fp_powers(p - f[0], len(a[j::d]), p))]
+           for j in range(d)]
+    k, m, r = 0, len(a), []
+    while k < e and m > d:
+        nxt = [list(accumulate(c)) for c in cls]
+        if any(c[-1] % p for c in nxt):
+            # q - q'*f = t^(m-d)*r for the quotient q' of this pass, r
+            # made of the sums one past the top
+            r = [0] * d
+            for j, c in enumerate(nxt):
+                i = len(c) - 1
+                r[j + d * i - m + d] = c[-1] * pow(z, k, p) * pow(y, i, p) % p
+            break
+        for c in nxt:
+            c.pop()
+        cls, k, m = nxt, k + 1, m - d
+    if k:
+        ys = _fp_powers(y, len(cls[0]), p, pow(z, k, p))
+        a = [0] * m
+        for j, c in enumerate(cls):
+            a[j::d] = [v * w % p for v, w in zip(c, ys)]
+    if k < e and not r:
+        # q has degree below d: its own remainder
+        r = a
+    return a, k, _poly_trim(r)
+
+
+def _fp_powers(x, n, p, c=1):
+    """[c, c*x, ..., c*x^(n-1)] mod p."""
+    out = [c]
+    for _ in range(n - 1):
+        c = c * x % p
+        out.append(c)
+    return out
+
+
+def _fp_basis_lowest_terms(a, b, basis, p):
+    """_fp_lowest_terms(a, b, p) for a b proportional to prod f^e over
+    basis, a list of pairs (f, e) of monic pairwise coprime f: a is
+    divided by each f while f divides it, at most e times, k times in all,
+    so the gcd is prod f^k.  A remainder r sharing a proper factor h with
+    f splits f into the coprime pieces of h and f/h, each taking e and the
+    divisions made so far times its multiplicity in f.  Returns (nt, dt,
+    refined), refined listing (f, e, k) for each piece."""
+    refined, todo = [], [(f, e, 0) for f, e in basis]
+    while todo:
+        f, e, k = todo.pop()
+        a, j, r = _fp_strip(a, f, e - k, p)
+        k += j
+        # a nonconstant remainder may share a proper factor with f
+        h = _fp_gcd(r, f, p) if len(f) > 2 and len(r) > 1 else [1]
+        if 1 < len(h) < len(f):
+            todo += [(c, e * m, k * m)
+                     for c, m in _fp_coprime([(h, 1), (_fp_quo(f, h, p), 1)], p)]
+        else:
+            refined.append((f, e, k))
+    d = [1]
+    for f, e, k in refined:
+        if e > k:
+            fk = _fp_pow(f, e - k, p)
+            d = _fp_mul(d, fk, p) if len(d) > 1 else fk
+    inv = pow(d[0], -1, p)
+    ninv = pow(b[-1] * d[0], -1, p)
+    return [c * ninv % p for c in a], [c * inv % p for c in d], refined
+
+
+def _fp_mul(a, b, p):
+    """a*b over F_p."""
+    return [c % p for c in _zmul(a, b)]
+
+
+def _fp_pow(f, k, p):
+    """f^k over F_p for k >= 1: a two-term f = t^d + c by the binomial
+    theorem, any other by square-and-multiply."""
+    d = len(f) - 1
+    if not any(f[1:-1]):
+        out = [0] * (d * k + 1)
+        b, c, inv = 1, pow(f[0], k, p), pow(f[0], -1, p)
+        for i in range(k + 1):
+            out[d * i] = b * c % p
+            b, c = b * (k - i) // (i + 1), c * inv % p
+        return out
+    out = None
+    while k:
+        if k & 1:
+            out = f if out is None else _fp_mul(out, f, p)
+        k >>= 1
+        if k:
+            f = _fp_mul(f, f, p)
+    return out
 
 
 def _poly_mulmod(a, b, mod, p):
@@ -167,28 +311,67 @@ def _zdiv(a, g):
     return q
 
 
+# The schoolbook product takes lists with at most this many terms on one
+# side; past it, Kronecker substitution does.
+_SCHOOLBOOK = 12
+
+
 def _zmul(a, b):
     """Product over Z.  Past a dozen terms on each side, by Kronecker
     substitution: pack each list into one int with slots wide enough for
     every product coefficient, multiply once, unpack with a bias."""
-    if min(len(a), len(b)) <= 12:
+    if min(len(a), len(b)) <= _SCHOOLBOOK:
         out = [0] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):
             if c:
                 for j, e in enumerate(b, i):
                     out[j] += c * e
         return out
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + min(len(a), len(b)).bit_length() + 1)
-    w = bits // 8 + 1
+    w = _slot_bytes(max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+                    + min(len(a), len(b)).bit_length())
     half = 1 << (8 * w - 1)
     n = len(a) + len(b) - 1
     return _unpack(_pack(a, w, half) * _pack(b, w, half), n, w, half)
 
 
+def _zcross(a, sa, b, c, sc, d):
+    """(t^sa*a*d - t^sc*c*b as (list, exponent of its head) trimmed at both
+    ends, b*d) over Z.  Past a dozen terms in every list the four are
+    packed once at one slot width, and three products, a shift and a
+    subtraction give both."""
+    if min(len(a), len(b), len(c), len(d)) <= _SCHOOLBOOK:
+        return (*_zadd(_zmul(a, d), sa, [-x for x in _zmul(c, b)], sc),
+                _zmul(b, d))
+    # every coefficient of the products and of the difference stays below
+    # 2 * (longest list) * max|a, b| * max|c, d|
+    w = _slot_bytes(max(max(map(abs, a)), max(map(abs, b))).bit_length()
+                    + max(max(map(abs, c)), max(map(abs, d))).bit_length()
+                    + max(len(a), len(b)).bit_length() + 1)
+    half = 1 << (8 * w - 1)
+    pa, pb, pc, pd = (_pack(x, w, half) for x in (a, b, c, d))
+    x, y, s = pa * pd, pc * pb, sc - sa
+    n = max(len(a) + len(d) - min(s, 0), len(c) + len(b) + max(s, 0)) - 1
+    r = x - (y << 8 * w * s) if s >= 0 else (x << -8 * w * s) - y
+    return (*_ztrim(_unpack(r, n, w, half), min(sa, sc)),
+            _unpack(pb * pd, len(b) + len(d) - 1, w, half))
+
+
+# struct formats by item size: slots of these widths pack and unpack in
+# one call
+_ITEMS = {struct.calcsize("<" + c): c for c in "BHIQ"}
+
+
+def _slot_bytes(bits):
+    """Bytes per slot for coefficients below 2^bits in absolute value and
+    a sign bit: the least struct item size that holds them, if one does."""
+    return min((w for w in _ITEMS if 8 * w > bits), default=bits // 8 + 1)
+
+
 def _unpack(c, n, w, half):
     # the n coefficients of c = sum a_i X^i at X = 256^w, every |a_i| < half
     raw = (c + _bias(n, w, half)).to_bytes(n * w, "little")
+    if w in _ITEMS:
+        return [v - half for v in struct.unpack("<%d%s" % (n, _ITEMS[w]), raw)]
     return [int.from_bytes(raw[i:i + w], "little") - half
             for i in range(0, n * w, w)]
 
@@ -199,7 +382,10 @@ def _bias(n, w, half):
 
 def _pack(a, w, half):
     # sum a_i X^i at X = 256^w, given every |a_i| < half = X/2
-    raw = b"".join((c + half).to_bytes(w, "little") for c in a)
+    if w in _ITEMS:
+        raw = struct.pack("<%d%s" % (len(a), _ITEMS[w]), *[c + half for c in a])
+    else:
+        raw = b"".join((c + half).to_bytes(w, "little") for c in a)
     return int.from_bytes(raw, "little") - _bias(len(a), w, half)
 
 

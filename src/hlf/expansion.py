@@ -55,19 +55,34 @@ Over Qp that is one rational: d = c mod p, c -> (c - d)/p.
 Over Qp{{t}} that loop runs on integer polynomials: y = t^a*N / t^b*Q with N
 and Q dense int lists over one scale prime to p; the stream ends once N is
 empty.  A digit is N mod p over Q mod p, unreduced, so residue() returns it
-verbatim; its lift comes from a gcd over F_p on int lists; subtracting it
-cross-multiplies Q by the lift's denominator, as Element arithmetic does, so
-the digits keep their value and their representation.  The section fixes the
+verbatim; its lift is that fraction nt/dt in lowest terms over F_p;
+subtracting it cross-multiplies Q by dt, as Element arithmetic does, so the
+digits keep their value and their representation.  The section fixes the
 digits: lifting over the fixed denominator Q instead would be another
 section, with other digits from the second on.  Under the plain section the
 reduced digits themselves grow about 1.7x per level (denominator degrees 2,
 3, 5, 8, 13, 24, 43, 76 for (1 + t)/(1 - 3*t - t^2)), and Q gathers all of
 them, so the cost of a jet follows the size of its digits, geometric in
 their count: no exact algorithm for these digits is linear in the count.
-What the loop saves is the constant: big products go through one int
-multiply each (Kronecker substitution), and the F_p gcd, quadratic in the
-digit size, dominates.  A remainder past _DIGIT_BUDGET integer
-coefficients raises PrecisionExhaustedError rather than run on.
+
+What the loop saves is the constant, and the Euclid a digit's lowest
+terms would take, quadratic in its size.  They need none: each step takes
+Q to Q*dt, dt dividing qbar = Q mod p, or leaves Q alone, and the content
+it divides out is prime to p, since Q keeps a coefficient prime to p at
+t^0.  So qbar is a unit times qbar_0*dt_0*...*dt_(k-1), qbar_0 the first,
+and every irreducible factor of every digit's denominator divides qbar_0.
+The stream keeps monic pairwise coprime f with qbar proportional to the
+product of the f^e, from qbar_0 alone at the first digit; the gcd of a
+digit's numerator nbar with qbar is the product of the f^k, f dividing
+nbar k <= e times, found by dividing by f (a two-term f by prefix sums).
+A remainder sharing a proper factor with f splits f into the coprime
+pieces of that factor and its cofactor (factor refinement, Bach, Driscoll
+and Shallit 1993), and after Q*dt each e becomes 2e - k.  The remainder
+update packs N, Q, nt and dt once and takes N*dt - nt*Q, each at its
+power of t, and Q*dt from three int multiplies (Kronecker substitution).
+A run of v zero digits, N divisible by p^v, takes one valuation and one
+division.  A remainder past _DIGIT_BUDGET integer coefficients raises
+PrecisionExhaustedError rather than run on.
 """
 
 from __future__ import annotations
@@ -76,8 +91,9 @@ from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, lcm
 
-from .coeff import (UNKNOWN, FqElem, _fp_lowest_terms, _fq_reduced, _pack,
-                    _unpack, _zadd, _zdiv, _zgcd, _zmul, _ztrim, padic_val,
+from .coeff import (UNKNOWN, FqElem, _fp_basis_lowest_terms,
+                    _fp_lowest_terms, _fp_monic, _fq_reduced, _pack, _unpack,
+                    _zadd, _zcross, _zdiv, _zgcd, _ztrim, padic_val,
                     rational_mod_p)
 from .elements import Element
 from .errors import (NotIntegralError, PrecisionExhaustedError,
@@ -334,10 +350,9 @@ def _qp_digits(x):
 
 # Most integer coefficients, numerator and denominator together, that the
 # remainder of a digit stream along p may carry into its next digit.  Under
-# the plain section they can double with every level and a digit costs
-# about their square, so a stream that passes this raises
-# PrecisionExhaustedError instead of running on without end: that of
-# (1 + t)/(1 - t - t^2) does so before its 12th digit, in about 0.4 s.
+# the plain section they can double with every level, so a stream that
+# passes this raises PrecisionExhaustedError instead of running on without
+# end: that of (1 + t)/(1 - t - t^2) does so before its 12th digit.
 # The first digit is read off the element as it is, at any size.
 _DIGIT_BUDGET = 4096
 
@@ -347,29 +362,49 @@ def _mixed_digits(x):
     p = f.prime()
     k0 = x.val_vector()[-1]
     rf = f.residue()
-    fq = rf.fq()
+    elem = rf.fq().residues.__getitem__
     N, ns, Q, qs = _mixed_ints(x, p, k0)
     level = k0
+    # pairs (h, e), qbar proportional to the product of the h^e, from the
+    # first digit on
+    basis = None
     while N:
         nbar, nbs = _ztrim([c % p for c in N], ns)
-        qbar, _ = _ztrim([c % p for c in Q[-qs:]], 0)
-        # nbar and qbar hold ints in [0, p): no second reduction
-        yield Element.make(
-            rf, {(nbs + i,): _fq_reduced(fq, (c,)) for i, c in enumerate(nbar) if c},
-            {(i,): _fq_reduced(fq, (c,)) for i, c in enumerate(qbar) if c})
-        if nbar:
+        if not nbar:
+            # v zero digits, v the least v_p in N
+            v = None
+            for c in N:
+                if c:
+                    v = padic_val(c, p, v)
+            zero = Element.zero(rf)
+            for _ in range(v):
+                yield zero
+            pv = p ** v
+            N = [c // pv for c in N]
+            level += v
+        else:
+            qbar, _ = _ztrim([c % p for c in Q[-qs:]], 0)
+            # the digit with qbar's constant term 1, as Element.make leaves it
+            inv = pow(qbar[0], -1, p)
+            yield Element.make(
+                rf, {(nbs + i,): elem(c * inv % p) for i, c in enumerate(nbar) if c},
+                {(i,): elem(c * inv % p) for i, c in enumerate(qbar) if c})
+            if basis is None:
+                basis = [(_fp_monic(qbar, p), 1)] if len(qbar) > 1 else []
             # the plain lift of the digit, as lift() builds it
-            nt, dt = _fp_lowest_terms(nbar, qbar, p)
+            nt, dt, refined = _fp_basis_lowest_terms(nbar, qbar, basis, p)
             # y - lift over the denominator Element.__sub__ picks: Q when it
-            # equals the lift's, else the product
+            # equals the lift's, else the product, which takes qbar to
+            # qbar*dt, proportional to the product of the h^(2e - k)
             u = Q[0]
-            if qs == 0 and Q == [u * c for c in dt]:
+            if qs == 0 and len(Q) == len(dt) and Q == [u * c for c in dt]:
                 N, ns = _zadd(N, ns, [-u * c for c in nt], nbs)
+                basis = [(h, e) for h, e, _ in refined]
             else:
-                N, ns = _zadd(_zmul(N, dt), ns, [-c for c in _zmul(nt, Q)], nbs + qs)
-                Q = _zmul(Q, dt)
-        N = [c // p for c in N]
-        level += 1
+                N, ns, Q = _zcross(N, ns, Q, nt, nbs + qs, dt)
+                basis = [(h, 2 * e - k) for h, e, k in refined]
+            N = [c // p for c in N]
+            level += 1
         g = gcd(*N, *Q)
         if g > 1:
             N = [c // g for c in N]

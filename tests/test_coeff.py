@@ -5,6 +5,7 @@ tests themselves (exhaustive searches and direct factoring), not from the
 implementation under test.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -12,8 +13,11 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
-from hlf.coeff import (FqField, _is_irreducible, _prime_power, padic_val,
-                       rational_mod_p, teichmuller_exact)
+from hlf.coeff import (FqField, _fp_basis_lowest_terms, _fp_coprime, _fp_gcd,
+                       _fp_lowest_terms, _fp_monic, _fp_mul, _fp_strip,
+                       _is_irreducible, _pack, _prime_power, _unpack, _zadd,
+                       _zcross, _zmul, padic_val, rational_mod_p,
+                       teichmuller_exact)
 from hlf.errors import FieldMismatchError, UnsupportedFieldError, ZeroElementError
 from hlf.fields import parse_field
 
@@ -202,3 +206,147 @@ def test_rational_mod_p():
     # 1/2 = 3 in F_5 since 2*3 = 6 = 1
     assert rational_mod_p(Fraction(1, 2), 5) == 3
     assert rational_mod_p(18, 3) == 0
+
+
+# --- lowest terms against a coprime basis of qbar -------------------------------
+
+def _fp_power(f, k, p):
+    out = [1]
+    for _ in range(k):
+        out = _fp_mul(out, f, p)
+    return out
+
+
+def _rand_fp(rng, p, deg, monic):
+    a = [rng.randrange(p) for _ in range(deg)] + [1 if monic else rng.randrange(1, p)]
+    a[0] = a[0] or rng.randrange(1, p)
+    return a
+
+
+def _q0_factors(rng, p):
+    """Monic factors, each with f(0) != 0, whose product is q0: repeated
+    ones, p-th powers and two-term ones among them."""
+    fixed = {2: [[1, 1]] * 2, 3: [[1, 1]] * 3, 5: [[1, 0, 1], [1, 0, 1]],
+             7: [[6, 0, 1], [1, 1, 1]]}
+    draw = rng.random()
+    if draw < 0.2:
+        return fixed[p]
+    fs = [_rand_fp(rng, p, rng.randint(1, 3), True) for _ in range(rng.randint(1, 3))]
+    if draw < 0.4:
+        return [fs[0]] * p + fs[1:]
+    if draw < 0.6:
+        fs.append([p - 1] + [0] * rng.randint(0, 3) + [1])
+    return fs + rng.sample(fs, rng.randint(0, len(fs)))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_basis_lowest_terms_match_the_euclid(p):
+    # qbar starts as a small q0 and is multiplied by each reduced
+    # denominator, as the digit stream along p does; every (nt, dt) must be
+    # the Euclid's, and the basis stays coprime with qbar ~ prod f^e
+    rng = random.Random("basis:%d" % p)
+    splits = full = 0
+    for _ in range(150):
+        fs = _q0_factors(rng, p)
+        q0 = [1]
+        for f in fs:
+            q0 = _fp_mul(q0, f, p)
+        s = rng.randrange(1, p)
+        qbar = [c * s % p for c in q0]
+        basis = [(_fp_monic(q0, p), 1)]
+        for _ in range(4):
+            a = _rand_fp(rng, p, rng.randint(0, 4), False)
+            for f in fs:
+                if rng.random() < 0.6:
+                    a = _fp_mul(a, _fp_power(f, rng.randint(1, 5), p), p)
+            nt, dt, refined = _fp_basis_lowest_terms(a, qbar, basis, p)
+            assert (nt, dt) == _fp_lowest_terms(a, qbar, p), (p, a, qbar, basis)
+            assert all(f[-1] == 1 and len(f) > 1 and 0 <= k <= e
+                       for f, e, k in refined)
+            assert _prod_powers([(f, e) for f, e, _ in refined], p) \
+                == _fp_monic(qbar, p)
+            for i, (f, _, _) in enumerate(refined):
+                assert all(len(_fp_gcd(f, g, p)) == 1 for g, _, _ in refined[:i])
+            splits += len(refined) > len(basis)
+            full += any(k == e for _, e, k in refined)
+            qbar = _fp_mul(qbar, dt, p)
+            basis = [(f, 2 * e - k) for f, e, k in refined]
+    assert splits > 20 and full > 50, (splits, full)
+
+
+def test_basis_lowest_terms_over_a_constant_denominator():
+    assert _fp_basis_lowest_terms([1, 2], [2], [], 3) == ([2, 1], [1], [])
+
+
+def test_strip_divides_while_it_can_and_keeps_the_common_part():
+    rng = random.Random("strip")
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7, 101))
+        d = rng.randint(1, 3)
+        f = [rng.randrange(1, p)] + [0] * (d - 1) + [1]
+        if rng.random() < 0.5:
+            f = _rand_fp(rng, p, d, True)
+        a = _rand_fp(rng, p, rng.randint(0, 8), False)
+        want = rng.randint(0, 6)
+        b = _fp_mul(a, _fp_power(f, want, p), p)
+        e = rng.randint(0, 8)
+        q, k, r = _fp_strip(b, f, e, p)
+        assert _fp_mul(q, _fp_power(f, k, p), p) == b
+        if k < e:
+            # f^(k+1) does not divide b, and r shares with f what q does
+            assert r and len(r) < len(f)
+            assert _fp_gcd(r, f, p) == _fp_gcd(q, f, p)
+            assert len(_fp_gcd(q, f, p)) < len(f)
+        else:
+            assert k == e and r == []
+
+
+def test_coprime_refinement_keeps_the_product():
+    rng = random.Random("coprime")
+    for _ in range(200):
+        p = rng.choice((2, 3, 5))
+        atoms = [_rand_fp(rng, p, rng.randint(1, 2), True) for _ in range(3)]
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            f = [1]
+            for g in rng.sample(atoms, rng.randint(1, 3)):
+                f = _fp_mul(f, g, p)
+            pairs.append((f, rng.randint(1, 3)))
+        out = _fp_coprime(pairs, p)
+        assert _prod_powers(out, p) == _prod_powers(pairs, p)
+        for i, (f, _) in enumerate(out):
+            assert f[-1] == 1 and len(f) > 1
+            assert all(len(_fp_gcd(f, g, p)) == 1 for g, _ in out[:i])
+
+
+def _prod_powers(pairs, p):
+    out = [1]
+    for f, e in pairs:
+        out = _fp_mul(out, _fp_power(f, e, p), p)
+    return out
+
+
+# --- packed products over Z --------------------------------------------------
+
+def test_pack_round_trips_at_every_slot_width():
+    rng = random.Random("pack")
+    for w in range(1, 20):
+        half = 1 << (8 * w - 1)
+        a = [rng.choice((1 - half, half - 1, 0, rng.randint(1 - half, half - 1)))
+             for _ in range(rng.randint(1, 30))]
+        assert _unpack(_pack(a, w, half), len(a), w, half) == a
+
+
+def test_cross_product_matches_the_separate_products():
+    rng = random.Random("cross")
+    for _ in range(600):
+        bits = rng.choice((2, 20, 40, 62, 70, 130))
+        big = lambda: [rng.randint(-2 ** bits, 2 ** bits) or 1
+                       for _ in range(rng.randint(1, 40))]
+        small = lambda: [rng.randrange(7) or 1 for _ in range(rng.randint(1, 40))]
+        a, b, c, d = big(), big(), small(), small()
+        sa, sc = rng.randint(-5, 5), rng.randint(-5, 5)
+        want = (*_zadd(_zmul(a, d), sa, [-x for x in _zmul(c, b)], sc), _zmul(b, d))
+        assert _zcross(a, sa, b, c, sc, d) == want
+    # a difference that cancels to zero
+    assert _zcross([1] * 20, 0, [1] * 20, [1] * 20, 0, [1] * 20)[0] == []

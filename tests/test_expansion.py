@@ -3,17 +3,20 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 
 from hlf import coeff
-from hlf.coeff import FqField
+from hlf.coeff import FqField, _fp_lowest_terms, _zadd, _zmul, _ztrim
 from hlf.elements import Element
 from hlf.errors import NotIntegralError, PrecisionExhaustedError
-from hlf.expansion import (Jet, canonical_fraction, digits, expand, lift,
+from hlf.expansion import (_DIGIT_BUDGET, Jet, _mixed_ints, canonical_fraction,
+                           digits, expand, lift,
                            residue, slice_digits)
 from hlf.fields import parse_field
-from hlf.opens import FullOpen, FullRule, LevelsOpen, deep_ball, random_open
+from hlf.opens import (FullOpen, FullRule, LevelsOpen, deep_ball, open_from_data,
+                       random_open)
 from hlf.parsing import parse_element
 from hlf.valuation import monomial_with_valuation
 
@@ -507,6 +510,165 @@ def test_the_digit_stream_along_p_has_a_budget(deadline):
         assert repr(expand(y, 4)) == "t^5000 + 3 + O(3^4)"
         assert residue(parse_element(Q3M, "1 + t^5000 + 3*t^-5000")) \
             == parse_element(Q3M.residue(), "1 + t^5000")
+
+
+# --- the digit stream along p against the Euclid it replaced --------------------
+
+def _reference_mixed_digits(x):
+    """The digit stream along p as it ran with the full F_p Euclid for each
+    digit's lowest terms, one level per zero digit and three separate
+    products for the remainder.  Kept as the reference for the digits'
+    value and representation and for the level at which the budget trips."""
+    f = x.field
+    p = f.prime()
+    rf = f.residue()
+    fq = rf.fq()
+    level = x.val_vector()[-1]
+    N, ns, Q, qs = _mixed_ints(x, p, level)
+    while N:
+        nbar, nbs = _ztrim([c % p for c in N], ns)
+        qbar, _ = _ztrim([c % p for c in Q[-qs:]], 0)
+        yield Element.make(rf, {(nbs + i,): fq(c) for i, c in enumerate(nbar) if c},
+                           {(i,): fq(c) for i, c in enumerate(qbar) if c})
+        if nbar:
+            nt, dt = _fp_lowest_terms(nbar, qbar, p)
+            u = Q[0]
+            if qs == 0 and Q == [u * c for c in dt]:
+                N, ns = _zadd(N, ns, [-u * c for c in nt], nbs)
+            else:
+                N, ns = _zadd(_zmul(N, dt), ns, [-c for c in _zmul(nt, Q)], nbs + qs)
+                Q = _zmul(Q, dt)
+        N = [c // p for c in N]
+        level += 1
+        g = gcd(*N, *Q)
+        if g > 1:
+            N = [c // g for c in N]
+            Q = [c // g for c in Q]
+        if N and len(N) + len(Q) > _DIGIT_BUDGET:
+            raise PrecisionExhaustedError(
+                "the digit at level %d along %d needs more than %d integer "
+                "coefficients" % (level, p, _DIGIT_BUDGET))
+
+
+def _rand_along_p(rng, F):
+    """num/den^j * p^v over Qp(p){{t}}: j in [1, 3], v in [-2, 2], den with a
+    p-divisible t^-1 term half the time and num with terms at t^-2..t^3.
+    One in four is a Laurent polynomial with terms p-adically apart, whose
+    digits come in runs of zeros, and one in four an integer polynomial
+    over a denominator with coefficients in [1, p), which the stream may
+    keep from one digit to the next."""
+    p = F.prime()
+    def poly(lo, hi):
+        out = Element.zero(F)
+        for k in range(lo, hi + 1):
+            c = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4, 5, 7)))
+            out = out + Element.monomial(F, c, t=k)
+        return out
+    kind = rng.random()
+    if kind < 0.25:
+        terms = [Element.monomial(F, Fraction(p) ** rng.randint(-3, 6)
+                                  * rng.randint(1, 9), t=rng.randint(-3, 3))
+                 for _ in range(rng.randint(2, 4))]
+        x = sum(terms[1:], terms[0])
+        if not x.is_zero():
+            return x
+    elif kind < 0.5:
+        num = sum((Element.monomial(F, rng.randint(-20, 20), t=k)
+                   for k in range(rng.randint(2, 7))), Element.zero(F))
+        den = sum((Element.monomial(F, rng.randint(1, p - 1), t=k)
+                   for k in range(rng.randint(2, 3))), Element.zero(F))
+        if not num.is_zero():
+            return num / den
+    while True:
+        num = poly(rng.randint(-2, 0), rng.randint(0, 3))
+        den = poly(0, rng.randint(0, 3))
+        if rng.random() < 0.5:
+            den = den + Element.monomial(F, p * rng.randint(1, 4), t=-1)
+        if not (num.is_zero() or den.is_zero()):
+            x = num / den ** rng.randint(1, 3)
+            return x * Element.from_coeff(F, Fraction(p) ** rng.randint(-2, 2))
+
+
+def _digits_or_error(stream, k):
+    out = []
+    try:
+        for d in islice(stream, k):
+            out.append(d)
+    except PrecisionExhaustedError as err:
+        out.append(str(err))
+    return out
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_mixed_digits_match_the_euclid_stream(p):
+    # every digit keeps the value and representation the Euclid gave it,
+    # zero runs and the budget included
+    F = parse_field("Qp(%d){{t}}" % p)
+    rng = random.Random("along p:%d" % p)
+    seen = Counter()
+    for _ in range(60):
+        x = _rand_along_p(rng, F)
+        got = _digits_or_error(digits(x), 9)
+        want = _digits_or_error(_reference_mixed_digits(x), 9)
+        assert len(got) == len(want), x
+        for g, w in zip(got, want):
+            assert g == w if isinstance(w, str) else _same_digit(g, w), x
+        seen["deep"] += len(got) == 9
+        seen["zero run"] += any(d.is_zero() for d in got[1:-1]
+                                if not isinstance(d, str))
+    assert seen["deep"] > 30 and seen["zero run"] > 3, seen
+
+
+# the ten-digit jets of the four shapes the benchmark's depth sweep expands
+# along p
+P_SHAPES_SHA10 = {
+    "(1 + t)/(1 - 3*t - t^2)": "db992bef2ceb3303",
+    "(2 + t)/(1 + t^2 - 3*t^3)": "b7e0983389c7fd6f",
+    "(1 - 3*t)/(1 + t^2 - 6*t^3)": "5574fd8f9123dc95",
+    "(1 + t)/(1 - t + 3*t^2)": "ad5f08d43df5fb08",
+}
+
+
+def test_depth_shapes_pinned():
+    for text, sha10 in P_SHAPES_SHA10.items():
+        ten = repr(expand(parse_element(Q3M, text), 10)).encode()
+        assert hashlib.sha256(ten).hexdigest()[:16] == sha10, text
+
+
+def _pin_digit(a):
+    """The open over Qp(3){{t}} that pins the t^0 coefficient of the digit
+    at level a to 0 and leaves every other level free."""
+    return open_from_data(Q3M, {
+        "kind": "levels", "cutoff": a + 1,
+        "window": {str(a): {"kind": "levels", "cutoff": 1,
+                            "window": {"0": {"kind": "zero"}},
+                            "below": {"rule": "full"}}},
+        "below": {"rule": "full"}})
+
+
+def test_zero_digit_runs_along_p_skip_in_one_step(deadline):
+    # 3^-a + t*3^a has 2a - 1 zero digits between its two terms; the stream
+    # reads them off one valuation and one division, not a level each
+    for a in (1, 2, 5, 13):
+        x = parse_element(Q3M, "3^(-%d) + t*3^(%d)" % (a, a))
+        got, want = list(digits(x)), list(_reference_mixed_digits(x))
+        assert len(got) == 2 * a + 1
+        assert all(_same_digit(g, w) for g, w in zip(got, want))
+    for text in ("(1 + t)/(1 - 3*t - t^2) + 3^9*t", "2 + 3^7*(1 + t)/(1 + t^2)"):
+        x = parse_element(Q3M, text)
+        got, want = _digits_or_error(digits(x), 12), _digits_or_error(
+            _reference_mixed_digits(x), 12)
+        assert len(got) == len(want) and all(map(_same_digit, got, want))
+    a = 3 * 10 ** 4
+    x = parse_element(Q3M, "3^(-%d) + t*3^(%d)" % (a, a))
+    y = parse_element(Q3M, "3^(-%d) + 3^(%d)" % (a, a))
+    with deadline(1.0):
+        got = list(digits(x))
+    assert len(got) == 2 * a + 1 and repr(got[0]) == "1" and repr(got[-1]) == "t"
+    assert not any(d for d in got[1:-1])
+    U = _pin_digit(a)
+    with deadline(1.0):
+        assert U.contains(x) and not U.contains(y)
 
 
 # --- residue maps ------------------------------------------------------------
