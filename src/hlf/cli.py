@@ -173,25 +173,33 @@ def _chart_presentation(X, inp):
 
 
 # --- task handlers ------------------------------------------------------------
+#
+# Each handler returns (report, exit code, answer line).  report() builds the
+# JSON report; only --json and job files call it, so an answer line costs no
+# report.
 
 def _task_valuation(inp):
     f = parse_field(_need(inp, "field"))
     x = parse_element(f, _need(inp, "elem"))
     r = _int_input(inp, "rank")
     v = rank_valuation(x, r)
-    rep = {"task": "valuation", "field": _need(inp, "field"),
-           "elem": inp["elem"], "valuation": list(v)}
-    if r is not None:
-        rep["rank"] = r
-    return rep, 0, repr(tuple(v))
+
+    def report():
+        rep = {"task": "valuation", "field": inp["field"],
+               "elem": inp["elem"], "valuation": list(v)}
+        if r is not None:
+            rep["rank"] = r
+        return rep
+    return report, 0, repr(tuple(v))
 
 
 def _task_member(inp):
     field, U = _load_open(_need(inp, "open"), inp.get("field"))
     x = parse_element(field, _need(inp, "elem"))
     ans = "YES" if U.contains(x) else "NO"
-    return {"task": "member", "field": repr(field), "elem": inp["elem"],
-            "open": U.to_data(), "answer": ans}, 0, ans
+    return lambda: {"task": "member", "field": repr(field),
+                    "elem": inp["elem"], "open": U.to_data(),
+                    "answer": ans}, 0, ans
 
 
 def _task_converge(inp):
@@ -208,12 +216,15 @@ def _task_converge(inp):
         v = unit_converges(fam, L, route="decomposition")
     else:
         v = converges(fam, limit=L, topology=topo)
-    rep = {"task": "converge", "field": inp["field"], "seq": inp["seq"],
-           "topology": topo}
-    if limit is not None:
-        rep["limit"] = limit
-    rep.update(v.to_data())
-    return rep, 0, _verdict_lines(v)
+
+    def report():
+        rep = {"task": "converge", "field": inp["field"], "seq": inp["seq"],
+               "topology": topo}
+        if limit is not None:
+            rep["limit"] = limit
+        rep.update(v.to_data())
+        return rep
+    return report, 0, _verdict_lines(v)
 
 
 def _task_units(inp):
@@ -225,10 +236,9 @@ def _task_units(inp):
                      "readings only")
     route = "decomposition" if topo == "parshin" else "ratio"
     v = unit_converges(fam, L, route=route)
-    rep = {"task": "units", "field": inp["field"], "seq": inp["seq"],
-           "limit": inp["limit"], "route": route}
-    rep.update(v.to_data())
-    return rep, 0, _verdict_lines(v)
+    return lambda: {"task": "units", "field": inp["field"], "seq": inp["seq"],
+                    "limit": inp["limit"], "route": route,
+                    **v.to_data()}, 0, _verdict_lines(v)
 
 
 def _verdict_lines(v):
@@ -251,8 +261,8 @@ def _task_points_member(inp):
         pres = _chart_presentation(X, inp)
         coords = _split_coords(pres.ring.field, _need(inp, "elem"))
         ans = member_points(pres, coords)
-    return {"task": "points-member", "elem": inp["elem"],
-            "answer": ans}, 0, ans
+    return lambda: {"task": "points-member", "elem": inp["elem"],
+                    "answer": ans}, 0, ans
 
 
 def _scalar_coords(Y, text):
@@ -274,10 +284,11 @@ def _task_points_map(inp):
     coords = _split_coords(X.ring.field, _need(inp, "elem"))
     res = X.transfer(Point(coords, chart=i), j)
     if res == OUT_OF_CHART:
-        return {"task": "points-map", "result": OUT_OF_CHART}, 0, OUT_OF_CHART
-    human = "(%s)@%d" % (", ".join(str(c) for c in res.coords), j)
-    return {"task": "points-map", "chart": j,
-            "coords": [str(c) for c in res.coords]}, 0, human
+        return lambda: {"task": "points-map", "result": OUT_OF_CHART}, 0, \
+            OUT_OF_CHART
+    coords = [str(c) for c in res.coords]
+    return lambda: {"task": "points-map", "chart": j, "coords": coords}, 0, \
+        "(%s)@%d" % (", ".join(coords), j)
 
 
 def _task_points_converge(inp):
@@ -288,13 +299,11 @@ def _task_points_converge(inp):
                  for part in _need(inp, "seq").split(","))
     coords = _split_coords(f, _need(inp, "limit"))
     v = point_seq_converges(pres, PointSeqFamily(fams, Point(coords)))
-    rep = {"task": "points-converge", "seq": inp["seq"],
-           "limit": inp["limit"]}
-    rep.update(v.to_data())
     human = v.kind
     if v.kind == DIVERGES and v.against is not None:
         human += " (coordinate %d)" % v.against
-    return rep, 0, human
+    return lambda: {"task": "points-converge", "seq": inp["seq"],
+                    "limit": inp["limit"], **v.to_data()}, 0, human
 
 
 def _task_weil(inp):
@@ -312,7 +321,7 @@ def _task_weil(inp):
         lines.append("encoded: (%s)" % ", ".join(rep["encoded"]))
         lines.append("member: %s / %s" % (rep["member_source"],
                                           rep["member_restricted"]))
-    return rep, 0, "\n".join(lines)
+    return lambda: rep, 0, "\n".join(lines)
 
 
 def _task_witness_subgroup(inp):
@@ -322,14 +331,7 @@ def _task_witness_subgroup(inp):
             raise ParseError("witness-subgroup takes one open")
         spec = spec[0]
     field, U = _load_open(spec, inp.get("field"))
-    w = subgroup_escape_witness(U)
-    if w is None:
-        return {"task": "witness-subgroup", "witness": None}, 1, "NONE"
-    ok = w.checked()
-    rep = {"task": "witness-subgroup", "witness": w.to_data(), "checked": ok}
-    human = "%s\n%s" % ("checked" if ok else "FAILED",
-                        ", ".join(str(e) for e in w.elems))
-    return rep, 0 if ok else 1, human
+    return _witness_answer("witness-subgroup", subgroup_escape_witness(U))
 
 
 def _task_witness_product(inp):
@@ -342,14 +344,17 @@ def _task_witness_product(inp):
     if fields[1] != fields[0] or fields[2] != fields[0]:
         raise ParseError("the three opens live over different fields")
     V1, V2, W = (U for _, U in loaded)
-    w = product_escape_witness(V1, V2, W)
+    return _witness_answer("witness-product", product_escape_witness(V1, V2, W))
+
+
+def _witness_answer(task, w):
     if w is None:
-        return {"task": "witness-product", "witness": None}, 1, "NONE"
+        return lambda: {"task": task, "witness": None}, 1, "NONE"
     ok = w.checked()
-    rep = {"task": "witness-product", "witness": w.to_data(), "checked": ok}
     human = "%s\n%s" % ("checked" if ok else "FAILED",
                         ", ".join(str(e) for e in w.elems))
-    return rep, 0 if ok else 1, human
+    return lambda: {"task": task, "witness": w.to_data(), "checked": ok}, \
+        0 if ok else 1, human
 
 
 _HANDLERS = {"valuation": _task_valuation, "member": _task_member,
@@ -364,17 +369,17 @@ _HANDLERS = {"valuation": _task_valuation, "member": _task_member,
 
 # --- commands -----------------------------------------------------------------
 
-def _emit(args, rep, human):
+def _emit(args, report, human):
     if getattr(args, "json", False):
-        print(json.dumps(rep, indent=2, sort_keys=True))
+        print(json.dumps(report(), indent=2, sort_keys=True))
     else:
         print(human)
 
 
 def _cmd_single(kind):
     def run(args):
-        rep, code, human = _HANDLERS[kind](vars(args))
-        _emit(args, rep, human)
+        report, code, human = _HANDLERS[kind](vars(args))
+        _emit(args, report, human)
         return code
     return run
 
@@ -430,7 +435,8 @@ def _cmd_run(args):
             raise ParseError("task %r has unknown kind %r" % (t["id"], kind))
         try:
             _check_text(t)
-            rep, code, human = _HANDLERS[kind](t)
+            report, code, human = _HANDLERS[kind](t)
+            rep = report()
         except HlfError as err:
             entries.append({"id": t["id"], "kind": kind, "error": str(err)})
             worst = 2

@@ -453,9 +453,10 @@ class PointVerdict:
     coordinate defeats the whole family inside the product open that is
     full everywhere else, so the witness index is recorded."""
 
-    def __init__(self, kind, parts, against=None):
+    def __init__(self, kind, parts, against=None, rest=None):
         self.kind = kind
-        self.parts = parts
+        self._parts = parts
+        self._rest = rest
         self.against = against
 
     @classmethod
@@ -466,6 +467,29 @@ class PointVerdict:
         if DIVERGES in kinds:
             return cls(DIVERGES, parts, kinds.index(DIVERGES))
         return cls(UNKNOWN if UNKNOWN in kinds else CONVERGES, parts)
+
+    @classmethod
+    def decide(cls, pairs):
+        """conjoin of converges(fam, limit=lim) over the (fam, lim) pairs,
+        decided in order up to the first DIVERGES, which fixes kind and
+        against; the pairs after it are decided when parts is first read."""
+        pairs = iter(pairs)
+        parts = []
+        for fam, lim in pairs:
+            parts.append(converges(fam, limit=lim))
+            if parts[-1].kind == DIVERGES:
+                return cls(DIVERGES, parts, len(parts) - 1, pairs)
+        return cls.conjoin(parts)
+
+    @property
+    def parts(self):
+        if self._rest is not None:
+            # kept as a tuple first, so a read that raises raises again
+            self._rest = tuple(self._rest)
+            self._parts += [converges(fam, limit=lim)
+                            for fam, lim in self._rest]
+            self._rest = None
+        return self._parts
 
     def to_data(self):
         d = {"verdict": self.kind,
@@ -482,7 +506,7 @@ class PointVerdict:
 
 def point_seq_converges(X, f):
     """Convergence of a coordinate family toward its limit point, decided
-    coordinate by coordinate."""
+    coordinate by coordinate up to the first diverging one."""
     if len(f.families) != X.arity:
         raise ArityMismatchError("expected %d coordinate families, got %d"
                                  % (X.arity, len(f.families)))
@@ -495,8 +519,7 @@ def point_seq_converges(X, f):
         if not val.is_zero():
             raise TargetViolationError(
                 "family leaves the scheme: %s does not vanish" % g.text())
-    return PointVerdict.conjoin([converges(fam, limit=lim) for fam, lim
-                                 in zip(f.families, f.limit.coords)])
+    return PointVerdict.decide(zip(f.families, f.limit.coords))
 
 
 def product_presentation(X, Y):

@@ -9,7 +9,6 @@ tests twist by theta before comparing to make that agreement exercise
 the module structure instead of restating the encoding.
 """
 
-from .convergence import converges
 from .elements import Element
 from .errors import (ArityMismatchError, NotFreeError, UnsupportedScalarError,
                      need_list_of_str, need_str, require)
@@ -240,14 +239,15 @@ def _twist(ext, comps, lift):
 def sext_converges(fams):
     """Conjunction over every theta twist of the componentwise verdicts;
     twisting is a continuous automorphism-free shear, so this agrees with
-    the plain product reading while exercising the module structure."""
-    parts = []
-    for f in fams:
-        ext = f.ext
-        comps, limit = list(f.comps), list(f.limit)
-        for _ in range(ext.deg):
-            for c, l in zip(comps, limit):
-                parts.append(converges(c, limit=l))
-            comps = _twist(ext, comps, SeqFamily.of_element)
-            limit = _twist(ext, limit, lambda e: e)
-    return PointVerdict.conjoin(parts)
+    the plain product reading while exercising the module structure.  The
+    parts are decided up to the first diverging one, as in
+    point_seq_converges."""
+    def pairs():
+        for f in fams:
+            ext = f.ext
+            comps, limit = list(f.comps), list(f.limit)
+            for _ in range(ext.deg):
+                yield from zip(comps, limit)
+                comps = _twist(ext, comps, SeqFamily.of_element)
+                limit = _twist(ext, limit, lambda e: e)
+    return PointVerdict.decide(pairs())

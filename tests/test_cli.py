@@ -310,6 +310,9 @@ P1_DATA = {
                  {"from": 1, "to": 0, "unit": "Y", "map": ["(1)/(Y)"]}]}
 HYP_DATA = {"ring": "Fq(5)((u))((t))", "vars": ["X", "Y"],
             "gens": ["X*Y - 1"]}
+HYP3_DATA = dict(HYP_DATA, ring="Qp(3){{t}}")
+#: a point family on XY = 1 whose coordinate 0 already diverges
+EARLY_SEQ = "1 + 2*3^(-n+2)*t^(2*n+1),(1)/(1 + 2*3^(-n+2)*t^(2*n+1))"
 SEXT_DATA = {"ring": "Fq(5)((u))((t))", "theta": "theta",
              "modulus": "theta^2 - u", "vars": ["Y"], "gens": ["Y^2 - theta"]}
 
@@ -608,7 +611,8 @@ def test_an_unknown_suite_is_a_usage_error(capsys):
 # --- one parser per process ---------------------------------------------------
 
 def query_argvs(tmp_path):
-    """One argv for each of the ten query subcommands."""
+    """One argv for each of the ten query subcommands, and one more
+    points-converge whose coordinate 0 diverges."""
     def put(name, data):
         p = tmp_path / name
         p.write_text(json.dumps(data))
@@ -618,6 +622,7 @@ def query_argvs(tmp_path):
     hyp = put("hyp.json", HYP_DATA)
     p1 = put("p1.json", P1_DATA)
     sext = put("sext.json", SEXT_DATA)
+    hyp3 = put("hyp3.json", HYP3_DATA)
     f = "Fq(5)((u))((t))"
     return {
         "valuation": ["val", "--field", "Qp(3){{t}}", "--elem",
@@ -634,6 +639,8 @@ def query_argvs(tmp_path):
         "points-converge": ["points-converge", "--scheme", hyp,
                             "--seq", "1 + t^(n),(1)/(1 + t^(n))",
                             "--limit", "1,1"],
+        "points-converge-early": ["points-converge", "--scheme", hyp3,
+                                  "--seq", EARLY_SEQ, "--limit", "1,1"],
         "weil": ["weil", "--scheme", sext, "--elem", "u,1"],
         "witness-subgroup": ["witness-subgroup", "--open", ball[2]],
         "witness-product": ["witness-product", "--open", ball[0],
@@ -902,3 +909,115 @@ def test_more_files_than_the_bound_still_answer(tmp_path, capsys):
                         "--elem", "u, %d*u^-1" % j]
                 assert in_process(capsys, argv) == (0, answer + "\n")
         assert cli._built.cache_info().currsize <= cli._BUILT_MAX
+
+
+# --- a query computes only what it prints -------------------------------------
+
+#: sha256 of the --json stdout of the points-converge-early query, and of
+#: `hlf run` on early_job(), both taken before human mode stopped at the
+#: first diverging coordinate
+EARLY_JSON_SHA256 = \
+    "c648008a2b28b9351922830c33a04f9ee54e67efa1f592210cc284bb0b1286a6"
+EARLY_JOB_SHA256 = \
+    "073c2c8d38ed7e008a5905f594666ee13018627db69e16a4046b7c11426ddbb1"
+
+
+def early_job(tmp_path):
+    job = tmp_path / "early-job.json"
+    job.write_text(json.dumps({"tasks": [
+        {"id": "early", "kind": "points-converge",
+         "scheme": str(tmp_path / "hyp3.json"), "seq": EARLY_SEQ,
+         "limit": "1,1", "expect": "DIVERGES (coordinate 0)"}]}))
+    return str(job)
+
+
+def test_an_early_divergence_reports_every_coordinate(tmp_path, capsys):
+    argv = query_argvs(tmp_path)["points-converge-early"]
+    assert in_process(capsys, argv) == fresh(*argv) \
+        == (0, "DIVERGES (coordinate 0)\n")
+    code, out = in_process(capsys, argv + ["--json"])
+    assert (code, out) == fresh(*argv, "--json")
+    assert hashlib.sha256(out.encode()).hexdigest() == EARLY_JSON_SHA256
+    rep = json.loads(out)
+    assert rep["against"] == 0
+    assert [c["verdict"] for c in rep["coordinates"]] == ["DIVERGES"] * 2
+    job = early_job(tmp_path)
+    code, out = in_process(capsys, ["run", job])
+    assert (code, out) == fresh("run", job)
+    assert hashlib.sha256(out.encode()).hexdigest() == EARLY_JOB_SHA256
+
+
+def _count_decisions(monkeypatch):
+    from hlf import points
+    calls = []
+    real = points.converges
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+    monkeypatch.setattr(points, "converges", counted)
+    return calls
+
+
+def test_human_mode_stops_at_the_first_diverging_coordinate(
+        tmp_path, capsys, monkeypatch):
+    argv = query_argvs(tmp_path)["points-converge-early"]
+    calls = _count_decisions(monkeypatch)
+    for extra, want in (([], 1), (["--json"], 2)):
+        calls.clear()
+        assert in_process(capsys, argv + extra)[0] == 0
+        assert len(calls) == want
+    calls.clear()
+    assert in_process(capsys, ["run", early_job(tmp_path)])[0] == 0
+    assert len(calls) == 2
+
+
+def test_an_error_in_a_later_coordinate_shows_only_in_the_report(
+        tmp_path, capsys, monkeypatch):
+    # no input is known whose coordinate 1 raises once coordinate 0
+    # diverges, so the second decision is made to raise
+    from hlf import points
+    from hlf.errors import UnsupportedFamilyError
+    argv = query_argvs(tmp_path)["points-converge-early"]
+    calls = _count_decisions(monkeypatch)
+    counted = points.converges
+
+    def second_raises(*args, **kw):
+        if len(calls) == 1:
+            raise UnsupportedFamilyError("coordinate 1 refused")
+        return counted(*args, **kw)
+    monkeypatch.setattr(points, "converges", second_raises)
+    for extra, want in (([], (0, "DIVERGES (coordinate 0)\n", "")),
+                        (["--json"], (2, "", "error: coordinate 1 refused\n"))):
+        calls.clear()
+        assert main(argv + extra) == want[0]
+        assert tuple(capsys.readouterr()) == want[1:]
+    calls.clear()
+    assert main(["run", early_job(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().out)["tasks"] == [
+        {"id": "early", "kind": "points-converge",
+         "error": "coordinate 1 refused"}]
+
+
+def test_human_mode_builds_no_report(tmp_path, capsys, monkeypatch):
+    import inspect
+    from hlf import convergence, opens, points
+    argvs = query_argvs(tmp_path)  # writing the open files calls to_data
+    made = []
+
+    def counted(name, real):
+        def to_data(self):
+            made.append(name)
+            return real(self)
+        return to_data
+    for mod in (convergence, opens, points):
+        for name, cls in inspect.getmembers(mod, inspect.isclass):
+            if "to_data" in vars(cls):
+                monkeypatch.setattr(cls, "to_data",
+                                    counted(name, vars(cls)["to_data"]))
+    for kind in ("member", "converge", "witness-subgroup"):
+        assert in_process(capsys, argvs[kind])[0] == 0
+        assert made == [], kind
+        assert in_process(capsys, argvs[kind] + ["--json"])[0] == 0
+        assert made, kind
+        made.clear()

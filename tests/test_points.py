@@ -15,7 +15,8 @@ from hlf.fields import parse_field
 from hlf.opens import deep_ball, residue_image
 from hlf.parsing import parse_element
 from hlf.points import (OUT_OF_CHART, YES, NO, AffinePresentation, BaseRing,
-                        ChartedScheme, Point, PointSeqFamily, Poly,
+                        ChartedScheme, Point, PointSeqFamily, PointVerdict,
+                        Poly,
                         RingMorphism, base_change_point,
                         base_change_presentation, in_principal_open,
                         member_points, parse_base_ring, parse_poly,
@@ -219,6 +220,74 @@ def test_family_verdict_is_the_componentwise_conjunction():
     v = point_seq_converges(A2, mixed)
     assert v.kind == DIVERGES and v.against == 1
     assert v.parts[0].kind == CONVERGES
+
+
+def counted_decisions(monkeypatch):
+    """Every converges call of hlf.points, recorded by family."""
+    from hlf import points
+    calls = []
+    real = points.converges
+
+    def counted(family, **kw):
+        calls.append(family)
+        return real(family, **kw)
+    monkeypatch.setattr(points, "converges", counted)
+    return calls
+
+
+def test_family_verdict_stops_at_the_first_divergence(monkeypatch):
+    A3 = AffinePresentation(R, ("X", "Y", "Z"), [])
+    fams = (fam("t^(n)"), fam("u^(-n)*t^2"), fam("t^(-n)"))
+    zero = e("0")
+    want = PointVerdict.conjoin([converges(f, limit=zero) for f in fams])
+    calls = counted_decisions(monkeypatch)
+    v = point_seq_converges(A3, PointSeqFamily(fams, Point((zero,) * 3)))
+    assert (v.kind, v.against) == (want.kind, want.against) == (DIVERGES, 1)
+    assert calls == list(fams[:2])
+    # the rest is decided when the parts are first read, and only then
+    assert v.to_data() == want.to_data()
+    assert [p.kind for p in v.parts] == [CONVERGES, DIVERGES, DIVERGES]
+    assert calls == list(fams)
+
+
+def test_a_part_that_raises_raises_on_every_read(monkeypatch):
+    A3 = AffinePresentation(R, ("X", "Y", "Z"), [])
+    fams = (fam("u^(-n)*t^2"), fam("t^(n)"), fam("t^(-n)"))
+    zero = e("0")
+    v = point_seq_converges(A3, PointSeqFamily(fams, Point((zero,) * 3)))
+    calls = counted_decisions(monkeypatch)
+    from hlf import points
+    counted = points.converges
+
+    def refuse_last(family, **kw):
+        if family is fams[2]:
+            raise TargetViolationError("refused")
+        return counted(family, **kw)
+    monkeypatch.setattr(points, "converges", refuse_last)
+    for _ in range(2):
+        with pytest.raises(TargetViolationError):
+            v.parts
+    monkeypatch.setattr(points, "converges", counted)
+    assert [p.kind for p in v.parts] == [DIVERGES, CONVERGES, DIVERGES]
+    assert calls == [fams[1]] * 3 + [fams[2]]
+
+
+def test_family_verdict_matches_the_full_conjunction():
+    FQ = parse_field("Qp(3){{t}}")
+    A3 = AffinePresentation(BaseRing(FQ, 0), ("X", "Y", "Z"), [])
+    zero = parse_element(FQ, "0")
+    pool = [parse_family(FQ, text) for text in
+            ("t^(n)", "3^(n)", "(t^(n))/(2 + t)", "3^(-n)*t^(n)", "t^(-n)")]
+    verdicts = {f: converges(f, limit=zero) for f in pool}
+    assert [verdicts[f].kind for f in pool] == [CONVERGES, CONVERGES, UNKNOWN,
+                                             DIVERGES, DIVERGES]
+    rng = random.Random(26)
+    for _ in range(40):
+        fams = tuple(rng.choice(pool) for _ in range(3))
+        want = PointVerdict.conjoin([verdicts[f] for f in fams])
+        v = point_seq_converges(A3, PointSeqFamily(fams, Point((zero,) * 3)))
+        assert (v.kind, v.against) == (want.kind, want.against)
+        assert v.to_data() == want.to_data()
 
 
 def test_family_verdict_propagates_unknown():

@@ -133,6 +133,26 @@ def test_verdicts_agree_under_encode():
         assert vS.kind == kind and vR.kind == kind
 
 
+def test_scalar_families_stop_at_the_first_diverging_part(monkeypatch):
+    from hlf import points
+    S, _ = sqrt_theta()
+    zero = e("0")
+    comps = (fam("u^(-n)*t^2"), fam("t^(n)"))
+    calls = []
+    real = points.converges
+
+    def counted(family, **kw):
+        calls.append(family)
+        return real(family, **kw)
+    monkeypatch.setattr(points, "converges", counted)
+    v = sext_converges([SExtFamily(S, comps, (zero, zero))])
+    assert (v.kind, v.against, calls) == (DIVERGES, 0, [comps[0]])
+    # the twisted pair (u*t^(n), u^(-n)*t^2) follows the plain one
+    assert [p.kind for p in v.parts] == [DIVERGES, CONVERGES,
+                                         CONVERGES, DIVERGES]
+    assert len(calls) == 4
+
+
 def test_degenerate_moduli_are_refused():
     O2 = BaseRing(F, 2)
     with pytest.raises(NotFreeError):
