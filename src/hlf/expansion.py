@@ -28,19 +28,36 @@ Element arithmetic would cross-multiply the denominators at each
 subtraction, doubling their degree every few digits; over N^e they grow
 linearly.
 
-The recursion runs on cheap data.  Lower exponents are packed into one
-int key, in slots with 64 bits of headroom that no digit before the
-2^64-th overflows (_exponent_keys), so a monomial shift is one int
-addition.  Over Q, Qp and Qp{{u}} the coefficients are ints: P and Q are
-scaled by the lcm of their coefficient denominators, and a digit's
-coefficients are Fraction(a, d) with d the least coefficient of N^e; over
-a prime field they are ints mod p, and a digit takes the FqElem of each
-residue from the field's one residue table (FqField.residues), shared by
-every stream over that field: FqElems are immutable.  The table fills as
-residues turn up, since p may be large.  A digit adds all its products
-into one accumulator, reduced mod p once, and the table Q_j N^(j-1) is
-built only when a second digit is asked for, so residue() pays for one
-digit.
+The recursion runs on ints wherever the residue field allows; the
+element's shape picks the route.  With no lower parameter (Qp((t)),
+Q((t)), Fq((t)): _scalar_digits) each slice is one coefficient: an int
+mod p over a prime field, an FqElem, or over Q and Qp n/L^kappa with L
+the lcm of the coefficient denominators and kappa 1 only for a
+non-integer.  There a digit is Fraction(A_i, L^k_i), k_i the largest
+k_(i-j) + kappa_j over its terms, at most e: a level takes a factor L
+only through a Q_j that is not an integer, so where that is Q_2 alone
+A_i has half the bits it would have over N^e = L^e, and so has the one
+gcd that a canonical Fraction costs.
+With one lower parameter u over a prime field (_packed_digits) each slice
+is one int, its coefficients in [0, p) in slots of w bytes from a least
+exponent that moves by a fixed r per level, so the slots of every product
+line up without a shift (Kronecker substitution, as in coeff._zmul).  w
+comes from the bound on a product's slots, so a digit is one int product
+per Q_j, a sum and one reduction mod p per slot (one bytes.translate with
+one-byte slots), its dict built once from the nonzero slots; N^e is
+packed the same way.  Everything else keeps a dict per slice
+(_dict_digits): two or more lower parameters, F_q with q not prime or Q
+and Qp coefficients under a lower parameter, and u-exponents spanning
+_PACKED_SPAN or more slots per term (u^(10^30), say), where a packed int
+would be mostly empty.  There the lower exponents are packed into one int
+key, in slots with 64 bits of headroom that no digit before the 2^64-th
+overflows (_exponent_keys), so a monomial shift is one int addition, and
+a digit adds all its products into one accumulator, reduced mod p once.
+A residue's FqElem comes from the field's one residue table
+(FqField.residues), shared by every stream over that field, filled as
+residues turn up.  The first digit is read off P's first slice before any
+table is built, so residue() pays for one digit, and every route gives a
+digit the entries, coefficient types and repr of the others.
 Where Q_0 is one monomial (always over Qp((t)), Q((t)) and Fq((t))) N^e is
 a constant and each digit is a Laurent polynomial, which has one
 representation; otherwise Element.make finds the least monomial of N^e
@@ -88,13 +105,13 @@ PrecisionExhaustedError rather than run on.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from math import gcd, lcm
 
-from .coeff import (UNKNOWN, FqElem, _fp_basis_lowest_terms,
-                    _fp_lowest_terms, _fp_monic, _fq_reduced, _pack, _unpack,
-                    _zadd, _zcross, _zdiv, _zgcd, _ztrim, padic_val,
-                    rational_mod_p)
+from .coeff import (_PACKED_SPAN, UNKNOWN, FqElem, _fp_basis_lowest_terms,
+                    _fp_lowest_terms, _fp_monic, _fq_reduced, _pack,
+                    _slot_bytes, _unpack, _zadd, _zcross, _zdiv, _zgcd,
+                    _ztrim, padic_val, rational_mod_p)
 from .elements import Element
 from .errors import (NotIntegralError, PrecisionExhaustedError,
                      UnsupportedFieldError)
@@ -218,24 +235,176 @@ def expand(x, terms):
 def _series_digits(x):
     # X_i = A_i / N^e with e = i - i0 + 1 and N = Q_0, so that
     # A_i = P_i N^(e-1) - sum_{j>=1} Q_j N^(j-1) A_{i-j}; past P's top
-    # slice, max(Q) zero digits in a row end the stream
+    # slice, max(Q) zero digits in a row end the stream.  The shape picks
+    # the route: a scalar per slice, one packed int per slice, or dicts
     base = x.field.residue()
     fq = base.fq()
-    p = None
+    nlow = len(base.series_params())
+    if nlow == 1 and fq is not None and fq.deg == 1 and _packs(x):
+        return _packed_digits(x, base, fq)
+    p, scale = None, 1
     if fq is None:
         # Q, Qp or Qp{{u}} coefficients: P and Q times one integer
         scale = lcm(*(c.denominator for lp in (x.num, x.den) for c in lp.values()))
         conv = lambda c: c.numerator * (scale // c.denominator)
-        coeffs = lambda cs, d: map(Fraction, cs, repeat(d))
+        coeff = Fraction
     elif fq.deg == 1:
         # ints mod p, read back through the field's residue table
         p = fq.p
         conv = FqElem.as_int
         elem = fq.residues.__getitem__
-        coeffs = lambda cs, d: map(elem, cs)
+        coeff = lambda c, d: elem(c)
     else:
         conv = lambda c: c
-        coeffs = lambda cs, d: cs
+        coeff = lambda c, d: c
+    if nlow == 0:
+        return _scalar_digits(x, base, conv, coeff, p, scale)
+    return _dict_digits(x, base, conv, coeff, p)
+
+
+def _packs(x):
+    """Whether x over F_p((u))((t)) packs its t-slices into ints: the
+    u-exponents of its terms span fewer than _PACKED_SPAN slots per term."""
+    us = [k[0] for lp in (x.num, x.den) for k in lp]
+    return max(us) - min(us) < _PACKED_SPAN * len(us)
+
+
+def _scalar_digits(x, base, conv, coeff, p, L):
+    # no lower parameter: each slice one coefficient n/L^kappa, kappa 1
+    # where it is not an integer (L = 1 over F_q).  X_i = A_i/L^k_i, k_i
+    # the largest kappa_j + k_(i-j) over the terms of the digit (kappa for
+    # P_i), so A_i is an integer and L^k_i, which the dict kernel keeps at
+    # N^e = L^e, grows only as fast as the digits' denominators must
+    make = Element.make
+
+    def split(c):
+        n = conv(c)
+        if L == 1:
+            return n, 0, 1
+        return (n, 1, L) if n % L else (n // L, 0, 1)
+    P = {k[-1]: split(c) for k, c in x.num.items()}
+    Q = {k[-1]: split(c) for k, c in x.den.items()}
+    width = max(Q)
+    del Q[0]
+    i, top = min(P), max(P)
+    A = {i: P[i]}
+    yield make(base, {(): coeff(P[i][0], P[i][2])})
+    QN = {j: (-n, kq) for j, (n, kq, _) in Q.items()}
+    i, run = i + 1, 0
+    while i <= top or run < width:
+        # (a, k, L^k) summed term by term at the largest k so far
+        a = None
+        if i in P:
+            a, k, Lk = P[i]
+        for j, (q, kq) in QN.items():
+            b = A.get(i - j)
+            if b:
+                c, kc = q * b[0], b[1] + kq
+                if a is None or kc > k:
+                    if a is not None:
+                        c += a * L ** (kc - k)
+                    a, k, Lk = c, kc, b[2] * L if kq else b[2]
+                elif kc == k:
+                    a += c
+                else:
+                    a += c * L ** (k - kc)
+        if p is not None and a is not None:
+            a %= p
+        A[i] = (a, k, Lk) if a else None
+        A.pop(i - width, None)
+        yield make(base, {(): coeff(a, Lk)} if a else {})
+        run = run + 1 if not a else 0
+        i += 1
+
+
+def _packed_digits(x, base, fq):
+    # F_p((u))((t)): each t-slice one int, its coefficients in [0, p) in
+    # slots of w bytes from u^off_i on, off_i = off + (i - i0)*r, so that
+    # the slots of every product line up without a shift; a digit is one
+    # product per Q_j, a sum and one reduction per slot
+    p = fq.p
+    elem = fq.residues.__getitem__
+    P = _t_slices(x.num, _first, FqElem.as_int)
+    Q = _t_slices(x.den, _first, FqElem.as_int)
+    width = max(Q)
+    N = Q.pop(0)
+    i, top = min(P), max(P)
+    ND = None if len(N) == 1 else {(k,): elem(c) for k, c in N.items()}
+    yield Element.make(base, {(k,): elem(c) for k, c in P[i].items()}, ND)
+    # N's least exponent is 0, so Q_j N^(j-1) starts at u^(j*r) or later and
+    # by induction A_i at u^off_i or later
+    r = min((min(q) // j for j, q in Q.items()), default=0)
+    off = min(min(s) - (k - i) * r for k, s in P.items())
+    # a slot of c*d adds at most as many products below p^2 as the shorter
+    # has terms; a digit adds those of P_i*N^(e-1) and of each
+    # Q_j N^(j-1) A_{i-j}, and N^e those of N^(e-1)*N
+    span = lambda s: max(s) - min(s) + 1
+    terms = max(map(len, P.values())) + len(N) + sum(
+        span(q) + (j - 1) * (span(N) - 1) for j, q in Q.items())
+    w = _slot_bytes((terms * (p - 1) ** 2).bit_length())
+    if w == 1:
+        table = (bytes(range(p)) * (256 // p + 1))[:256]
+        slots = lambda c: c.to_bytes((c.bit_length() + 7) // 8, "little").translate(table)
+        join = lambda s: int.from_bytes(s, "little")
+    else:
+        slots = lambda c: [v % p for v in _unpack(c, -(-c.bit_length() // (8 * w)), w, 0)]
+        join = lambda s: _pack(s, w, 0)
+
+    def packed(cs, lo):
+        s = [0] * (max(cs) - lo + 1)
+        for k, c in cs.items():
+            s[k - lo] = c
+        return join(s)
+
+    keys, k0 = [], 0
+
+    def lp(lo, s):
+        # the nonzero slots as a dict, their exponent tuples cut from keys,
+        # which covers u^k0 on and triples its range when a digit leaves it
+        nonlocal keys, k0
+        a, b = min(lo, k0), max(lo + len(s), k0 + len(keys))
+        if (a, b) != (k0, k0 + len(keys)):
+            keys, k0 = list(zip(range(2 * a - b, 2 * b - a))), 2 * a - b
+        cut = keys[lo - k0:lo - k0 + len(s)]
+        return dict(zip(compress(cut, s), map(elem, compress(s, s))))
+
+    P = {k: packed(s, off + (k - i) * r) for k, s in P.items()}
+    A = {i: P[i]}
+    # -Q_j N^(j-1), slot by slot
+    Np, Nj, QN = packed(N, 0), 1, {}
+    for j in range(1, width + 1):
+        if j in Q:
+            QN[j] = join([p - v if v else 0 for v in slots(packed(Q[j], j * r) * Nj)])
+        if j < width:
+            Nj = join(slots(Nj * Np))
+    i, D, run = i + 1, Np, 0
+    while i <= top or run < width:
+        off += r
+        acc = P[i] * D if i in P else 0
+        for j, q in QN.items():
+            b = A.get(i - j)
+            if b:
+                acc += q * b
+        s = slots(acc)
+        A[i] = a = join(s)
+        A.pop(i - width, None)
+        num = lp(off, s) if a else {}
+        if ND is None:
+            yield Element.make(base, num)
+        else:
+            D = join(d := slots(D * Np))
+            yield Element.make(base, num, lp(0, d) if num else None)
+        run = run + 1 if not a else 0
+        i += 1
+
+
+def _first(k):
+    return k[0]
+
+
+def _dict_digits(x, base, conv, coeff, p):
+    # lower exponents packed into int keys (_exponent_keys), each slice a
+    # dict of them
     pack, tuples = _exponent_keys(len(base.series_params()), (x.num, x.den))
     P, Q = _t_slices(x.num, pack, conv), _t_slices(x.den, pack, conv)
 
@@ -243,10 +412,10 @@ def _series_digits(x):
         # D = N^e; its least monomial sits at key 0, and dividing by its
         # coefficient d (1 over F_q) leaves Element.make nothing to normalize
         d = D[0]
-        num = dict(zip(tuples(a), coeffs(a.values(), d)))
+        num = dict(zip(tuples(a), map(coeff, a.values(), repeat(d))))
         if len(D) == 1:
             return Element.make(base, num)
-        return Element.make(base, num, dict(zip(tuples(D), coeffs(D.values(), d))))
+        return Element.make(base, num, dict(zip(tuples(D), map(coeff, D.values(), repeat(d)))))
 
     width = max(Q)
     N = Q.pop(0)
@@ -278,18 +447,16 @@ def _series_digits(x):
 
 
 def _exponent_keys(nlow, lps):
-    """(pack, tuples) for P and Q in lps, with nlow lower variables: pack
-    maps an exponent tuple to one int key for its lower exponents
+    """(pack, tuples) for P and Q in lps, with nlow >= 1 lower variables:
+    pack maps an exponent tuple to one int key for its lower exponents
     (Kronecker substitution), tuples maps keys back to exponent tuples.
-    The key is 0 with no lower variable and the exponent with one.  With
-    more, each exponent gets a slot of the bit length of the largest
-    |lower exponent| M in P and Q, plus 64 bits of headroom and a sign bit;
-    the exponents of A_i and N^e stay within e*M, so no slot overflows
-    before the 2^64-th digit."""
-    if nlow == 0:
-        return (lambda k: 0), (lambda keys: repeat(()))
+    The key is the exponent with one lower variable.  With more, each
+    exponent gets a slot of the bit length of the largest |lower exponent|
+    M in P and Q, plus 64 bits of headroom and a sign bit; the exponents of
+    A_i and N^e stay within e*M, so no slot overflows before the 2^64-th
+    digit."""
     if nlow == 1:
-        return (lambda k: k[0]), zip
+        return _first, zip
     bound = max(abs(e) for lp in lps for k in lp for e in k[:-1])
     w = bound.bit_length() + 65
     shifts = range(0, nlow * w, w)

@@ -193,6 +193,39 @@ def test_padic_val_additive_on_products(x, y):
     assert padic_val(x * y, 3) == padic_val(x, 3) + padic_val(y, 3)
 
 
+def _val_one_p_at_a_time(n, p, cap):
+    v = 0
+    while v < cap and n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_padic_val_matches_a_count_one_p_at_a_time(p):
+    # small and large powers of p, times cofactors of 1 to 400 bits (a
+    # large power with a small cofactor takes the one-division shortcut,
+    # with a large one it falls back to the climb), under caps that bind,
+    # that do not and that are 0
+    rng = random.Random("padic_val:%d" % p)
+    for _ in range(400):
+        k = rng.choice((0, 1, 2, rng.randrange(64), rng.randrange(3000)))
+        m = rng.choice((1, -1)) * rng.randrange(1, 1 << rng.choice((1, 8, 70, 400)))
+        n = m * p ** k
+        cap = rng.choice((None, 0, 1, rng.randrange(k + 2), rng.randrange(4000)))
+        want = _val_one_p_at_a_time(n, p, n.bit_length() if cap is None else cap)
+        assert padic_val(n, p, cap) == want, (k, m, cap)
+
+
+def test_padic_val_of_a_large_power_climbs_a_tower(deadline):
+    # one p at a time restarted at p after each miss, two divisions per
+    # test, this took ~1.3 s
+    n = 2 * 3 ** 600000
+    with deadline(0.6):
+        assert padic_val(n, 3) == 600000
+    assert padic_val(n, 3, 599999) == 599999
+
+
 def test_teichmuller_exact_small_residues():
     assert teichmuller_exact(0, 5) == 0
     assert teichmuller_exact(1, 5) == 1

@@ -381,7 +381,9 @@ def _same_digit(got, want):
 
 
 KERNEL_FIELDS = SERIES_FIELDS + ("Q((u))((t))", "Qp(3){{u}}((t))",
-                                 "Fq(7)((u))((v))((w))((t))")
+                                 "Fq(7)((u))((v))((w))((t))",
+                                 "Fq(4;w^2+w+1)((t))", "Fq(257)((u))((t))",
+                                 "Fq(1000003)((u))((t))")
 
 
 def test_series_digits_keep_the_dict_kernel_representation():
@@ -412,6 +414,31 @@ def test_series_digits_keep_the_dict_kernel_representation():
             huge += big > 1 and len(F.series_params()) > 2
             zero_second += len(got) > 1 and got[1].is_zero()
     assert one_q0 > 150 and more_q0 > 40 and huge >= 12 and zero_second > 60
+
+
+def test_the_kernel_inputs_reach_every_route():
+    # the inputs above run on all three routes of the stream, the packed one
+    # with 1-, 4- and 8-byte slots (p = 5, 257, 1000003) and with Q_0 of
+    # several terms, while lower exponents around 10^30 stay on dicts
+    routes = Counter()
+    for text in KERNEL_FIELDS:
+        F = parse_field(text)
+        rng = random.Random("kernel:" + text)
+        for n in range(24):
+            x = _rand_series(rng, F, 10 ** 30 if n % 3 == 0 else 1)
+            if x.is_zero():
+                continue
+            route = digits(x).__name__
+            routes[route] += 1
+            if any(abs(e) > 10 ** 20 for k in (*x.num, *x.den) for e in k[:-1]):
+                assert route == "_dict_digits", (text, x)
+            elif route == "_packed_digits":
+                routes[text] += 1
+                routes["several"] += len([k for k in x.den if k[-1] == 0]) > 1
+    assert routes["_scalar_digits"] > 60 and routes["_dict_digits"] > 100, routes
+    assert routes["_packed_digits"] > 60 and routes["several"] > 10, routes
+    for text in ("Fq(5)((u))((t))", "Fq(257)((u))((t))", "Fq(1000003)((u))((t))"):
+        assert routes[text] > 8, routes
 
 
 def test_series_digits_take_polynomial_time(deadline):
@@ -633,6 +660,37 @@ def test_depth_shapes_pinned():
     for text, sha10 in P_SHAPES_SHA10.items():
         ten = repr(expand(parse_element(Q3M, text), 10)).encode()
         assert hashlib.sha256(ten).hexdigest()[:16] == sha10, text
+
+
+# the jets of the eight shapes the benchmark's depth sweep expands along t,
+# at its sizes (T_SIZES), as the dict kernel gave them
+T_SIZES = {F5UT: (100, 200), Q3T: (400, 800)}
+T_SHAPES_SHA = {
+    (F5UT, "(2 + u*t + 3*t^2)/(1 + u*t + 2*u^-1*t^2)"):
+        ("88dc73731185dcb5", "49c85fb6119b6c85"),
+    (F5UT, "(1 + 2*u^-1*t)/(1 + 3*u*t + u^-1*t^2)"):
+        ("dae2fb121d8cf6ca", "cd63450930172d94"),
+    (F5UT, "(3 + u^2*t^2)/(1 + u^-1*t + 4*u*t^2)"):
+        ("2c1a7d4ff7693257", "847c9c0ffc0858a6"),
+    (F5UT, "(4 + u*t)/(1 + 2*u^-2*t + u*t^2)"):
+        ("94a7142273c818da", "c0e6486a2a025fce"),
+    (Q3T, "(2 + 3*t + t^2)/(1 + 2*t + 1/3*t^2)"):
+        ("933b981445b728b8", "bdb702963d2e9edc"),
+    (Q3T, "(1 - t)/(1 + t - 2/3*t^2)"):
+        ("8691a1c0fb7013f2", "7953abb13a9d3108"),
+    (Q3T, "(5 + 1/3*t)/(1 - 2*t + 3*t^2)"):
+        ("d63fc75bc58513c8", "1c8a2fd7b745d77d"),
+    (Q3T, "(2 - 9*t^2)/(1 + 1/9*t + t^2)"):
+        ("87ba377b50490363", "bc53b5f08956052d"),
+}
+
+
+def test_depth_t_shapes_pinned():
+    for (F, text), shas in T_SHAPES_SHA.items():
+        x = parse_element(F, text)
+        for n, sha in zip(T_SIZES[F], shas):
+            jet = repr(expand(x, n)).encode()
+            assert hashlib.sha256(jet).hexdigest()[:16] == sha, (text, n)
 
 
 def _pin_digit(a):
