@@ -18,7 +18,7 @@ import struct
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, zip_longest
-from math import gcd, log2
+from math import gcd
 
 from .errors import FieldMismatchError, UnsupportedFieldError, ZeroElementError
 
@@ -316,8 +316,9 @@ def _zdiv(a, g):
 _SCHOOLBOOK = 12
 
 # A digit stream over F_p((u))((t)) packs each t-slice into one int while
-# the u-exponents of the element's terms span fewer than this many slots
-# per term; a sparser element keeps a dict per slice.
+# neither the u-exponents of the element's terms nor any of its slices from
+# its packed start span this many slots per term; a sparser element keeps a
+# dict per slice.
 _PACKED_SPAN = 2
 
 
@@ -710,22 +711,21 @@ def padic_val(x, p, cap=None):
 
 
 def _int_val(n, p, cap):
-    """min(v_p(n), cap) for an int n != 0.  Climbs the tower p, p^2, p^4,
-    ... while its powers divide, one divmod each, then walks back down the
-    same powers: O(log v) divisions for a count of v, as accepting a
-    staircase member of depth k counts up to k on each t-coefficient.
-    Past a step of 32, once the next power passes a 32nd of n's size, most
-    of n is a power of p: one division by the largest p^m that leaves n
-    about 64 bits, if it divides, stands in for the climb's costliest
-    steps; it is tried once.  A word-size n, which holds at most 64
-    factors p and in practice a handful, is counted one p at a time."""
+    """min(v_p(n), cap) for an int n != 0.  A word-size n, which holds at
+    most 64 factors p and in practice a handful, is counted one p at a
+    time, two cheap operations per factor where the tower below keeps a
+    list and divides at least three times.  A larger n climbs the tower
+    p, p^2, p^4, ... while its powers divide, one divmod each, then walks
+    back down the same powers: O(log v) divisions for a count of v, as
+    accepting a staircase member of depth k counts up to k on each
+    t-coefficient."""
     if n.bit_length() <= 64:
         v = 0
         while v < cap and not n % p:
             n //= p
             v += 1
         return v
-    v, tower, q, step, jump = 0, [], p, 1, True
+    v, tower, q, step = 0, [], p, 1
     while v + step <= cap:
         d, r = divmod(n, q)
         if r:
@@ -733,13 +733,6 @@ def _int_val(n, p, cap):
         n, v = d, v + step
         tower.append(q)
         q, step = q * q, 2 * step
-        if step > 32 and jump and q.bit_length() << 5 > n.bit_length():
-            jump = False
-            m = min(int((n.bit_length() - 64) / log2(p)), cap - v)
-            if m > 0:
-                d, r = divmod(n, p ** m)
-                if not r:
-                    n, v, tower, q, step = d, v + m, [], p, 1
     # what is left of v_p(n) and of cap, the lesser below step, is a sum
     # of distinct powers of two below step
     for q in reversed(tower):

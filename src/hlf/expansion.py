@@ -45,11 +45,15 @@ line up without a shift (Kronecker substitution, as in coeff._zmul).  w
 comes from the bound on a product's slots, so a digit is one int product
 per Q_j, a sum and one reduction mod p per slot (one bytes.translate with
 one-byte slots), its dict built once from the nonzero slots; N^e is
-packed the same way.  Everything else keeps a dict per slice
+packed the same way, and the table -Q_j N^(j-1) grows by one entry per
+level while the stream is within max(Q) levels of its start, so a short
+stream builds only what it reads.  Everything else keeps a dict per slice
 (_dict_digits): two or more lower parameters, F_q with q not prime or Q
-and Qp coefficients under a lower parameter, and u-exponents spanning
-_PACKED_SPAN or more slots per term (u^(10^30), say), where a packed int
-would be mostly empty.  There the lower exponents are packed into one int
+and Qp coefficients under a lower parameter, and elements that would pack
+into mostly empty ints (_packing): the u-exponents of their terms, or a
+slice of P or Q from its packed start, span _PACKED_SPAN or more slots per
+term (u^(10^30), say, or (1 + t^K)/(1 + u*t), whose slices line up only
+from u^-K on).  There the lower exponents are packed into one int
 key, in slots with 64 bits of headroom that no digit before the 2^64-th
 overflows (_exponent_keys), so a monomial shift is one int addition, and
 a digit adds all its products into one accumulator, reduced mod p once.
@@ -240,8 +244,8 @@ def _series_digits(x):
     base = x.field.residue()
     fq = base.fq()
     nlow = len(base.series_params())
-    if nlow == 1 and fq is not None and fq.deg == 1 and _packs(x):
-        return _packed_digits(x, base, fq)
+    if nlow == 1 and fq is not None and fq.deg == 1 and (layout := _packing(x)):
+        return _packed_digits(x, base, fq, *layout)
     p, scale = None, 1
     if fq is None:
         # Q, Qp or Qp{{u}} coefficients: P and Q times one integer
@@ -262,11 +266,22 @@ def _series_digits(x):
     return _dict_digits(x, base, conv, coeff, p)
 
 
-def _packs(x):
-    """Whether x over F_p((u))((t)) packs its t-slices into ints: the
-    u-exponents of its terms span fewer than _PACKED_SPAN slots per term."""
+def _packing(x):
+    """(r, off) such that x over F_p((u))((t)) packs the t-slice of A_i
+    from u^(off + (i - i0)*r) on, i0 the least t-exponent of its
+    numerator, so that the slots of every product line up; None where a
+    packed slice of x, or the u-exponents of all its terms, would span
+    _PACKED_SPAN or more slots per term."""
+    # N = Q_0 holds u^0, so Q_j N^(j-1) starts at u^(j*r) or later and by
+    # induction A_i at u^off_i or later
+    r = min([u // t for u, t in x.den if t] or [0])
+    i = min(t for _, t in x.num)
+    ps = [u - (t - i) * r for u, t in x.num]
+    qs = [u - t * r for u, t in x.den]
     us = [k[0] for lp in (x.num, x.den) for k in lp]
-    return max(us) - min(us) < _PACKED_SPAN * len(us)
+    if max(max(us) - min(us), max(ps) - min(ps), max(qs)) < _PACKED_SPAN * len(us):
+        return r, min(ps)
+    return None
 
 
 def _scalar_digits(x, base, conv, coeff, p, L):
@@ -317,30 +332,27 @@ def _scalar_digits(x, base, conv, coeff, p, L):
         i += 1
 
 
-def _packed_digits(x, base, fq):
+def _packed_digits(x, base, fq, r, off):
     # F_p((u))((t)): each t-slice one int, its coefficients in [0, p) in
-    # slots of w bytes from u^off_i on, off_i = off + (i - i0)*r, so that
-    # the slots of every product line up without a shift; a digit is one
-    # product per Q_j, a sum and one reduction per slot
+    # slots of w bytes from u^off_i on, off_i = off + (i - i0)*r (_packing),
+    # so that the slots of every product line up without a shift; a digit
+    # is one product per Q_j, a sum and one reduction per slot
     p = fq.p
     elem = fq.residues.__getitem__
     P = _t_slices(x.num, _first, FqElem.as_int)
     Q = _t_slices(x.den, _first, FqElem.as_int)
     width = max(Q)
     N = Q.pop(0)
-    i, top = min(P), max(P)
+    i0 = i = min(P)
+    top = max(P)
     ND = None if len(N) == 1 else {(k,): elem(c) for k, c in N.items()}
     yield Element.make(base, {(k,): elem(c) for k, c in P[i].items()}, ND)
-    # N's least exponent is 0, so Q_j N^(j-1) starts at u^(j*r) or later and
-    # by induction A_i at u^off_i or later
-    r = min((min(q) // j for j, q in Q.items()), default=0)
-    off = min(min(s) - (k - i) * r for k, s in P.items())
     # a slot of c*d adds at most as many products below p^2 as the shorter
     # has terms; a digit adds those of P_i*N^(e-1) and of each
     # Q_j N^(j-1) A_{i-j}, and N^e those of N^(e-1)*N
-    span = lambda s: max(s) - min(s) + 1
+    # (N's least exponent is 0)
     terms = max(map(len, P.values())) + len(N) + sum(
-        span(q) + (j - 1) * (span(N) - 1) for j, q in Q.items())
+        max(q) - min(q) + 1 + (j - 1) * max(N) for j, q in Q.items())
     w = _slot_bytes((terms * (p - 1) ** 2).bit_length())
     if w == 1:
         table = (bytes(range(p)) * (256 // p + 1))[:256]
@@ -368,19 +380,20 @@ def _packed_digits(x, base, fq):
         cut = keys[lo - k0:lo - k0 + len(s)]
         return dict(zip(compress(cut, s), map(elem, compress(s, s))))
 
-    P = {k: packed(s, off + (k - i) * r) for k, s in P.items()}
-    A = {i: P[i]}
-    # -Q_j N^(j-1), slot by slot
+    A = {i: packed(P[i], off)}
+    # -Q_j N^(j-1), slot by slot, each built at the first level that reads
+    # it, so that a short stream builds only what it reads
     Np, Nj, QN = packed(N, 0), 1, {}
-    for j in range(1, width + 1):
-        if j in Q:
-            QN[j] = join([p - v if v else 0 for v in slots(packed(Q[j], j * r) * Nj)])
-        if j < width:
-            Nj = join(slots(Nj * Np))
     i, D, run = i + 1, Np, 0
     while i <= top or run < width:
         off += r
-        acc = P[i] * D if i in P else 0
+        j = i - i0
+        if j <= width:
+            if j in Q:
+                QN[j] = join([p - v if v else 0 for v in slots(packed(Q[j], j * r) * Nj)])
+            if j < width:
+                Nj = join(slots(Nj * Np))
+        acc = packed(P[i], off) * D if i in P else 0
         for j, q in QN.items():
             b = A.get(i - j)
             if b:

@@ -441,6 +441,21 @@ def test_the_kernel_inputs_reach_every_route():
         assert routes[text] > 8, routes
 
 
+def test_a_distant_numerator_slice_keeps_the_stream_on_dicts(deadline):
+    # (1 + t^K)/(1 + u*t): every term has u-exponent 0 or 1, but the slice
+    # at t^K lines up with the others only from u^-K on, so a packed digit
+    # would carry ~K empty slots; from K = 8 on that is 2 or more for each
+    # of the 4 terms
+    for K, route in ((7, "_packed_digits"), (8, "_dict_digits"),
+                     (10 ** 7, "_dict_digits")):
+        x = parse_element(F5UT, "(1 + t^%d)/(1 + u*t)" % K)
+        assert digits(x).__name__ == route, K
+        for got, want in zip(islice(digits(x), 12), _reference_dict_digits(x)):
+            assert _same_digit(got, want), (K, got, want)
+    with deadline(0.5):
+        assert len(expand(x, 2000).coeffs) == 2000
+
+
 def test_series_digits_take_polynomial_time(deadline):
     # Q_0 = 1 + u: the Element recursion doubled its denominators' degree
     # about every other digit and took seconds at 16 digits
