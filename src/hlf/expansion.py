@@ -1,20 +1,25 @@
-"""Expansion along the top uniformizer: one digit stream per field shape.
+"""Expansion along the top uniformizer: one sparse digit stream.
 
-digits(x) yields the coefficient of x at its top valuation, then one per
-level, lazily, and ends once the remainder is exactly zero: every later
-level holds 0.  Three readers share the stream.  expand(x, k) takes k
-digits into a Jet, a finite window, and pads a finished stream with zeros;
-residue(x) is the level-0 coefficient; LevelsOpen.contains in opens checks
-each level as its digit arrives and returns at the first that fails, except
-over Qp{{t}} against a staircase of t-balls, which in_staircase decides
-from the element's integer polynomials without a digit.
+digits(x, stop) yields (level, digit) for the nonzero digits of x below
+level stop, lazily and in increasing level, from its top valuation on,
+and ends once the remainder is exactly zero: every level it skips or
+leaves holds 0.  Three readers share the stream, each passing the bound
+it already has, since a sparse stream cannot report a zero level without
+working up to the next nonzero digit: expand(x, k) fills a window of k
+zeros, a Jet, from the pairs below start + k; residue(x) is the digit at
+level 0, the first pair below 1; LevelsOpen.contains in opens checks each
+pair below the open's top and returns at the first that fails, a skipped
+level holding 0, which every open contains; over Qp{{t}} against a
+staircase of t-balls in_staircase decides from the element's integer
+polynomials without a digit.  The shape of the element picks the route;
+no digit, remainder update or budget check runs at or past stop.
 
 A Laurent polynomial over base((t)), an element whose denominator
-Element.make has left exactly 1, skips the stream in residue and
-membership: slice_digits(x) gives its nonzero digits as (level, digit)
-pairs, the numerator's t-slices, so one step per term however far apart
-its terms lie, where the stream pays one step per level between them.
-Each digit has the entries and coefficients the stream gives it.
+Element.make has left exactly 1, takes the first route: its digits are
+the numerator's t-slices (_laurent_digits), one step per term however far
+apart its terms lie, where the recursion below pays one step per level
+between them.  Each digit has the entries and coefficients the recursion
+gives it.
 
 Over base((t)) an element P/Q, cut by t exponent into slices P_i and Q_j
 one level down, expands into residue field coefficients X_i by the linear
@@ -45,9 +50,7 @@ line up without a shift (Kronecker substitution, as in coeff._zmul).  w
 comes from the bound on a product's slots, so a digit is one int product
 per Q_j, a sum and one reduction mod p per slot (one bytes.translate with
 one-byte slots), its dict built once from the nonzero slots; N^e is
-packed the same way, and the table -Q_j N^(j-1) grows by one entry per
-level while the stream is within max(Q) levels of its start, so a short
-stream builds only what it reads.  Everything else keeps a dict per slice
+packed the same way.  Everything else keeps a dict per slice
 (_dict_digits): two or more lower parameters, F_q with q not prime or Q
 and Qp coefficients under a lower parameter, and elements that would pack
 into mostly empty ints (_packing): the u-exponents of their terms, or a
@@ -65,8 +68,11 @@ digit the entries, coefficient types and repr of the others.
 Where Q_0 is one monomial (always over Qp((t)), Q((t)) and Fq((t))) N^e is
 a constant and each digit is a Laurent polynomial, which has one
 representation; otherwise Element.make finds the least monomial of N^e
-already 1.  A_i is empty exactly when X_i is 0, and past P's top slice,
-max(Q) zero digits in a row end the stream.
+already 1.  A_i is empty exactly when X_i is 0, and then nothing is
+yielded; past P's top slice, max(Q) zero digits in a row end the stream.
+The packed and dict routes build the table -Q_j N^(j-1) one entry per
+level, at the first level that reads it, so a denominator term at
+t^(10^6) costs nothing to a stream stopped at level 3.
 
 Over Qp{{t}} and Qp the expansion runs along p instead, peeling one digit per
 step with the plain section of the reduction map: y -> (y - lift(d))/p with
@@ -101,15 +107,16 @@ pieces of that factor and its cofactor (factor refinement, Bach, Driscoll
 and Shallit 1993), and after Q*dt each e becomes 2e - k.  The remainder
 update packs N, Q, nt and dt once and takes N*dt - nt*Q, each at its
 power of t, and Q*dt from three int multiplies (Kronecker substitution).
-A run of v zero digits, N divisible by p^v, takes one valuation and one
-division.  A remainder past _DIGIT_BUDGET integer coefficients raises
-PrecisionExhaustedError rather than run on.
+A run of v zero digits, N divisible by p^v, yields nothing and takes one
+valuation, counted no further than stop, and one division.  A remainder
+past _DIGIT_BUDGET integer coefficients raises PrecisionExhaustedError
+rather than run on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from math import gcd, lcm
 
 from .coeff import (_PACKED_SPAN, UNKNOWN, FqElem, _fp_basis_lowest_terms,
@@ -197,11 +204,14 @@ class Jet:
         return " + ".join(parts + [tail]) if parts else ("0 + " + tail)
 
 
-def digits(x):
-    """Expansion coefficients of x along the top uniformizer, lazily: the
-    coefficient at level x.val_vector()[-1] first, then one per level.  The
-    stream ends once the remainder is exactly zero, so every level after it
-    holds 0; zero itself yields nothing."""
+def digits(x, stop):
+    """(level, digit) for each nonzero expansion coefficient of x along the
+    top uniformizer below level `stop`, lazily and in increasing level, from
+    x.val_vector()[-1] on.  Every level the stream skips holds 0, and the
+    stream ends once the remainder is exactly zero; zero itself yields
+    nothing.  A sparse stream cannot tell a zero level without working up
+    to the next nonzero digit, so each reader passes the bound it has, and
+    no digit, remainder update or budget check runs at or past it."""
     f = x.field
     if isinstance(f, SeriesExt):
         gen = _series_digits
@@ -211,41 +221,38 @@ def digits(x):
         gen = _qp_digits
     else:
         raise UnsupportedFieldError("no uniformizer to expand along in %r" % f)
-    return iter(()) if x.is_zero() else gen(x)
-
-
-def slice_digits(x):
-    """(level, digit) for each nonzero digit of x over base((t)) whose
-    denominator is a monomial, in increasing level.  Element.make leaves
-    such a denominator exactly 1, so the digit at level i is the
-    numerator's t^i slice, and every other level holds 0: one step per
-    term, however far apart the terms lie."""
-    base = x.field.residue()
-    slices = _t_slices(x.num, lambda k: k[:-1], lambda c: c)
-    return ((i, Element.make(base, slices[i])) for i in sorted(slices))
+    if x.is_zero() or x.val_vector()[-1] >= stop:
+        return iter(())
+    return gen(x, stop)
 
 
 def expand(x, terms):
     """First `terms` expansion coefficients of x along the top uniformizer,
     from its top valuation on (level 0 for zero)."""
     f = x.field
-    coeffs = list(islice(digits(x), max(terms, 0)))
-    coeffs += [Element.zero(f.residue())] * (terms - len(coeffs))
-    start = 0 if x.is_zero() else x.val_vector()[-1]
+    # a field with no uniformizer has an empty val_vector; digits refuses it
+    start = 0 if x.is_zero() or not x.val_vector() else x.val_vector()[-1]
+    pairs = digits(x, start + terms)
+    coeffs = [Element.zero(f.residue())] * max(terms, 0)
+    for i, d in pairs:
+        coeffs[i - start] = d
     var = f.param if isinstance(f, SeriesExt) else str(f.prime())
     return Jet(f, start, coeffs, var)
 
 
-def _series_digits(x):
+def _series_digits(x, stop):
     # X_i = A_i / N^e with e = i - i0 + 1 and N = Q_0, so that
     # A_i = P_i N^(e-1) - sum_{j>=1} Q_j N^(j-1) A_{i-j}; past P's top
     # slice, max(Q) zero digits in a row end the stream.  The shape picks
-    # the route: a scalar per slice, one packed int per slice, or dicts
+    # the route: the t-slices, a scalar per slice, one packed int per
+    # slice, or dicts
     base = x.field.residue()
+    if len(x.den) == 1:
+        return _laurent_digits(x, base, stop)
     fq = base.fq()
     nlow = len(base.series_params())
     if nlow == 1 and fq is not None and fq.deg == 1 and (layout := _packing(x)):
-        return _packed_digits(x, base, fq, *layout)
+        return _packed_digits(x, base, fq, stop, *layout)
     p, scale = None, 1
     if fq is None:
         # Q, Qp or Qp{{u}} coefficients: P and Q times one integer
@@ -262,8 +269,17 @@ def _series_digits(x):
         conv = lambda c: c
         coeff = lambda c, d: c
     if nlow == 0:
-        return _scalar_digits(x, base, conv, coeff, p, scale)
-    return _dict_digits(x, base, conv, coeff, p)
+        return _scalar_digits(x, base, conv, coeff, p, scale, stop)
+    return _dict_digits(x, base, conv, coeff, p, stop)
+
+
+def _laurent_digits(x, base, stop):
+    # Element.make leaves a monomial denominator exactly 1, so the digit at
+    # level i is the numerator's t^i slice: one step per term, however far
+    # apart the terms lie
+    slices = _t_slices(x.num, lambda k: k[:-1], lambda c: c)
+    for i in sorted(k for k in slices if k < stop):
+        yield i, Element.make(base, slices[i])
 
 
 def _packing(x):
@@ -284,7 +300,7 @@ def _packing(x):
     return None
 
 
-def _scalar_digits(x, base, conv, coeff, p, L):
+def _scalar_digits(x, base, conv, coeff, p, L, stop):
     # no lower parameter: each slice one coefficient n/L^kappa, kappa 1
     # where it is not an integer (L = 1 over F_q).  X_i = A_i/L^k_i, k_i
     # the largest kappa_j + k_(i-j) over the terms of the digit (kappa for
@@ -303,10 +319,10 @@ def _scalar_digits(x, base, conv, coeff, p, L):
     del Q[0]
     i, top = min(P), max(P)
     A = {i: P[i]}
-    yield make(base, {(): coeff(P[i][0], P[i][2])})
+    yield i, make(base, {(): coeff(P[i][0], P[i][2])})
     QN = {j: (-n, kq) for j, (n, kq, _) in Q.items()}
     i, run = i + 1, 0
-    while i <= top or run < width:
+    while (i <= top or run < width) and i < stop:
         # (a, k, L^k) summed term by term at the largest k so far
         a = None
         if i in P:
@@ -327,12 +343,13 @@ def _scalar_digits(x, base, conv, coeff, p, L):
             a %= p
         A[i] = (a, k, Lk) if a else None
         A.pop(i - width, None)
-        yield make(base, {(): coeff(a, Lk)} if a else {})
+        if a:
+            yield i, make(base, {(): coeff(a, Lk)})
         run = run + 1 if not a else 0
         i += 1
 
 
-def _packed_digits(x, base, fq, r, off):
+def _packed_digits(x, base, fq, stop, r, off):
     # F_p((u))((t)): each t-slice one int, its coefficients in [0, p) in
     # slots of w bytes from u^off_i on, off_i = off + (i - i0)*r (_packing),
     # so that the slots of every product line up without a shift; a digit
@@ -346,7 +363,7 @@ def _packed_digits(x, base, fq, r, off):
     i0 = i = min(P)
     top = max(P)
     ND = None if len(N) == 1 else {(k,): elem(c) for k, c in N.items()}
-    yield Element.make(base, {(k,): elem(c) for k, c in P[i].items()}, ND)
+    yield i, Element.make(base, {(k,): elem(c) for k, c in P[i].items()}, ND)
     # a slot of c*d adds at most as many products below p^2 as the shorter
     # has terms; a digit adds those of P_i*N^(e-1) and of each
     # Q_j N^(j-1) A_{i-j}, and N^e those of N^(e-1)*N
@@ -385,7 +402,7 @@ def _packed_digits(x, base, fq, r, off):
     # it, so that a short stream builds only what it reads
     Np, Nj, QN = packed(N, 0), 1, {}
     i, D, run = i + 1, Np, 0
-    while i <= top or run < width:
+    while (i <= top or run < width) and i < stop:
         off += r
         j = i - i0
         if j <= width:
@@ -401,12 +418,10 @@ def _packed_digits(x, base, fq, r, off):
         s = slots(acc)
         A[i] = a = join(s)
         A.pop(i - width, None)
-        num = lp(off, s) if a else {}
-        if ND is None:
-            yield Element.make(base, num)
-        else:
+        if ND is not None:
             D = join(d := slots(D * Np))
-            yield Element.make(base, num, lp(0, d) if num else None)
+        if a:
+            yield i, Element.make(base, lp(off, s), None if ND is None else lp(0, d))
         run = run + 1 if not a else 0
         i += 1
 
@@ -415,7 +430,7 @@ def _first(k):
     return k[0]
 
 
-def _dict_digits(x, base, conv, coeff, p):
+def _dict_digits(x, base, conv, coeff, p, stop):
     # lower exponents packed into int keys (_exponent_keys), each slice a
     # dict of them
     pack, tuples = _exponent_keys(len(base.series_params()), (x.num, x.den))
@@ -432,19 +447,21 @@ def _dict_digits(x, base, conv, coeff, p):
 
     width = max(Q)
     N = Q.pop(0)
-    i, top = min(P), max(P)
+    i0 = i = min(P)
+    top = max(P)
     A = {i: P[i]}
-    yield element(P[i], N)
-    # from the second digit on: the table -Q_j N^(j-1), so that each digit
-    # is one sum of products
+    yield i, element(P[i], N)
+    # -Q_j N^(j-1), so that each digit is one sum of products, each built
+    # at the first level that reads it, so that a short stream builds only
+    # what it reads
     QN, Nj = {}, {0: 1}
-    for j in range(1, width + 1):
+    i, D, run = i + 1, N, 0
+    while (i <= top or run < width) and i < stop:
+        j = i - i0
         if j in Q:
             QN[j] = {k: -c for k, c in _product(Q[j], Nj, p).items()}
         if j < width:
             Nj = _product(Nj, N, p)
-    i, D, run = i + 1, N, 0
-    while i <= top or run < width:
         acc = {}
         if i in P:
             _add_product(acc, P[i], D)
@@ -454,7 +471,8 @@ def _dict_digits(x, base, conv, coeff, p):
         A[i] = a = _lp_reduced(acc, p)
         A.pop(i - width, None)
         D = _product(D, N, p)
-        yield element(a, D)
+        if a:
+            yield i, element(a, D)
         run = run + 1 if not a else 0
         i += 1
 
@@ -517,15 +535,18 @@ def _product(a, b, p):
     return _lp_reduced(_add_product({}, a, b), p)
 
 
-def _qp_digits(x):
+def _qp_digits(x, stop):
     f = x.field
     p = f.p
     rf = f.residue()
-    c = x.num[()] / x.den[()] * Fraction(p) ** -x.val_vector()[-1]
-    while c:
+    level = x.val_vector()[-1]
+    c = x.num[()] / x.den[()] * Fraction(p) ** -level
+    while c and level < stop:
         d = rational_mod_p(c, p)
-        yield Element.from_coeff(rf, d)
+        if d:
+            yield level, Element.from_coeff(rf, d)
         c = (c - d) / p
+        level += 1
 
 
 # Most integer coefficients, numerator and denominator together, that the
@@ -537,38 +558,40 @@ def _qp_digits(x):
 _DIGIT_BUDGET = 4096
 
 
-def _mixed_digits(x):
+def _mixed_digits(x, stop):
     f = x.field
     p = f.prime()
-    k0 = x.val_vector()[-1]
+    level = x.val_vector()[-1]
     rf = f.residue()
     elem = rf.fq().residues.__getitem__
-    N, ns, Q, qs = _mixed_ints(x, p, k0)
-    level = k0
+    N, ns, Q, qs = _mixed_ints(x, p, level)
     # pairs (h, e), qbar proportional to the product of the h^e, from the
     # first digit on
     basis = None
     while N:
         nbar, nbs = _ztrim([c % p for c in N], ns)
         if not nbar:
-            # v zero digits, v the least v_p in N
-            v = None
+            # v zero digits, v the least v_p in N, counted no further than
+            # stop
+            v = stop - level
             for c in N:
                 if c:
                     v = padic_val(c, p, v)
-            zero = Element.zero(rf)
-            for _ in range(v):
-                yield zero
+            level += v
+            if level >= stop:
+                return
             pv = p ** v
             N = [c // pv for c in N]
-            level += v
         else:
             qbar, _ = _ztrim([c % p for c in Q[-qs:]], 0)
             # the digit with qbar's constant term 1, as Element.make leaves it
             inv = pow(qbar[0], -1, p)
-            yield Element.make(
+            yield level, Element.make(
                 rf, {(nbs + i,): elem(c * inv % p) for i, c in enumerate(nbar) if c},
                 {(i,): elem(c * inv % p) for i, c in enumerate(qbar) if c})
+            level += 1
+            if level == stop:
+                return
             if basis is None:
                 basis = [(_fp_monic(qbar, p), 1)] if len(qbar) > 1 else []
             # the plain lift of the digit, as lift() builds it
@@ -584,7 +607,6 @@ def _mixed_digits(x):
                 N, ns, Q = _zcross(N, ns, Q, nt, nbs + qs, dt)
                 basis = [(h, 2 * e - k) for h, e, k in refined]
             N = [c // p for c in N]
-            level += 1
         g = gcd(*N, *Q)
         if g > 1:
             N = [c // g for c in N]
@@ -696,16 +718,11 @@ def residue(x):
     """Image of x in the residue field one level down: its level-0
     expansion coefficient.  Needs the top rank one valuation of x to be
     nonnegative."""
-    stream = digits(x)
-    top = 1 if x.is_zero() else x.val_vector()[-1]
-    if top < 0:
+    stream = digits(x, 1)
+    if not x.is_zero() and x.val_vector()[-1] < 0:
         raise NotIntegralError("negative top valuation %r" % (x.val_vector(),))
-    if top > 0:
-        return Element.zero(x.field.residue())
-    if isinstance(x.field, SeriesExt) and len(x.den) == 1:
-        # the t^0 slice, the first of the slices
-        return next(slice_digits(x))[1]
-    return next(stream)
+    # at a positive top valuation the stream is empty below level 1
+    return next(stream, (0, Element.zero(x.field.residue())))[1]
 
 
 # --- sections of the residue map --------------------------------------------

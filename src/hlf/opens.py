@@ -3,16 +3,14 @@
 An open of a field with a series shape is described along the expansion in
 the top uniformizer: levels at or above `cutoff` are unconstrained, a finite
 window pins named levels to opens one dimension down, and a closed rule
-covers every level below the window.  Membership reads the element's digit
-stream (expansion.digits) and stops at the first level that rejects its
-digit, or where the stream ends: later levels hold 0, which every open
-contains.  It reads no digit past `top`, one past the last level that
-constrains anything: levels in [lo, cutoff) outside the window are full,
-and so is every level below the window floor under a full rule.  Over a
-series top, an element with a monomial denominator is a Laurent
-polynomial whose digits are its t-slices (expansion.slice_digits): only
-the levels of its terms below `top` are checked, since every other level
-holds 0, so membership costs one step per term and never the cutoff.
+covers every level below the window.  Membership reads the element's
+sparse digit stream (expansion.digits), the nonzero digits below `top`,
+and stops at the first that its level rejects: every level the stream
+skips or leaves holds 0, which every open contains.  `top` is one past
+the last level that constrains anything: levels in [lo, cutoff) outside
+the window are full, and so is every level below the window floor under
+a full rule.  A Laurent polynomial over a series top, whose digits are
+its t-slices, pays one step per term and never the cutoff.
 
 Over Qp{{t}} the digits follow the plain section and grow geometrically
 with the level, so an open shaped as a staircase is decided without them.
@@ -58,7 +56,7 @@ from .errors import (
     need_str,
     require,
 )
-from .expansion import digits, in_staircase, slice_digits
+from .expansion import digits, in_staircase
 from .fields import MixedExt, QpBase, SeriesExt
 from .valuation import in_integer_ring, monomial_with_valuation, unit_decompose
 
@@ -276,18 +274,8 @@ class LevelsOpen(Open):
         if isinstance(self.field, MixedExt) and i0 >= self._stairs_from:
             depth = lambda i: _entry_depth(self.level(i0 + i))
             return in_staircase(x, self.top - i0, depth)
-        if isinstance(self.field, SeriesExt) and len(x.den) == 1:
-            # a Laurent polynomial: only the levels of its terms hold
-            # anything but 0
-            for i, d in slice_digits(x):
-                if i >= self.top:
-                    return True
-                if not self.level(i).contains(d):
-                    return False
-            return True
-        # past the end of the stream every level holds 0, in every open
-        return all(self.level(i).contains(d)
-                   for i, d in zip(range(i0, self.top), digits(x)))
+        # a level the stream skips holds 0, which every open contains
+        return all(self.level(i).contains(d) for i, d in digits(x, self.top))
 
     @cached_property
     def _subgroup_shaped(self):

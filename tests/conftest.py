@@ -37,3 +37,17 @@ def same_element(x, y):
     return (list(x.num.items()) == list(y.num.items())
             and list(x.den.items()) == list(y.den.items())
             and repr(x) == repr(y))
+
+
+def dense(pairs, start, zero, stop=None):
+    """The digits of a stream of (level, digit) pairs from level start on,
+    as a list with zero at every level the stream skips: up to stop, or
+    through the last pair without one.  Oracles written against a digit
+    per level read this."""
+    out = []
+    for i, d in pairs:
+        out += [zero] * (i - start - len(out))
+        out.append(d)
+    if stop is not None:
+        out += [zero] * (stop - start - len(out))
+    return out

@@ -6,14 +6,14 @@ from itertools import islice
 from math import gcd
 
 import pytest
+from conftest import dense
 
 from hlf import coeff
 from hlf.coeff import FqField, _fp_lowest_terms, _zadd, _zmul, _ztrim
 from hlf.elements import Element
 from hlf.errors import NotIntegralError, PrecisionExhaustedError
 from hlf.expansion import (_DIGIT_BUDGET, Jet, _mixed_ints, canonical_fraction,
-                           digits, expand, lift,
-                           residue, slice_digits)
+                           digits, expand, lift, residue)
 from hlf.fields import parse_field
 from hlf.opens import (FullOpen, FullRule, LevelsOpen, deep_ball, open_from_data,
                        random_open)
@@ -120,20 +120,23 @@ def test_expand_of_zero_is_known_zeros():
 
 
 def test_digit_streams_end_at_an_exact_zero():
-    cases = ((F5UT, "u + t^2", 0, ["u", "0", "1"]),
-             (F5T, "t^-1 + 3*t", -1, ["1", "0", "3"]),
-             # an unreduced 1 + t: one zero digit past the numerator's top
-             # t^2 covers the denominator's width
-             (F5T, "(1 - t^2)/(1 - t)", 0, ["1", "1", "0"]),
-             (Q3M, "1 + 3*t", 0, ["1", "t"]),
-             (Q3, "10", 0, ["1", "0", "1"]))
+    cases = ((F5UT, "u + t^2", 0, [(0, "u"), (2, "1")]),
+             (F5T, "t^-1 + 3*t", -1, [(-1, "1"), (1, "3")]),
+             # an unreduced 1 + t: the zero digit at the numerator's top t^2
+             # covers the denominator's width
+             (F5T, "(1 - t^2)/(1 - t)", 0, [(0, "1"), (1, "1")]),
+             (Q3M, "1 + 3*t", 0, [(0, "1"), (1, "t")]),
+             (Q3, "10", 0, [(0, "1"), (2, "1")]))
     for field, text, start, want in cases:
         x = parse_element(field, text)
-        assert [repr(d) for d in digits(x)] == want
-        # expand pads past the end of the stream with zeros
-        j = expand(x, len(want) + 3)
-        assert j.start == start and all(c.is_zero() for c in j.coeffs[len(want):])
-    assert list(digits(Element.zero(Q3M))) == []
+        # a stop far past the last digit: the stream ends by itself
+        assert [(i, repr(d)) for i, d in digits(x, 10 ** 9)] == want
+        # expand puts 0 at every level the stream skips and past its end
+        j = expand(x, 6)
+        assert j.start == start and len(j.coeffs) == 6
+        assert [(i, repr(c)) for i, c in enumerate(j.coeffs, start)
+                if not c.is_zero()] == want
+    assert list(digits(Element.zero(Q3M), 10)) == []
 
 
 def _rand_mixed(rng):
@@ -274,8 +277,10 @@ def test_series_digits_match_the_element_recursion():
             x = _rand_integral(rng, F)
             if x.is_zero():
                 continue
-            got = list(islice(digits(x), 8))
+            i0 = x.val_vector()[-1]
             want = list(islice(_reference_series_digits(x), 8))
+            got = dense(digits(x, i0 + 8), i0, Element.zero(F.residue()),
+                        i0 + len(want))
             assert got == want, (text, x)
             assert repr(got[0]) == repr(want[0]), (text, x)
             if sum(k[-1] == 0 for k in x.den) == 1:
@@ -400,8 +405,10 @@ def test_series_digits_keep_the_dict_kernel_representation():
             x = _rand_series(rng, F, big)
             if x.is_zero():
                 continue
-            got = list(islice(digits(x), 40))
+            i0 = x.val_vector()[-1]
             want = list(islice(_reference_dict_digits(x), 40))
+            got = dense(digits(x, i0 + 40), i0, Element.zero(F.residue()),
+                        i0 + len(want))
             assert len(got) == len(want), (text, x)
             for k, (g, w) in enumerate(zip(got, want)):
                 assert _same_digit(g, w), (text, x, k)
@@ -417,9 +424,10 @@ def test_series_digits_keep_the_dict_kernel_representation():
 
 
 def test_the_kernel_inputs_reach_every_route():
-    # the inputs above run on all three routes of the stream, the packed one
-    # with 1-, 4- and 8-byte slots (p = 5, 257, 1000003) and with Q_0 of
-    # several terms, while lower exponents around 10^30 stay on dicts
+    # the inputs above run on all four routes of the stream over base((t)),
+    # the packed one with 1-, 4- and 8-byte slots (p = 5, 257, 1000003) and
+    # with Q_0 of several terms, while lower exponents around 10^30 stay on
+    # dicts unless the denominator is a monomial
     routes = Counter()
     for text in KERNEL_FIELDS:
         F = parse_field(text)
@@ -428,15 +436,18 @@ def test_the_kernel_inputs_reach_every_route():
             x = _rand_series(rng, F, 10 ** 30 if n % 3 == 0 else 1)
             if x.is_zero():
                 continue
-            route = digits(x).__name__
+            route = digits(x, 10 ** 9).__name__
             routes[route] += 1
-            if any(abs(e) > 10 ** 20 for k in (*x.num, *x.den) for e in k[:-1]):
+            if len(x.den) == 1:
+                assert route == "_laurent_digits", (text, x)
+            elif any(abs(e) > 10 ** 20 for k in (*x.num, *x.den) for e in k[:-1]):
                 assert route == "_dict_digits", (text, x)
             elif route == "_packed_digits":
                 routes[text] += 1
                 routes["several"] += len([k for k in x.den if k[-1] == 0]) > 1
     assert routes["_scalar_digits"] > 60 and routes["_dict_digits"] > 100, routes
-    assert routes["_packed_digits"] > 60 and routes["several"] > 10, routes
+    assert routes["_packed_digits"] > 45 and routes["several"] > 10, routes
+    assert routes["_laurent_digits"] > 60, routes
     for text in ("Fq(5)((u))((t))", "Fq(257)((u))((t))", "Fq(1000003)((u))((t))"):
         assert routes[text] > 8, routes
 
@@ -449,11 +460,19 @@ def test_a_distant_numerator_slice_keeps_the_stream_on_dicts(deadline):
     for K, route in ((7, "_packed_digits"), (8, "_dict_digits"),
                      (10 ** 7, "_dict_digits")):
         x = parse_element(F5UT, "(1 + t^%d)/(1 + u*t)" % K)
-        assert digits(x).__name__ == route, K
-        for got, want in zip(islice(digits(x), 12), _reference_dict_digits(x)):
-            assert _same_digit(got, want), (K, got, want)
+        assert digits(x, 12).__name__ == route, K
+        want = list(islice(_reference_dict_digits(x), 12))
+        got = dense(digits(x, 12), 0, Element.zero(F5UT.residue()), 12)
+        for g, w in zip(got, want):
+            assert _same_digit(g, w), (K, g, w)
+    # a denominator term at t^(10^6) on dicts: its entry of the table
+    # -Q_j N^(j-1) is built only at the level that first reads it
+    far = [parse_element(parse_field(text), "(1 + u*t)/(1 - u^2*t^1000000)")
+           for text in ("Fq(25;w^2+w+2)((u))((t))", "Fq(5)((v))((u))((t))")]
     with deadline(0.5):
         assert len(expand(x, 2000).coeffs) == 2000
+        for y in far:
+            assert repr(expand(y, 3)) == "1 + u*t + O(t^3)"
 
 
 def test_series_digits_take_polynomial_time(deadline):
@@ -496,17 +515,18 @@ def _rand_laurent(rng, F):
     return Element.make(F, num, {exps(5): coeff()})
 
 
-def _stream_member(U, x):
-    """Membership read off the digit stream level by level."""
+def _reference_member(U, x):
+    """Membership read level by level off the Element recursion."""
     i0 = x.val_vector()[-1]
-    return i0 >= U.top or all(U.level(i).contains(d)
-                              for i, d in zip(range(i0, U.top), digits(x)))
+    return all(U.level(i).contains(d)
+               for i, d in zip(range(i0, U.cutoff), _reference_series_digits(x)))
 
 
 @pytest.mark.parametrize("text", SLICE_FIELDS)
 def test_slices_match_the_digit_stream(text):
-    # the digits of a Laurent polynomial are its t-slices, membership reads
-    # only them, and residue is the t^0 slice, each as the stream gives it
+    # the Laurent case of the stream: the digits of a Laurent polynomial
+    # are its t-slices, membership reads only them, and residue is the t^0
+    # slice, each as the Element recursion gives it
     F = parse_field(text)
     rng = random.Random("slices:" + text)
     opens = [deep_ball(F, d) for d in range(-3, 8)] \
@@ -517,19 +537,14 @@ def test_slices_match_the_digit_stream(text):
     for _ in range(120):
         x = _rand_laurent(rng, F)
         assert len(x.den) == 1
-        i0 = x.val_vector()[-1]
-        stream = list(digits(x))
-        want = [(i, d) for i, d in enumerate(stream, i0) if not d.is_zero()]
-        got = list(slice_digits(x))
-        assert [i for i, _ in got] == [i for i, _ in want], x
-        for (_, g), (_, w) in zip(got, want):
-            assert _same_digit(g, w), x
+        _check_stream(x, _reference_series_digits, rng.randint(0, 110))
+        got = _check_stream(x, _reference_series_digits, 110)
         for U in rng.sample(opens, 12):
             verdict = U.contains(x)
-            assert verdict == _stream_member(U, x), (U, x)
+            assert verdict == _reference_member(U, x), (U, x)
             seen[verdict] += 1
-        y = x * Element.monomial(F, 1, **{t: -i0})
-        assert _same_digit(residue(y), next(digits(y))), y
+        y = x * Element.monomial(F, 1, **{t: -x.val_vector()[-1]})
+        assert _same_digit(residue(y), next(_reference_series_digits(y))), y
         seen["gap"] += any(b - a > 10 for (a, _), (b, _) in zip(got, got[1:]))
     assert seen[True] > 200 and seen[False] > 200 and seen["gap"] > 50, seen
 
@@ -650,15 +665,115 @@ def test_mixed_digits_match_the_euclid_stream(p):
     seen = Counter()
     for _ in range(60):
         x = _rand_along_p(rng, F)
-        got = _digits_or_error(digits(x), 9)
-        want = _digits_or_error(_reference_mixed_digits(x), 9)
-        assert len(got) == len(want), x
-        for g, w in zip(got, want):
-            assert g == w if isinstance(w, str) else _same_digit(g, w), x
-        seen["deep"] += len(got) == 9
-        seen["zero run"] += any(d.is_zero() for d in got[1:-1]
-                                if not isinstance(d, str))
+        got = _check_stream(x, _reference_mixed_digits, 9)
+        seen["deep"] += len(_digits_or_error(_reference_mixed_digits(x), 9)) == 9
+        seen["zero run"] += any(b - a > 1 for (a, _), (b, _) in zip(got, got[1:]))
     assert seen["deep"] > 30 and seen["zero run"] > 3, seen
+
+
+# --- the one stream against the dense references ------------------------------
+
+def _nonzero_or_error(stream, start, n):
+    """(level, digit) for each nonzero digit among the first n of a dense
+    reference stream from level start, then the text of the error it
+    raises there, if any."""
+    out = []
+    try:
+        for i, d in zip(range(start, start + n), stream):
+            if not d.is_zero():
+                out.append((i, d))
+    except PrecisionExhaustedError as err:
+        out.append(str(err))
+    return out
+
+
+def _check_stream(x, reference, n):
+    """digits(x, i0 + n), i0 the top valuation of x, against the nonzero
+    entries of the reference's first n digits; returns its pairs."""
+    i0 = x.val_vector()[-1]
+    want = _nonzero_or_error(reference(x), i0, n)
+    got = []
+    try:
+        got.extend(digits(x, i0 + n))
+    except PrecisionExhaustedError as err:
+        got.append(str(err))
+    assert len(got) == len(want), (x, n, got, want)
+    for g, w in zip(got, want):
+        if isinstance(w, str):
+            assert g == w, x
+        else:
+            assert g[0] == w[0] and _same_digit(g[1], w[1]), (x, n, g, w)
+    return [g for g in got if not isinstance(g, str)]
+
+
+def _reference_qp_digits(x):
+    """The digits of x over Qp, each read off the residue of its unit part
+    mod p^(k+1)."""
+    p = x.field.p
+    rf = x.field.residue()
+    c = x.num[()] / x.den[()] * Fraction(p) ** -x.val_vector()[-1]
+    k = 0
+    while not (c.denominator == 1 and 0 <= c.numerator < p ** k):
+        m = p ** (k + 1)
+        yield Element.from_coeff(rf, c.numerator * pow(c.denominator, -1, m) % m // p ** k)
+        k += 1
+
+
+def _rand_qp(rng, F):
+    p = F.p
+    if rng.random() < 0.3:
+        # a run of zero digits between two terms
+        a, b = sorted(rng.sample(range(-4, 9), 2))
+        c = rng.randint(1, p - 1) * Fraction(p) ** a + rng.randint(1, 30) * Fraction(p) ** b
+    else:
+        c = Fraction(rng.randint(-40, 40) or 1, rng.choice((1, 1, 2, 4, 5, 7))) \
+            * Fraction(p) ** rng.randint(-3, 3)
+    return Element.from_coeff(F, c)
+
+
+def _zero_run_along_p(rng, F):
+    a = rng.randint(1, 6)
+    return parse_element(F, "%d^(-%d) + t*%d^(%d)" % (F.prime(), a, F.prime(), a))
+
+
+# per route: fields, an element generator and the dense reference
+STREAM_ROUTES = {
+    "_scalar_digits": (("Qp(3)((t))", "Q((t))", "Fq(5)((t))", "Fq(4;w^2+w+1)((t))"),
+                       lambda rng, F: _rand_series(rng, F, 1), _reference_dict_digits),
+    "_packed_digits": (("Fq(5)((u))((t))", "Fq(257)((u))((t))", "Fq(2)((u))((t))"),
+                       lambda rng, F: _rand_series(rng, F, 1), _reference_dict_digits),
+    "_dict_digits": (("Fq(3)((v))((u))((t))", "Fq(4;w^2+w+1)((u))((t))",
+                      "Q((u))((t))", "Qp(3){{u}}((t))", "Fq(5)((u))((t))"),
+                     lambda rng, F: _rand_series(rng, F, 10 ** 30), _reference_dict_digits),
+    "_mixed_digits": (("Qp(2){{t}}", "Qp(3){{t}}", "Qp(5){{t}}"),
+                      lambda rng, F: (_zero_run_along_p if rng.random() < 0.2
+                                      else _rand_along_p)(rng, F),
+                      _reference_mixed_digits),
+    "_qp_digits": (("Qp(2)", "Qp(3)", "Qp(5)"), _rand_qp, _reference_qp_digits),
+}
+
+
+@pytest.mark.parametrize("route", STREAM_ROUTES)
+def test_the_digit_stream_is_the_nonzero_dense_digits(route):
+    # digits(x, stop) yields the nonzero entries below stop of the dense
+    # reference, each in its representation, with the reference's error at
+    # the same level; the stops are random, at the top valuation, just past
+    # it and inside the stream as well as past its end
+    texts, rand, reference = STREAM_ROUTES[route]
+    seen = Counter()
+    for text in texts:
+        F = parse_field(text)
+        rng = random.Random("stream:%s:%s" % (route, text))
+        for _ in range(40):
+            x = rand(rng, F)
+            if x.is_zero():
+                continue
+            n = rng.choice((0, 1, 2, 3, rng.randint(4, 12), 40))
+            got = _check_stream(x, reference, n)
+            seen[digits(x, 10 ** 9).__name__] += 1
+            seen["cut"] += n > 0 and len(got) < len(_check_stream(x, reference, n + 8))
+            seen["gap"] += any(b - a > 1 for (a, _), (b, _) in zip(got, got[1:]))
+    assert seen[route] >= 60 and seen["cut"] > 5 and seen["gap"] > 5, seen
 
 
 # the ten-digit jets of the four shapes the benchmark's depth sweep expands
@@ -724,21 +839,16 @@ def test_zero_digit_runs_along_p_skip_in_one_step(deadline):
     # reads them off one valuation and one division, not a level each
     for a in (1, 2, 5, 13):
         x = parse_element(Q3M, "3^(-%d) + t*3^(%d)" % (a, a))
-        got, want = list(digits(x)), list(_reference_mixed_digits(x))
-        assert len(got) == 2 * a + 1
-        assert all(_same_digit(g, w) for g, w in zip(got, want))
+        got = _check_stream(x, _reference_mixed_digits, 2 * a + 1)
+        assert [i for i, _ in got] == [-a, a]
     for text in ("(1 + t)/(1 - 3*t - t^2) + 3^9*t", "2 + 3^7*(1 + t)/(1 + t^2)"):
-        x = parse_element(Q3M, text)
-        got, want = _digits_or_error(digits(x), 12), _digits_or_error(
-            _reference_mixed_digits(x), 12)
-        assert len(got) == len(want) and all(map(_same_digit, got, want))
+        _check_stream(parse_element(Q3M, text), _reference_mixed_digits, 12)
     a = 3 * 10 ** 4
     x = parse_element(Q3M, "3^(-%d) + t*3^(%d)" % (a, a))
     y = parse_element(Q3M, "3^(-%d) + 3^(%d)" % (a, a))
     with deadline(1.0):
-        got = list(digits(x))
-    assert len(got) == 2 * a + 1 and repr(got[0]) == "1" and repr(got[-1]) == "t"
-    assert not any(d for d in got[1:-1])
+        got = list(digits(x, a + 1))
+    assert [(i, repr(d)) for i, d in got] == [(-a, "1"), (a, "t")]
     U = _pin_digit(a)
     with deadline(1.0):
         assert U.contains(x) and not U.contains(y)
@@ -862,13 +972,13 @@ def test_prime_field_digits_share_the_residue_table_of_their_field():
     # FqElem arithmetic stays on its identity fast path
     fq = F5UT.residue().fq()
     coeffs = [c for text in ("(2 + u*t)/(1 - t)", "(3*u + 2*t^2)/(1 + u*t)")
-              for d in islice(digits(parse_element(F5UT, text)), 6)
+              for _, d in digits(parse_element(F5UT, text), 6)
               for c in d.num.values()]
     assert len({c.as_int() for c in coeffs}) >= 3
     for c in coeffs:
         assert c is fq.residues[c.as_int()] and c.field is fq
     twin = parse_field("Fq(5)((u))((t))")
-    x = next(digits(parse_element(twin, "2 + u*t")))
+    _, x = next(digits(parse_element(twin, "2 + u*t"), 1))
     assert all(c.field is twin.residue().fq() for c in x.num.values())
 
 

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import dense
 
 from hlf import opens as opens_module
 from hlf.checks import _random_element
@@ -123,8 +124,8 @@ def _digit_path(U, x):
     if x.is_zero():
         return True
     i0 = x.val_vector()[-1]
-    return all(U.level(i).contains(d)
-               for i, d in zip(range(i0, U.cutoff), digits(x)))
+    stream = dense(digits(x, U.cutoff), i0, Element.zero(U.field.residue()))
+    return all(U.level(i).contains(d) for i, d in enumerate(stream, i0))
 
 
 def _rand_mixed(rng, F, p):
@@ -222,6 +223,13 @@ def test_membership_reads_no_level_past_the_last_constraint(deadline):
     with deadline(0.5):
         assert U.contains(e(F5UT, "1/(1 - t)"))
         assert not U.contains(e(F5UT, "u^-1/(1 - t)"))
+    # top = 2: the denominator's term at t^100000 is never read
+    F = parse_field("Fq(25;w^2+w+2)((u))((t))")
+    B = F.residue()
+    V = LevelsOpen(F, 10 ** 7, {0: ball_at(B, 0), 1: ball_at(B, 0)}, FullRule())
+    with deadline(0.5):
+        assert V.contains(e(F, "(1 + u*t)/(1 - u^2*t^100000)"))
+        assert not V.contains(e(F, "(1 + u^-1*t)/(1 - u^2*t^100000)"))
 
 
 def _item_one_open(c):
