@@ -51,6 +51,14 @@ def power(x, k, one):
 
 # --- dense polynomials: int lists, lowest degree first -----------------------
 
+# Where a plain Python loop stops paying: a schoolbook product runs at most
+# _SCHOOLBOOK^2 coefficient products, past which packing for Kronecker
+# substitution costs less, and a synthetic division by a two-term
+# polynomial (_fp_strip) at most 2*_SCHOOLBOOK coefficients, past which
+# prefix sums do.
+_SCHOOLBOOK = 12
+
+
 def _poly_trim(cs):
     cs = list(cs)
     while cs and cs[-1] == 0:
@@ -78,6 +86,15 @@ def _fp_monic(a, p):
 
 
 def _fp_gcd(a, b, p):
+    if len(b) == 2:
+        a, b = b, a
+    if len(a) == 2:
+        # a linear a divides b exactly when its root is a root of b
+        z = -a[0] * pow(a[1], -1, p) % p
+        v = 0
+        for c in reversed(b):
+            v = (v * z + c) % p
+        return [1] if v else [z and p - z, 1]
     a, b = _fp_monic(a, p), _fp_monic(b, p)
     while b:
         a, b = b, _fp_rem(a, b, p)
@@ -141,12 +158,15 @@ def _fp_strip(a, f, e, p):
     else a nonzero r of degree below deg f with q = t^j*r mod f for some
     j >= 0, so that r shares with f what q shares with it.
 
-    A two-term f = t^d + c divides as d interleaved prefix sums.  In the
+    A two-term f = t^d + c divides an a of up to 2*_SCHOOLBOOK
+    coefficients by synthetic division, one pass of a per division, and a
+    longer one as d interleaved prefix sums, whose set-up (two passes of
+    powers) costs more than the passes it saves on a shorter a.  In the
     class of exponents j + d*i (i = 0, 1, ...) the quotient of a by s + c,
     s = t^d, is q_i = z*y^i*S_i with z = 1/c, y = -z and S the prefix sums
     of a_i*y^-i, and the class divides exactly when the sum one past q's
     top is 0 mod p.  So k divisions are k passes of prefix sums, reduced
-    mod p once at the end.  Any other f takes the schoolbook division."""
+    mod p once at the end.  Any other f takes _fp_divmod."""
     d = len(f) - 1
     if any(f[1:-1]):
         k, r = 0, []
@@ -156,6 +176,18 @@ def _fp_strip(a, f, e, p):
                 break
             a, k = q, k + 1
         return a, k, r
+    if len(a) <= 2 * _SCHOOLBOOK:
+        # synthetic division by t^d + c, in place from the top
+        c = f[0]
+        for k in range(e):
+            q = list(a)
+            for j in range(len(q) - 1, d - 1, -1):
+                q[j - d] = (q[j - d] - c * q[j]) % p
+            r = _poly_trim(q[:d])
+            if r:
+                return a, k, r
+            a = q[d:]
+        return a, e, []
     z = pow(f[0], -1, p)
     y = p - z
     cls = [[c * w for c, w in zip(a[j::d], _fp_powers(p - f[0], len(a[j::d]), p))]
@@ -311,10 +343,6 @@ def _zdiv(a, g):
     return q
 
 
-# The schoolbook product takes lists with at most this many terms on one
-# side; past it, Kronecker substitution does.
-_SCHOOLBOOK = 12
-
 # A digit stream over F_p((u))((t)) packs each t-slice into one int while
 # neither the u-exponents of the element's terms nor any of its slices from
 # its packed start span this many slots per term; a sparser element keeps a
@@ -323,10 +351,11 @@ _PACKED_SPAN = 2
 
 
 def _zmul(a, b):
-    """Product over Z.  Past a dozen terms on each side, by Kronecker
-    substitution: pack each list into one int with slots wide enough for
-    every product coefficient, multiply once, unpack with a bias."""
-    if min(len(a), len(b)) <= _SCHOOLBOOK:
+    """Product over Z.  Past _SCHOOLBOOK^2 coefficient products, by
+    Kronecker substitution: pack each list into one int with slots wide
+    enough for every product coefficient, multiply once, unpack with a
+    bias."""
+    if len(a) * len(b) <= _SCHOOLBOOK ** 2:
         out = [0] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):
             if c:
@@ -342,16 +371,29 @@ def _zmul(a, b):
 
 def _zcross(a, sa, b, c, sc, d):
     """(t^sa*a*d - t^sc*c*b as (list, exponent of its head) trimmed at both
-    ends, b*d) over Z.  Past a dozen terms in every list the four are
-    packed once at one slot width, and three products, a shift and a
+    ends, b*d) over Z.  Up to _SCHOOLBOOK^2 coefficient products in all,
+    one schoolbook pass over d and c fills both lists; past that the four
+    are packed once at one slot width, and three products, a shift and a
     subtraction give both."""
-    if min(len(a), len(b), len(c), len(d)) <= _SCHOOLBOOK:
-        return (*_zadd(_zmul(a, d), sa, [-x for x in _zmul(c, b)], sc),
-                _zmul(b, d))
+    if len(d) * (len(a) + len(b)) + len(c) * len(b) <= _SCHOOLBOOK ** 2:
+        lo = min(sa, sc)
+        x = [0] * (max(sa + len(a) + len(d), sc + len(c) + len(b)) - 1 - lo)
+        y = [0] * (len(b) + len(d) - 1)
+        for j, e in enumerate(d):
+            if e:
+                for i, v in enumerate(a, sa - lo + j):
+                    x[i] += v * e
+                for i, v in enumerate(b, j):
+                    y[i] += v * e
+        for j, e in enumerate(c):
+            if e:
+                for i, v in enumerate(b, sc - lo + j):
+                    x[i] -= v * e
+        return (*_ztrim(x, lo), y)
     # every coefficient of the products and of the difference stays below
     # 2 * (longest list) * max|a, b| * max|c, d|
-    w = _slot_bytes(max(max(map(abs, a)), max(map(abs, b))).bit_length()
-                    + max(max(map(abs, c)), max(map(abs, d))).bit_length()
+    w = _slot_bytes(max(max(a), -min(a), max(b), -min(b)).bit_length()
+                    + max(max(c), -min(c), max(d), -min(d)).bit_length()
                     + max(len(a), len(b)).bit_length() + 1)
     half = 1 << (8 * w - 1)
     pa, pb, pc, pd = (_pack(x, w, half) for x in (a, b, c, d))
@@ -363,7 +405,7 @@ def _zcross(a, sa, b, c, sc, d):
 
 
 # struct formats by item size: slots of these widths pack and unpack in
-# one call
+# one call, signed (lower case) or not
 _ITEMS = {struct.calcsize("<" + c): c for c in "BHIQ"}
 
 
@@ -373,12 +415,20 @@ def _slot_bytes(bits):
     return min((w for w in _ITEMS if 8 * w > bits), default=bits // 8 + 1)
 
 
+# Both read a slot a_i with |a_i| < half = X/2 as a signed w-byte integer, or
+# one in [0, X) when half is 0.  The bias sum half*X^i has the top bit of
+# every slot set, and a slot holding a_i + half, which needs no carry, holds
+# the two's complement of a_i with that bit flipped; so one addition and one
+# xor cross between the packed int and signed slots.
+
 def _unpack(c, n, w, half):
-    # the n coefficients of c = sum a_i X^i at X = 256^w, every |a_i| < half
-    raw = (c + _bias(n, w, half)).to_bytes(n * w, "little")
+    # the n coefficients of c = sum a_i X^i at X = 256^w
+    bias = _bias(n, w, half)
+    raw = ((c + bias) ^ bias).to_bytes(n * w, "little")
     if w in _ITEMS:
-        return [v - half for v in struct.unpack("<%d%s" % (n, _ITEMS[w]), raw)]
-    return [int.from_bytes(raw[i:i + w], "little") - half
+        fmt = _ITEMS[w].lower() if half else _ITEMS[w]
+        return list(struct.unpack("<%d%s" % (n, fmt), raw))
+    return [int.from_bytes(raw[i:i + w], "little", signed=bool(half))
             for i in range(0, n * w, w)]
 
 
@@ -387,12 +437,14 @@ def _bias(n, w, half):
 
 
 def _pack(a, w, half):
-    # sum a_i X^i at X = 256^w, given every |a_i| < half = X/2
+    # sum a_i X^i at X = 256^w
     if w in _ITEMS:
-        raw = struct.pack("<%d%s" % (len(a), _ITEMS[w]), *[c + half for c in a])
+        fmt = _ITEMS[w].lower() if half else _ITEMS[w]
+        raw = struct.pack("<%d%s" % (len(a), fmt), *a)
     else:
-        raw = b"".join((c + half).to_bytes(w, "little") for c in a)
-    return int.from_bytes(raw, "little") - _bias(len(a), w, half)
+        raw = b"".join(c.to_bytes(w, "little", signed=bool(half)) for c in a)
+    bias = _bias(len(a), w, half)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
 class FqField:

@@ -77,7 +77,9 @@ t^(10^6) costs nothing to a stream stopped at level 3.
 Over Qp{{t}} and Qp the expansion runs along p instead, peeling one digit per
 step with the plain section of the reduction map: y -> (y - lift(d))/p with
 d = y mod p, the lift reduced over F_p with integer coefficients in [0, p).
-Over Qp that is one rational: d = c mod p, c -> (c - d)/p.
+Over Qp that is one rational: d = c mod p, c -> (c - d)/p, and a run of
+v zero digits one valuation of c, counted no further than stop, and one
+division by p^v.
 
 Over Qp{{t}} that loop runs on integer polynomials: y = t^a*N / t^b*Q with N
 and Q dense int lists over one scale prime to p; the stream ends once N is
@@ -101,16 +103,29 @@ and every irreducible factor of every digit's denominator divides qbar_0.
 The stream keeps monic pairwise coprime f with qbar proportional to the
 product of the f^e, from qbar_0 alone at the first digit; the gcd of a
 digit's numerator nbar with qbar is the product of the f^k, f dividing
-nbar k <= e times, found by dividing by f (a two-term f by prefix sums).
-A remainder sharing a proper factor with f splits f into the coprime
-pieces of that factor and its cofactor (factor refinement, Bach, Driscoll
-and Shallit 1993), and after Q*dt each e becomes 2e - k.  The remainder
-update packs N, Q, nt and dt once and takes N*dt - nt*Q, each at its
-power of t, and Q*dt from three int multiplies (Kronecker substitution).
-A run of v zero digits, N divisible by p^v, yields nothing and takes one
-valuation, counted no further than stop, and one division.  A remainder
-past _DIGIT_BUDGET integer coefficients raises PrecisionExhaustedError
-rather than run on.
+nbar k <= e times, found by dividing by f.  A remainder sharing a proper
+factor with f splits f into the coprime pieces of that factor and its
+cofactor (factor refinement, Bach, Driscoll and Shallit 1993), and after
+Q*dt each e becomes 2e - k.  The remainder update takes N*dt - nt*Q, each
+at its power of t, and Q*dt.  A run of v zero digits, N divisible by p^v,
+yields nothing and takes one valuation, counted no further than stop, and
+one division.  A remainder past _DIGIT_BUDGET integer coefficients raises
+PrecisionExhaustedError rather than run on.
+
+Below about eight digits a level holds a few dozen coefficients, so it
+costs its Python steps, not its int arithmetic, and every helper takes
+the route that costs fewest steps at its size, on one constant
+(coeff._SCHOOLBOOK).  The set-up reads x's coefficients as ints, with no
+Fraction.  N and Q mod p are scaled so that qbar's constant term is 1,
+which is the canonical form Element.make would reach, so the digit is
+built as it is, and its lists are the ones whose lowest terms are taken.
+A two-term f divides a numerator of up to 2*_SCHOOLBOOK coefficients by
+synthetic division, one pass per division, and a longer one by prefix
+sums (coeff._fp_strip); a linear remainder shares a factor with f exactly
+when its root is one of f's.  The remainder update runs one schoolbook
+pass while it takes at most _SCHOOLBOOK^2 coefficient products, and past
+that packs N, Q, nt and dt once and takes both from three int multiplies
+(Kronecker substitution, coeff._zcross).
 """
 
 from __future__ import annotations
@@ -541,12 +556,18 @@ def _qp_digits(x, stop):
     rf = f.residue()
     level = x.val_vector()[-1]
     c = x.num[()] / x.den[()] * Fraction(p) ** -level
-    while c and level < stop:
+    while c:
         d = rational_mod_p(c, p)
         if d:
             yield level, Element.from_coeff(rf, d)
-        c = (c - d) / p
-        level += 1
+            v = 1
+        else:
+            # v zero digits, v = v_p(c), counted no further than stop
+            v = padic_val(c.numerator, p, stop - level)
+        level += v
+        if level >= stop:
+            return
+        c = (c - d) / p ** v
 
 
 # Most integer coefficients, numerator and denominator together, that the
@@ -563,13 +584,17 @@ def _mixed_digits(x, stop):
     p = f.prime()
     level = x.val_vector()[-1]
     rf = f.residue()
-    elem = rf.fq().residues.__getitem__
+    elem = rf.fq().residues
     N, ns, Q, qs = _mixed_ints(x, p, level)
     # pairs (h, e), qbar proportional to the product of the h^e, from the
     # first digit on
     basis = None
     while N:
-        nbar, nbs = _ztrim([c % p for c in N], ns)
+        # N and Q mod p, scaled so that qbar's constant term is 1: the
+        # digit nbar/qbar is in the canonical form Element.make would find,
+        # so it is built as it is
+        inv = pow(Q[-qs], -1, p)
+        nbar, nbs = _ztrim([c * inv % p for c in N], ns)
         if not nbar:
             # v zero digits, v the least v_p in N, counted no further than
             # stop
@@ -583,12 +608,10 @@ def _mixed_digits(x, stop):
             pv = p ** v
             N = [c // pv for c in N]
         else:
-            qbar, _ = _ztrim([c % p for c in Q[-qs:]], 0)
-            # the digit with qbar's constant term 1, as Element.make leaves it
-            inv = pow(qbar[0], -1, p)
-            yield level, Element.make(
-                rf, {(nbs + i,): elem(c * inv % p) for i, c in enumerate(nbar) if c},
-                {(i,): elem(c * inv % p) for i, c in enumerate(qbar) if c})
+            qbar, _ = _ztrim([c * inv % p for c in Q[-qs:]], 0)
+            num = {(i,): elem[c] for i, c in enumerate(nbar, nbs) if c}
+            den = {(i,): elem[c] for i, c in enumerate(qbar) if c}
+            yield level, Element.one(rf) if num == den else Element(rf, num, den)
             level += 1
             if level == stop:
                 return
@@ -698,17 +721,23 @@ def _mixed_ints(x, p, k0):
     """(N, ns, Q, qs) with y = x/p^k0 = t^ns*N / t^qs*Q, N and Q int lists
     over one scale prime to p; Q's first coefficient prime to p sits at
     t^0, as Element.make keeps it."""
-    num = {k: c * Fraction(p) ** -k0 for (k,), c in x.num.items()}
-    den = {k: c for (k,), c in x.den.items()}
-    scale = lcm(*(c.denominator for c in (*num.values(), *den.values())))
-    return (*_int_list(num, scale), *_int_list(den, scale))
+    # y is p-integral, so every coefficient of num/p^k0 and of den has a
+    # denominator prime to p: the lcm of them all without its powers of p
+    scale = lcm(*(c.denominator for lp in (x.num, x.den) for c in lp.values()))
+    while not scale % p:
+        scale //= p
+    up, down = scale * p ** max(-k0, 0), p ** max(k0, 0)
+    num = {k: c.numerator * up // (c.denominator * down) for (k,), c in x.num.items()}
+    den = {k: c.numerator * scale // c.denominator for (k,), c in x.den.items()}
+    return (*_int_list(num), *_int_list(den))
 
 
-def _int_list(lp, scale):
+def _int_list(lp):
+    """{exponent: int} as a dense list from its least exponent, and that."""
     lo = min(lp)
     out = [0] * (max(lp) - lo + 1)
     for k, c in lp.items():
-        out[k - lo] = int(c * scale)
+        out[k - lo] = c
     return out, lo
 
 
@@ -737,7 +766,7 @@ def canonical_fraction(x):
             and f.residue().field.deg == 1) or x.is_zero():
         return x
     fq = f.residue().field
-    ints = lambda lp: _int_list({k: c.as_int() for (k,), c in lp.items()}, 1)
+    ints = lambda lp: _int_list({k: c.as_int() for (k,), c in lp.items()})
     (np, ns), (dp, ds) = ints(x.num), ints(x.den)
     np, dp = _fp_lowest_terms(np, dp, fq.p)
     # in [0, p) already: no second reduction

@@ -6,6 +6,7 @@ implementation under test.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -13,11 +14,11 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
-from hlf.coeff import (FqField, _fp_basis_lowest_terms, _fp_coprime, _fp_gcd,
-                       _fp_lowest_terms, _fp_monic, _fp_mul, _fp_strip,
-                       _is_irreducible, _pack, _prime_power, _unpack, _zadd,
-                       _zcross, _zmul, padic_val, rational_mod_p,
-                       teichmuller_exact)
+from hlf.coeff import (_SCHOOLBOOK, FqField, _fp_basis_lowest_terms,
+                       _fp_coprime, _fp_divmod, _fp_gcd, _fp_lowest_terms,
+                       _fp_monic, _fp_mul, _fp_strip, _is_irreducible, _pack,
+                       _prime_power, _unpack, _zadd, _zcross, _zmul, padic_val,
+                       rational_mod_p, teichmuller_exact)
 from hlf.errors import FieldMismatchError, UnsupportedFieldError, ZeroElementError
 from hlf.fields import parse_field
 
@@ -270,6 +271,41 @@ def _q0_factors(rng, p):
     return fs + rng.sample(fs, rng.randint(0, len(fs)))
 
 
+def _plain_divmod(a, b, p):
+    """Long division over F_p, the leading term cancelled one at a time."""
+    a, q = [c % p for c in a], [0] * max(len(a) - len(b) + 1, 0)
+    inv = pow(b[-1], -1, p)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = a[k + len(b) - 1] * inv % p
+        for i, y in enumerate(b):
+            a[k + i] = (a[k + i] - c * y) % p
+    while a and not a[-1]:
+        a.pop()
+    return q, a
+
+
+def _plain_gcd(a, b, p):
+    while b:
+        a, b = b, _plain_divmod(a, b, p)[1]
+    return _fp_monic(a, p)
+
+
+def test_division_and_gcd_match_the_long_division():
+    # linear, two-term and dense divisors and gcds, each against a long
+    # division that does not skip zero terms
+    rng = random.Random("euclid")
+    for _ in range(600):
+        p = rng.choice((2, 3, 5, 7, 101))
+        g = _rand_fp(rng, p, rng.randint(0, 3), True)
+        a = _fp_mul(g, _rand_fp(rng, p, rng.randint(0, 6), False), p)
+        b = _fp_mul(g, _rand_fp(rng, p, rng.randint(0, 4), False), p)
+        if rng.random() < 0.3:
+            b = [rng.randrange(1, p)] + [0] * rng.randint(0, 3) + [1]
+        assert _fp_gcd(a, b, p) == _plain_gcd(a, b, p), (p, a, b)
+        m = _fp_monic(b, p)
+        assert _fp_divmod(a, m, p) == _plain_divmod(a, m, p), (p, a, m)
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_basis_lowest_terms_match_the_euclid(p):
     # qbar starts as a small q0 and is multiplied by each reduced
@@ -286,7 +322,9 @@ def test_basis_lowest_terms_match_the_euclid(p):
         qbar = [c * s % p for c in q0]
         basis = [(_fp_monic(q0, p), 1)]
         for _ in range(4):
-            a = _rand_fp(rng, p, rng.randint(0, 4), False)
+            # past 2*_SCHOOLBOOK coefficients a two-term f strips by
+            # prefix sums
+            a = _rand_fp(rng, p, rng.randint(0, rng.choice((4, 30))), False)
             for f in fs:
                 if rng.random() < 0.6:
                     a = _fp_mul(a, _fp_power(f, rng.randint(1, 5), p), p)
@@ -311,15 +349,20 @@ def test_basis_lowest_terms_over_a_constant_denominator():
 
 def test_strip_divides_while_it_can_and_keeps_the_common_part():
     rng = random.Random("strip")
+    routes = Counter()
     for _ in range(400):
         p = rng.choice((2, 3, 5, 7, 101))
         d = rng.randint(1, 3)
         f = [rng.randrange(1, p)] + [0] * (d - 1) + [1]
         if rng.random() < 0.5:
             f = _rand_fp(rng, p, d, True)
-        a = _rand_fp(rng, p, rng.randint(0, 8), False)
+        a = _rand_fp(rng, p, rng.randint(0, rng.choice((8, 40))), False)
         want = rng.randint(0, 6)
         b = _fp_mul(a, _fp_power(f, want, p), p)
+        if not any(f[1:-1]):
+            # synthetic division up to 2*_SCHOOLBOOK coefficients, prefix
+            # sums past it
+            routes[len(b) > 2 * _SCHOOLBOOK] += 1
         e = rng.randint(0, 8)
         q, k, r = _fp_strip(b, f, e, p)
         assert _fp_mul(q, _fp_power(f, k, p), p) == b
@@ -330,6 +373,7 @@ def test_strip_divides_while_it_can_and_keeps_the_common_part():
             assert len(_fp_gcd(q, f, p)) < len(f)
         else:
             assert k == e and r == []
+    assert routes[False] > 40 and routes[True] > 40, routes
 
 
 def test_coprime_refinement_keeps_the_product():
@@ -368,16 +412,44 @@ def test_pack_round_trips_at_every_slot_width():
         assert _unpack(_pack(a, w, half), len(a), w, half) == a
 
 
+def _plain_mul(a, b):
+    """The product over Z by the double loop."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_product_matches_the_double_loop():
+    # lengths 1-30 put the product on both sides of _SCHOOLBOOK^2
+    rng = random.Random("zmul")
+    routes = Counter()
+    for _ in range(400):
+        bits = rng.choice((1, 8, 40, 70))
+        a, b = ([rng.randint(-2 ** bits, 2 ** bits) for _ in range(rng.randint(1, 30))]
+                for _ in range(2))
+        routes[len(a) * len(b) > _SCHOOLBOOK ** 2] += 1
+        assert _zmul(a, b) == _plain_mul(a, b), (a, b)
+    assert routes[False] > 100 and routes[True] > 100, routes
+
+
 def test_cross_product_matches_the_separate_products():
+    # short lists take the schoolbook, longer ones Kronecker substitution
     rng = random.Random("cross")
+    routes = Counter()
     for _ in range(600):
         bits = rng.choice((2, 20, 40, 62, 70, 130))
+        n = rng.choice((6, 40))
         big = lambda: [rng.randint(-2 ** bits, 2 ** bits) or 1
-                       for _ in range(rng.randint(1, 40))]
-        small = lambda: [rng.randrange(7) or 1 for _ in range(rng.randint(1, 40))]
+                       for _ in range(rng.randint(1, n))]
+        small = lambda: [rng.randint(-6, 6) or 1 for _ in range(rng.randint(1, n))]
         a, b, c, d = big(), big(), small(), small()
         sa, sc = rng.randint(-5, 5), rng.randint(-5, 5)
-        want = (*_zadd(_zmul(a, d), sa, [-x for x in _zmul(c, b)], sc), _zmul(b, d))
+        routes[len(d) * (len(a) + len(b)) + len(c) * len(b) > _SCHOOLBOOK ** 2] += 1
+        want = (*_zadd(_plain_mul(a, d), sa, [-x for x in _plain_mul(c, b)], sc),
+                _plain_mul(b, d))
         assert _zcross(a, sa, b, c, sc, d) == want
+    assert routes[False] > 200 and routes[True] > 200, routes
     # a difference that cancels to zero
     assert _zcross([1] * 20, 0, [1] * 20, [1] * 20, 0, [1] * 20)[0] == []

@@ -671,6 +671,24 @@ def test_mixed_digits_match_the_euclid_stream(p):
     assert seen["deep"] > 30 and seen["zero run"] > 3, seen
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_mixed_ints_match_fraction_arithmetic(p):
+    # _reference_mixed_digits starts from _mixed_ints too, so the int lists
+    # are checked here against Element arithmetic on the element itself
+    F = parse_field("Qp(%d){{t}}" % p)
+    rng = random.Random("ints:%d" % p)
+    for _ in range(150):
+        x = _rand_along_p(rng, F)
+        k0 = x.val_vector()[-1]
+        N, ns, Q, qs = _mixed_ints(x, p, k0)
+        assert all(type(c) is int for c in N + Q) and N[0] and N[-1] and Q[-1]
+        # Q's first coefficient prime to p sits at t^0
+        assert qs <= 0 and Q[-qs] % p and all(c % p == 0 for c in Q[:-qs])
+        lp = lambda cs, s: {(s + i,): Fraction(c) for i, c in enumerate(cs) if c}
+        y = Element.make(F, lp(N, ns), lp(Q, qs))
+        assert y == x * Element.from_coeff(F, Fraction(p) ** -k0), (x, N, ns, Q, qs)
+
+
 # --- the one stream against the dense references ------------------------------
 
 def _nonzero_or_error(stream, start, n):
@@ -852,6 +870,19 @@ def test_zero_digit_runs_along_p_skip_in_one_step(deadline):
     U = _pin_digit(a)
     with deadline(1.0):
         assert U.contains(x) and not U.contains(y)
+    # over Qp too: walked a level at a time, 3^-a + 3^a took 0.35 s at
+    # a = 10^4
+    for a in (1, 2, 5):
+        x = parse_element(Q3, "3^(-%d) + 3^(%d)" % (a, a))
+        got = _check_stream(x, _reference_qp_digits, 2 * a + 3)
+        assert [i for i, _ in got] == [-a, a]
+    a = 10 ** 4
+    x = parse_element(Q3, "3^(-%d) + 2*3^(%d)" % (a, a))
+    with deadline(0.1):
+        got = list(digits(x, 10 ** 9))
+    assert [(i, repr(d)) for i, d in got] == [(-a, "1"), (a, "2")]
+    with deadline(0.1):
+        assert repr(expand(x, a + 1)) == "3^-%d + O(3^1)" % a
 
 
 # --- residue maps ------------------------------------------------------------
