@@ -39,8 +39,7 @@ from .opens import (AffineRule, ConstRule, FullOpen, LevelsOpen, ZeroOpen,
                     subgroup_escape_witness, subgroup_shaped)
 from .parsing import parse_element
 from .points import (AffinePresentation, BaseRing, Point, PointSeqFamily,
-                     PointVerdict, RingMorphism, YES, base_change_family,
-                     base_change_point, base_change_presentation,
+                     PointVerdict, RingMorphism, YES, base_change,
                      member_points, point_seq_converges, product_presentation)
 from .sequences import AffineForm, SeqFamily, Term, parse_family
 from .valuation import (monomial_with_valuation, rank_valuation,
@@ -528,8 +527,7 @@ def _points_checks(rng, battery):
 
     O2, O1 = BaseRing(F, 2), BaseRing(F, 1)
     X2 = AffinePresentation(O2, ("X",), [])
-    incl = RingMorphism.inclusion(O2, O1)
-    Xup = base_change_presentation(incl, X2)
+    incl = base_change(RingMorphism.inclusion(O2, O1), X2)
     ipool = [("t^(n)", "0"), ("u*t^(n)", "0"), ("u^2 + u*t^(2*n)", "u^2"),
              ("1 + u^(n)*t", "1"), ("u^(n) + t^(n)", "0")]
 
@@ -539,7 +537,7 @@ def _points_checks(rng, battery):
         L = parse_element(F, lt)
         pf = PointSeqFamily((fam,), Point((L,)))
         return (point_seq_converges(X2, pf).kind,
-                point_seq_converges(Xup, base_change_family(incl, pf)).kind,
+                point_seq_converges(incl.target, incl.family(pf)).kind,
                 converges(_residue_family(fam), limit=residue(L)).kind)
 
     fails = []
@@ -553,16 +551,15 @@ def _points_checks(rng, battery):
             fails.append("%s: residue family diverged" % ft)
     _record(checks, "base change preserves convergence", n * 2, fails)
 
-    rho = RingMorphism.residue_map(O1)
-    X1 = AffinePresentation(O1, ("X",), [])
-    Xdown = base_change_presentation(rho, X1)
+    rho = base_change(RingMorphism.residue_map(O1),
+                      AffinePresentation(O1, ("X",), []))
     fails = []
     for _ in range(n):
         x = _random_integral(rng, F)
-        y = base_change_point(rho, X1, Point((x,)))
+        y = rho.point(Point((x,)))
         if y.coords[0] != residue(x):
             fails.append("residue point of %s moved" % x)
-        elif member_points(Xdown, y.coords) != YES:
+        elif member_points(rho.target, y.coords) != YES:
             fails.append("residue point of %s not on the fiber" % x)
     _record(checks, "the reduction of a point is its residue", n, fails)
 

@@ -105,8 +105,9 @@ def lp_min_monomial(field, a):
 
 
 class Element:
-    """Field element in canonical fraction form.  Construct through the
-    factory methods or parsing; arithmetic keeps the form canonical."""
+    """Field element as a fraction num/den, built by the factory methods or
+    parsing.  make scales den so that its least monomial is 1 and writes
+    zero as 0/1; no arithmetic cancels a common factor."""
 
     __slots__ = ("field", "num", "den", "_val")
     __hash__ = None

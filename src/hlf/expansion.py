@@ -724,8 +724,7 @@ def _mixed_ints(x, p, k0):
     # y is p-integral, so every coefficient of num/p^k0 and of den has a
     # denominator prime to p: the lcm of them all without its powers of p
     scale = lcm(*(c.denominator for lp in (x.num, x.den) for c in lp.values()))
-    while not scale % p:
-        scale //= p
+    scale //= p ** padic_val(scale, p)
     up, down = scale * p ** max(-k0, 0), p ** max(k0, 0)
     num = {k: c.numerator * up // (c.denominator * down) for (k,), c in x.num.items()}
     den = {k: c.numerator * scale // c.denominator for (k,), c in x.den.items()}

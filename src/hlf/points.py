@@ -8,6 +8,10 @@ vanishing plus integrality, and convergence of point families is decided
 coordinatewise: the product and subspace topologies have the same
 convergent sequences, and sequential saturation does not add any, so the
 componentwise verdict is the verdict.
+
+Points and point families move along one Morphism: a chart transfer is
+the overlap's unit test and then its Morphism, and base_change is the
+Morphism onto the base-changed presentation.
 """
 
 from itertools import product
@@ -177,15 +181,15 @@ class Poly:
     def evaluate(self, env, lift=None):
         """Value at env, a mapping from variable names.  lift carries the
         Element coefficients into the value domain; identity by default.
-        The sum starts at the first term: adding it to zero would give an
-        equal value with the same entries."""
+        Sums start at the first term and products at the first factor: 0 + v
+        and 1*v would be equal values with the same entries."""
         lift = lift or (lambda c: c)
         total = None
         for key, c in self.terms.items():
-            v = lift(c)
+            v = None if key and c.is_one() else lift(c)
             for name, e in key:
-                x = env[name]
-                v = v * (x if e == 1 else x ** e)
+                x = env[name] if e == 1 else env[name] ** e
+                v = x if v is None else v * x
             total = v if total is None else total + v
         return lift(Element.zero(self.field)) if total is None else total
 
@@ -316,13 +320,17 @@ class RatMap:
         return self.num * other.den == other.num * self.den
 
     def evaluate(self, env, lift=None):
-        return self.num.evaluate(env, lift) / self.den.evaluate(env, lift)
+        num = self.num.evaluate(env, lift)
+        return num if self._over_one() else num / self.den.evaluate(env, lift)
+
+    def _over_one(self):
+        return self.den.is_const() and self.den.const_value().is_one()
 
     def vars_used(self):
         return self.num.vars_used() | self.den.vars_used()
 
     def text(self):
-        if self.den.is_const() and self.den.const_value().is_one():
+        if self._over_one():
             return self.num.text()
         return "(%s)/(%s)" % (self.num.text(), self.den.text())
 
@@ -535,33 +543,106 @@ def product_presentation(X, Y):
                               X.gens + Y.gens)
 
 
+# --- morphisms ----------------------------------------------------------------
+
+class RingMorphism:
+    """Inclusion up the tower, or the residue map one level down; apply is
+    its map on elements."""
+
+    def __init__(self, source, target, apply):
+        self.source = source
+        self.target = target
+        self.apply = apply
+
+    @classmethod
+    def inclusion(cls, source, target):
+        if source.field != target.field or target.rank > source.rank:
+            raise UnsupportedFieldError(
+                "no inclusion %s into %s" % (source.describe(),
+                                             target.describe()))
+        return cls(source, target, lambda x: x)
+
+    @classmethod
+    def residue_map(cls, source):
+        if source.rank < 1:
+            raise UnsupportedFieldError("residue map needs an integer ring")
+        target = BaseRing(source.field.residue(), source.rank - 1)
+        return cls(source, target, residue)
+
+
+class Morphism:
+    """A map of presentations over a ring morphism whose map on elements is
+    coeff: image coordinate k is maps[k], a RatMap over the target field in
+    the source variables, at the coordinates carried through coeff.  Images
+    lie in chart `chart`; name and miss head the errors of a map undefined
+    at a point and of an image off the target."""
+
+    def __init__(self, source, target, coeff, maps, chart, name, miss):
+        self.source, self.target, self.coeff = source, target, coeff
+        self.maps, self.chart = tuple(maps), chart
+        self.name, self.miss = name, miss
+
+    def point(self, x):
+        """Image of x, checked against the target's generators.  coeff runs
+        before the source check, so a residue map refuses x first."""
+        coords = tuple(self.coeff(c) for c in x.coords)
+        if member_points(self.source, x.coords) != YES:
+            raise TargetViolationError("source point misses the presentation")
+        env = dict(zip(self.source.variables, coords))
+        try:
+            coords = tuple(m.evaluate(env) for m in self.maps)
+        except ZeroDivisionError:
+            raise TargetViolationError("%s undefined at %r"
+                                       % (self.name, x)) from None
+        if member_points(self.target, coords) != YES:
+            raise TargetViolationError(self.miss.format(coords=coords))
+        return Point(coords, chart=self.chart)
+
+    def family(self, f):
+        """The limit through point, the coordinate families through the
+        maps by SeqFamily arithmetic, which stays over one field."""
+        if self.source.ring.field != self.target.ring.field:
+            raise UnsupportedFieldError(
+                "families push forward along inclusions only")
+        lim = self.point(f.limit)
+        env = dict(zip(self.source.variables, f.families))
+        return PointSeqFamily([m.evaluate(env, SeqFamily.of_element)
+                               for m in self.maps], lim)
+
+
+def base_change(sigma, X):
+    """The Morphism from X onto X over sigma's target, generators through
+    sigma, taking each coordinate to itself."""
+    field = sigma.target.field
+    XS = AffinePresentation(sigma.target, X.variables,
+                            [g.map_coeffs(sigma.apply, field) for g in X.gens])
+    return Morphism(X, XS, sigma.apply,
+                    [RatMap.of(Poly.var(field, v)) for v in X.variables], 0,
+                    "base change", "image {coords!r} misses the base change")
+
+
 # --- charted covers -----------------------------------------------------------
-
-class Overlap:
-    """Transition out of one chart: where the localizer is a unit, the
-    maps give the coordinates in the other chart."""
-
-    def __init__(self, unit, maps):
-        self.unit = unit
-        self.maps = tuple(maps)
-
 
 class ChartedScheme:
     """Finitely many affine charts over a local base ring.  Points carry a
     chart index; a point transfers along a declared overlap exactly when
     the localizer is a unit at it, which over a local ring is how every
     rational point lands inside some chart.  overlaps maps (i, j) to the
-    texts (unit, [map, ...]) in the variables of chart i."""
+    texts (unit, [map, ...]) in the variables of chart i, kept as the
+    localizer units[(i, j)] and the Morphism overlaps[(i, j)]."""
 
     def __init__(self, ring, charts, overlaps):
         self.ring = ring
         self.charts = list(charts)
-        self.overlaps = {}
+        self.units, self.overlaps = {}, {}
         for (i, j), (unit, maps) in overlaps.items():
             variables = self.charts[i].variables
-            self.overlaps[(i, j)] = Overlap(
-                parse_poly(ring.field, variables, unit),
-                [parse_rat(ring.field, variables, m) for m in maps])
+            self.units[(i, j)] = parse_poly(ring.field, variables, unit)
+            self.overlaps[(i, j)] = Morphism(
+                self.charts[i], self.charts[j], lambda x: x,
+                [parse_rat(ring.field, variables, m) for m in maps], j,
+                "transition %d-%d" % (i, j),
+                "transition image misses chart %d" % j)
         self._check_transitions()
 
     def _check_transitions(self):
@@ -599,42 +680,27 @@ class ChartedScheme:
                     "transitions %d-%d-%d do not compose to %d-%d"
                     % (i, j, k, i, k))
 
-    def transfer(self, x, j):
-        """Point in chart j, or OUT_OF_CHART when the localizer fails to
-        be a unit; a declared transition is then applied and its image is
-        verified against the target chart."""
-        if x.chart == j:
-            return x
+    def _overlap(self, x, j):
+        """The Morphism from x's chart to chart j, None when its localizer
+        is not a unit at x."""
         key = (x.chart, j)
         if key not in self.overlaps:
             raise UnsupportedFieldError("no declared overlap %d-%d" % key)
-        ov = self.overlaps[key]
-        src = self.charts[x.chart]
-        if not in_principal_open(src, ov.unit, x):
-            return OUT_OF_CHART
-        env = src.env(x.coords)
-        try:
-            coords = tuple(m.evaluate(env) for m in ov.maps)
-        except ZeroDivisionError:
-            raise TargetViolationError("transition %d-%d undefined at %r"
-                                       % (x.chart, j, x)) from None
-        if member_points(self.charts[j], coords) != YES:
-            raise TargetViolationError("transition image misses chart %d" % j)
-        return Point(coords, chart=j)
+        mor = self.overlaps[key]
+        return mor if in_principal_open(mor.source, self.units[key], x) \
+            else None
 
-    def transfer_family(self, f, i, j):
-        """Coordinate families pushed through a transition, with the limit
-        transferred alongside; None when the limit leaves the overlap.  Only
-        tests call it so far: convergence across charts builds on it."""
-        lim = self.transfer(f.limit, j)
-        if lim == OUT_OF_CHART:
-            return None
-        ov = self.overlaps[(i, j)]
-        src = self.charts[i]
-        env = dict(zip(src.variables, f.families))
-        fams = [m.evaluate(env, lift=lambda c: SeqFamily.of_element(c))
-                for m in ov.maps]
-        return PointSeqFamily(fams, lim)
+    def transfer(self, x, j):
+        """Point in chart j, or OUT_OF_CHART off the overlap."""
+        if x.chart == j:
+            return x
+        mor = self._overlap(x, j)
+        return OUT_OF_CHART if mor is None else mor.point(x)
+
+    def transfer_family(self, f, j):
+        """Family in chart j, or None when its limit is off the overlap."""
+        mor = self._overlap(f.limit, j)
+        return None if mor is None else mor.family(f)
 
     def to_data(self):
         return {"ring": self.ring.describe(),
@@ -642,9 +708,9 @@ class ChartedScheme:
                             "gens": [g.text() for g in c.gens]}
                            for c in self.charts],
                 "overlaps": [{"from": i, "to": j,
-                              "unit": ov.unit.text(),
-                              "map": [m.text() for m in ov.maps]}
-                             for (i, j), ov in sorted(self.overlaps.items())]}
+                              "unit": self.units[(i, j)].text(),
+                              "map": [m.text() for m in mor.maps]}
+                             for (i, j), mor in sorted(self.overlaps.items())]}
 
 
 def scheme_from_data(data):
@@ -671,69 +737,3 @@ def projective_line(ring):
               AffinePresentation(ring, ("Y",), [])]
     overlaps = {(0, 1): ("X", ["1/X"]), (1, 0): ("Y", ["1/Y"])}
     return ChartedScheme(ring, charts, overlaps)
-
-
-# --- base change --------------------------------------------------------------
-
-class RingMorphism:
-    """Inclusion up the tower, or the residue map one level down."""
-
-    def __init__(self, kind, source, target):
-        self.kind = kind
-        self.source = source
-        self.target = target
-
-    @classmethod
-    def inclusion(cls, source, target):
-        if source.field != target.field or target.rank > source.rank:
-            raise UnsupportedFieldError(
-                "no inclusion %s into %s" % (source.describe(),
-                                             target.describe()))
-        return cls("inclusion", source, target)
-
-    @classmethod
-    def residue_map(cls, source):
-        if source.rank < 1:
-            raise UnsupportedFieldError("residue map needs an integer ring")
-        target = BaseRing(source.field.residue(), source.rank - 1)
-        return cls("residue", source, target)
-
-    def apply(self, x):
-        if self.kind == "inclusion":
-            return x
-        return residue(x)
-
-    def map_poly(self, p):
-        if self.kind == "inclusion":
-            return p
-        return p.map_coeffs(residue, self.target.field)
-
-    def __repr__(self):
-        return "%s: %s -> %s" % (self.kind, self.source.describe(),
-                                 self.target.describe())
-
-
-def base_change_presentation(sigma, X):
-    return AffinePresentation(sigma.target, X.variables,
-                              [sigma.map_poly(g) for g in X.gens])
-
-
-def base_change_point(sigma, X, x):
-    """Coordinatewise image, verified against the base-changed generators.
-    The residue map refuses non-integral coordinates."""
-    coords = tuple(sigma.apply(c) for c in x.coords)
-    if member_points(X, x.coords) != YES:
-        raise TargetViolationError("source point misses the presentation")
-    XS = base_change_presentation(sigma, X)
-    if member_points(XS, coords) != YES:
-        raise TargetViolationError("image %r misses the base change" % (coords,))
-    return Point(coords, chart=x.chart)
-
-
-def base_change_family(sigma, f):
-    """Push a point family through an inclusion; coordinate families keep
-    their expressions, only the ambient ring changes."""
-    if sigma.kind != "inclusion":
-        raise UnsupportedFieldError(
-            "families push forward along inclusions only")
-    return f

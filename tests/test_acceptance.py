@@ -33,8 +33,7 @@ from hlf.opens import (FullOpen, LevelsOpen, deep_ball,
 from hlf.parsing import parse_element
 from hlf.points import (AffinePresentation, BaseRing, NO, Point,
                         PointSeqFamily, RingMorphism, YES,
-                        base_change_family, base_change_point,
-                        base_change_presentation, member_points,
+                        base_change, member_points,
                         point_seq_converges, product_presentation)
 from hlf.sequences import AffineForm, SeqFamily, parse_family
 from hlf.valuation import in_integer_ring, rank_valuation
@@ -297,8 +296,8 @@ def test_criterion_09_rational_point_functoriality():
 
     O2, O1 = BaseRing(F, 2), BaseRing(F, 1)
     X2 = AffinePresentation(O2, ("X",), [])
-    incl = RingMorphism.inclusion(O2, O1)
-    Xup = base_change_presentation(incl, X2)
+    incl = base_change(RingMorphism.inclusion(O2, O1), X2)
+    Xup = incl.target
     ipool = [("t^(n)", "0"), ("u*t^(n)", "0"), ("u^2 + u*t^(2*n)", "u^2"),
              ("1 + u^(n)*t", "1"), ("u^(n) + t^(n)", "0")]
     for _ in range(25):
@@ -307,13 +306,13 @@ def test_criterion_09_rational_point_functoriality():
         pf = PointSeqFamily((fam,), Point((parse_element(F, lt),)))
         assert point_seq_converges(X2, pf).kind == CONVERGES
         assert point_seq_converges(
-            Xup, base_change_family(incl, pf)).kind == CONVERGES, ft
-    rho = RingMorphism.residue_map(O1)
-    X1 = AffinePresentation(O1, ("X",), [])
-    Xdown = base_change_presentation(rho, X1)
+            Xup, incl.family(pf)).kind == CONVERGES, ft
+    rho = base_change(RingMorphism.residue_map(O1),
+                      AffinePresentation(O1, ("X",), []))
+    Xdown = rho.target
     for _ in range(25):
         x = _random_integral(rng, F)
-        y = base_change_point(rho, X1, Point((x,)))
+        y = rho.point(Point((x,)))
         assert y.coords[0] == residue(x)
         assert member_points(Xdown, y.coords) == YES
 
@@ -373,20 +372,20 @@ def test_criterion_11_reduction_of_models():
     R1 = BaseRing(F5UT, 1)
     rho = RingMorphism.residue_map(R1)
     A1 = AffinePresentation(R1, ("X",), [])
-    A1bar = base_change_presentation(rho, A1)
+    A1bar = base_change(rho, A1).target
     for _ in range(30):
         ybar = _random_element(rng, F5U)
         assert member_points(A1bar, (ybar,)) == YES
         x = lift(F5UT, ybar)
         assert R1.contains(x)
         assert member_points(A1, (x,)) == YES
-        assert base_change_point(rho, A1, Point((x,))).coords[0] == ybar
+        assert base_change(rho, A1).point(Point((x,))).coords[0] == ybar
 
     # X^2 = u forces an even bottom valuation on a square against the odd
     # valuation of u, on the special fiber and on the model alike, so both
     # point sets are empty and reduction is trivially onto
     C = AffinePresentation(R1, ("X",), ["X^2 - u"])
-    Cbar = base_change_presentation(rho, C)
+    Cbar = base_change(rho, C).target
     for _ in range(30):
         cbar = _random_element(rng, F5U)
         assert member_points(Cbar, (cbar,)) == NO
@@ -394,7 +393,7 @@ def test_criterion_11_reduction_of_models():
 
     # the flat companion X*Y = u is nonempty, so lifting is exercised for real
     H = AffinePresentation(R1, ("X", "Y"), ["X*Y - u"])
-    Hbar = base_change_presentation(rho, H)
+    Hbar = base_change(rho, H).target
     ubar, uelt = parse_element(F5U, "u"), parse_element(F5UT, "u")
     for _ in range(30):
         xbar = _random_element(rng, F5U)
@@ -403,7 +402,7 @@ def test_criterion_11_reduction_of_models():
         X = lift(F5UT, xbar)
         Y = uelt / X
         assert member_points(H, (X, Y)) == YES
-        assert base_change_point(rho, H, Point((X, Y))).coords == (xbar, ybar)
+        assert base_change(rho, H).point(Point((X, Y))).coords == (xbar, ybar)
 
     for _ in range(50):
         U = random_open(rng, F5UT)

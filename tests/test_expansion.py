@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -884,6 +885,30 @@ def test_zero_digit_runs_along_p_skip_in_one_step(deadline):
     with deadline(0.1):
         assert repr(expand(x, a + 1)) == "3^-%d + O(3^1)" % a
 
+
+
+def test_zero_digit_run_along_p_costs_about_one_valuation(deadline):
+    # calibrated in process, so any host can hold it: expanding 3^-a + t*3^a
+    # over Qp(3){{t}} costs little more than the valuation of a fresh parse
+    # of it, which reads the same a-digit powers of 3.  Stripping p from the
+    # common scale one division at a time took 55-71 valuations; one
+    # valuation and one division take about 2
+    a = 3 * 10 ** 4
+    text = "3^(-%d) + t*3^(%d)" % (a, a)
+
+    def best_of_3(op):
+        runs = []
+        for _ in range(3):
+            x = parse_element(Q3M, text)
+            t0 = time.perf_counter()
+            op(x)
+            runs.append(time.perf_counter() - t0)
+        return min(runs)
+
+    with deadline(10.0):
+        ratio = best_of_3(lambda x: expand(x, 3)) \
+            / best_of_3(lambda x: x.val_vector())
+    assert ratio < 8, "expand took %.1f valuations" % ratio
 
 # --- residue maps ------------------------------------------------------------
 

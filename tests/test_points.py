@@ -1,10 +1,12 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from conftest import same_element
 
+from hlf.checks import _CONV_POOL
 from hlf.convergence import CONVERGES, DIVERGES, UNKNOWN, converges, unit_converges
 from hlf.elements import Element
 from hlf.errors import (ArityMismatchError, FieldMismatchError,
@@ -15,12 +17,10 @@ from hlf.fields import parse_field
 from hlf.opens import deep_ball, residue_image
 from hlf.parsing import parse_element
 from hlf.points import (OUT_OF_CHART, YES, NO, AffinePresentation, BaseRing,
-                        ChartedScheme, Point, PointSeqFamily, PointVerdict,
-                        Poly,
-                        RingMorphism, base_change_point,
-                        base_change_presentation, in_principal_open,
-                        member_points, parse_base_ring, parse_poly,
-                        point_seq_converges,
+                        ChartedScheme, Morphism, Point, PointSeqFamily,
+                        PointVerdict, Poly, RingMorphism, base_change,
+                        in_principal_open, member_points, parse_base_ring,
+                        parse_poly, parse_rat, point_seq_converges,
                         presentation_from_data, product_presentation,
                         projective_line, scheme_from_data)
 from hlf.sequences import parse_family
@@ -380,7 +380,7 @@ def test_chart_choice_does_not_change_the_verdict():
                        ("1 + t^(-n)", DIVERGES)]:
         psf = PointSeqFamily((fam(text),), Point((e("1"),), chart=0))
         v0 = point_seq_converges(P1.charts[0], psf)
-        moved = P1.transfer_family(psf, 0, 1)
+        moved = P1.transfer_family(psf, 1)
         v1 = point_seq_converges(P1.charts[1], moved)
         assert v0.kind == kind and v1.kind == kind
 
@@ -391,7 +391,7 @@ def test_chart_choice_does_not_change_the_verdict():
                              Point((parse_element(FQ, "1"),), chart=0))
         v0 = point_seq_converges(P1q.charts[0], psf)
         v1 = point_seq_converges(P1q.charts[1],
-                                 P1q.transfer_family(psf, 0, 1))
+                                 P1q.transfer_family(psf, 1))
         assert v0.kind == kind and v1.kind == kind
 
 
@@ -402,12 +402,52 @@ def test_inversion_failure_shows_up_across_charts():
     P1 = projective_line(R)
     psf = PointSeqFamily((fam("1 + t^-1*u^(n)"),), Point((e("1"),), chart=0))
     assert point_seq_converges(P1.charts[0], psf).kind == CONVERGES
-    moved = P1.transfer_family(psf, 0, 1)
+    moved = P1.transfer_family(psf, 1)
     assert point_seq_converges(P1.charts[1], moved).kind == DIVERGES
     overlap = point_seq_converges(hyperbola(R), PointSeqFamily(
         (fam("1 + t^-1*u^(n)"), fam("1/(1 + t^-1*u^(n))")),
         Point((e("1"), e("1")))))
     assert overlap.kind == DIVERGES
+
+
+def test_polynomial_maps_carry_convergent_families_to_convergent_ones():
+    """Polynomial maps are continuous, so a family that CONVERGES has an
+    image that never DIVERGES; the image is pushed through Morphism.family
+    and decided afresh.  Rational maps are left out: 1/X is not
+    sequentially continuous (test_inversion_failure_shows_up_across_charts)."""
+    coeffs = {"Fq(5)((u))((t))": ("1", "2", "t", "t^-1", "u", "u^-1"),
+              "Qp(3)((t))": ("1", "2", "t", "t^-1", "3"),
+              "Qp(3){{t}}": ("1", "2", "t", "t^-1", "3")}
+    monomials = ("1", "X", "Y", "X^2", "X*Y", "Y^2")
+    rng = random.Random(14)
+    kinds = Counter()
+    for text, pool in _CONV_POOL.items():
+        field = parse_field(text)
+        ring = BaseRing(field, 0)
+        A2 = AffinePresentation(ring, ("X", "Y"), [])
+        same = RingMorphism.inclusion(ring, ring).apply
+        for _ in range(120):
+            maps = [" + ".join("%s*%s" % (rng.choice(coeffs[text]), m)
+                               for m in rng.sample(monomials,
+                                                   rng.randint(1, 3)))
+                    for _ in range(2)]
+            phi = Morphism(A2, A2, same,
+                           [parse_rat(field, A2.variables, m) for m in maps],
+                           0, "map", "image {coords!r} misses A^2")
+            (f1, l1), (f2, l2) = rng.choice(pool), rng.choice(pool)
+            psf = PointSeqFamily(
+                (fam(f1, field), fam(f2, field)),
+                Point((e(l1, field), e(l2, field))))
+            if point_seq_converges(A2, psf).kind != CONVERGES:
+                continue
+            image = phi.family(psf)
+            assert image.limit.coords == tuple(
+                m.evaluate(dict(zip(A2.variables, psf.limit.coords)))
+                for m in phi.maps)
+            kind = point_seq_converges(A2, image).kind
+            assert kind != DIVERGES, (text, maps, f1, f2)
+            kinds[kind] += 1
+    assert sum(kinds.values()) == 360
 
 
 def test_bad_transitions_are_rejected():
@@ -442,6 +482,28 @@ def test_bad_transitions_are_rejected():
             (0, 1): ("X", ["X", "Y"]), (1, 0): ("X", ["X", "1/X"])})
 
 
+def test_transfer_errors_name_the_overlap_and_the_chart():
+    lines = [AffinePresentation(R, (v,), []) for v in "XYZ"]
+    X = ChartedScheme(R, lines, {(0, 1): ("X", ["1/X"]),
+                                 (1, 0): ("Y", ["1/Y"])})
+    with pytest.raises(UnsupportedFieldError,
+                       match="^no declared overlap 0-2$"):
+        X.transfer(Point((e("u"),), chart=0), 2)
+    # the gluing check ignores chart generators, so a chart 1 cut down to
+    # Y = 1 loads, and u lands on u^-1, off it
+    cut = ChartedScheme(R, [lines[0], AffinePresentation(R, ("Y",),
+                                                         ["Y - 1"])],
+                        {(0, 1): ("X", ["1/X"]), (1, 0): ("Y", ["1/Y"])})
+    assert cut.transfer(Point((e("1"),), chart=0), 1) == Point((e("1"),), 1)
+    with pytest.raises(TargetViolationError,
+                       match="^transition image misses chart 1$"):
+        cut.transfer(Point((e("u"),), chart=0), 1)
+    # the overlap's Morphism checks its source too: u is off chart 1
+    with pytest.raises(TargetViolationError,
+                       match="^source point misses the presentation$"):
+        cut.transfer(Point((e("u"),), chart=1), 0)
+
+
 def test_projective_line_loads_over_every_ring():
     for text in ("Fq(5)((u))((t))", "Qp(3)((t))", "Qp(3){{t}}"):
         field = parse_field(text)
@@ -466,23 +528,35 @@ def test_scheme_serialization_round_trip():
 def test_residue_map_on_the_affine_line():
     sig = RingMorphism.residue_map(O1)
     A1 = AffinePresentation(O1, ("X",), [])
-    img = base_change_point(sig, A1, Point((e("t*u + u^2"),)))
+    img = base_change(sig, A1).point(Point((e("t*u + u^2"),)))
     assert img.coords[0] == parse_element(sig.target.field, "u^2")
     with pytest.raises(NotIntegralError):
-        base_change_point(sig, A1, Point((e("t^-1"),)))
+        base_change(sig, A1).point(Point((e("t^-1"),)))
 
 
 def test_residue_map_carries_generators_along():
     sig = RingMorphism.residue_map(O1)
     V = AffinePresentation(O1, ("X",), ["X^2 - u"])
-    VF = base_change_presentation(sig, V)
+    VF = base_change(sig, V).target
     FU = sig.target.field
     assert VF.gens[0].evaluate({"X": parse_element(FU, "u^3")}) \
         == parse_element(FU, "u^6 - u")
     W = AffinePresentation(O1, ("X",), ["X^2 - u^2"])
-    img = base_change_point(sig, W, Point((e("-u"),)))
+    img = base_change(sig, W).point(Point((e("-u"),)))
     assert img.coords[0] == parse_element(FU, "-u")
-    assert member_points(base_change_presentation(sig, W), img.coords) == YES
+    assert member_points(base_change(sig, W).target, img.coords) == YES
+
+
+def test_base_change_errors_name_the_source_and_the_map():
+    sig = RingMorphism.residue_map(O1)
+    V = AffinePresentation(O1, ("X",), ["X - u"])
+    with pytest.raises(TargetViolationError,
+                       match="^source point misses the presentation$"):
+        base_change(sig, V).point(Point((e("u^2"),)))
+    psf = PointSeqFamily((fam("u + t^(n)"),), Point((e("u"),)))
+    with pytest.raises(UnsupportedFieldError,
+                       match="^families push forward along inclusions only$"):
+        base_change(sig, V).family(psf)
 
 
 def test_residue_map_is_a_ring_homomorphism():
