@@ -125,10 +125,15 @@ def _built(kind, path, text, field_text=None):
                                               pres.arity)
     data = _parse_object(path, text)
     if kind == "open":
-        ftext = data.get("field") or field_text
+        own = data.get("field")
+        ftext = own or field_text
         if ftext is None:
             raise ParseError("open descriptor carries no field")
         field = parse_field(ftext)
+        if own and field_text not in (None, own) \
+                and parse_field(field_text) != field:
+            raise ParseError("the open lives over %s, not over the given "
+                             "field %s" % (own, field_text))
         return field, open_from_data(field, data.get("open", data))
     if "charts" in data:
         return scheme_from_data(data)
@@ -150,11 +155,13 @@ def _split_coords(field, text):
 
 
 def _int_input(inp, key):
+    """inp[key], None when absent, refused unless it is an int (not a bool):
+    a job file may hold any JSON value there."""
     v = inp.get(key)
-    try:
-        return None if v is None else int(v)
-    except (TypeError, ValueError):
-        raise ParseError("%r must be an integer, not %r" % (key, v)) from None
+    if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+        raise ParseError("%r must be an integer, not %s"
+                         % (key, reprlib.repr(v)))
+    return v
 
 
 def _chart_index(X, inp, key):

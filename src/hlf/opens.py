@@ -239,14 +239,6 @@ class LevelsOpen(Open):
                 raise FieldMismatchError("window entry lives over %r" % entry.field)
         self.below = below
         self.lo = min(self.window, default=cutoff)
-        # one past the last level that constrains anything: levels in
-        # [lo, cutoff) outside the window are full, and so is every level
-        # below lo under a full rule
-        tight = [i for i, e in self.window.items() if not e.is_full()]
-        if tight:
-            self.top = max(tight) + 1
-        else:
-            self.top = -_INF if _is_full(_profile(below, self.lo)) else self.lo
         if isinstance(below, AffineRule):
             ball_at(base, 0)  # raises where those balls are not open
         entries = []
@@ -257,6 +249,17 @@ class LevelsOpen(Open):
         for e in entries:
             if e.field != base:
                 raise FieldMismatchError("rule entry lives over %r" % e.field)
+        # one past the last level that constrains anything: levels in
+        # [lo, cutoff) outside the window are full, and so is every level
+        # below lo under a full rule
+        tight = [i for i, e in self.window.items() if not e.is_full()]
+        if tight:
+            self.top = max(tight) + 1
+        elif isinstance(below, FullRule) or (
+                entries and all(e.is_full() for e in entries)):
+            self.top = -_INF
+        else:
+            self.top = self.lo
 
     def level(self, i):
         if i >= self.cutoff:
@@ -593,9 +596,10 @@ def _scale_rule(rule, e, ydown, v):
 # --- intersection -------------------------------------------------------------
 
 def intersect_open(U, V):
-    """U meet V as one descriptor: basic opens are closed under finite
-    intersection, the basis axiom of the topology.  No verdict needs it;
-    the tests and the benchmark's tracer call it by name."""
+    """U meet V where no level needs reading: a full side, {0}, or two deep
+    balls, which are nested, so the deeper one is the meet.  Every other
+    pair is refused.  No verdict needs it; the tests and the benchmark's
+    tracer call it by name."""
     if U.field != V.field:
         raise FieldMismatchError("opens over %r and %r" % (U.field, V.field))
     if U.is_full():
@@ -605,29 +609,19 @@ def intersect_open(U, V):
     if isinstance(U, ZeroOpen) or isinstance(V, ZeroOpen):
         return ZeroOpen(U.field)
     du, dv = deep_depth(U), deep_depth(V)
-    if du is not None and dv is not None:
-        # deep balls are nested
-        return U if du >= dv else V
-    if isinstance(U, LevelsOpen) and isinstance(V, LevelsOpen):
-        return _intersect_levels(U, V)
-    raise UnsupportedOpenError("cannot intersect %r with %r" % (U, V))
+    if du is None or dv is None:
+        raise UnsupportedOpenError("cannot intersect %r with %r" % (U, V))
+    return U if du >= dv else V
 
+
+# --- depth arithmetic ---------------------------------------------------------
 
 _INF = float("inf")
 
-# Widest window an intersection may spell out level by level; a deeper
-# threshold is refused rather than built.
-_MAX_WINDOW = 1024
-
 
 def first_nonneg(c2, c1, c0, start=1):
-    """The least integer n >= start, and past the vertex when c2 > 0, with
-    c2*n^2 + c1*n + c0 >= 0; the value stays nonnegative from there on.
-    None when the value is eventually negative."""
-    if c2 < 0 or (c2 == 0 and (c1 < 0 or (c1 == 0 and c0 < 0))):
-        return None
-    if c2 == 0:
-        return start if c1 == 0 else max(start, -(c0 // c1))
+    """For c2 > 0, the least integer n >= start and past the vertex with
+    c2*n^2 + c1*n + c0 >= 0; the value stays nonnegative from there on."""
     # round the larger root (-c1 + sqrt(disc)) / 2c2 up from isqrt, which
     # falls short of sqrt(disc) by less than one: at most one step remains
     disc = c1 * c1 - 4 * c2 * c0
@@ -646,112 +640,6 @@ def _entry_depth(U):
     if isinstance(U, ZeroOpen):
         return _INF
     return deep_depth(U)
-
-
-def _profile(rule, lo):
-    """Depth of the level d = lo - i >= 1 steps below the floor lo, for a
-    rule anchored at lo: a quadratic (c2, c1, c0) in d, or the list of slot
-    depths of a cycle; None where some level is no deep ball."""
-    if isinstance(rule, AffineRule):
-        return (0, -rule.a, rule.a * lo + rule.b)
-    if isinstance(rule, QuadraticRule):
-        return None if rule.scale is not None else (rule.a, rule.l, rule.c)
-    if isinstance(rule, FullRule):
-        return [-_INF]
-    entries = [rule.entry] if isinstance(rule, ConstRule) else rule.cycle
-    slots = [_entry_depth(e) for e in entries]
-    return None if None in slots else slots
-
-
-def _is_full(profile):
-    return isinstance(profile, list) and max(profile) == -_INF
-
-
-def _dominates(p1, p2):
-    """The least d >= 1 with p1 >= p2 at every depth from d down, or None
-    when p1 does not eventually dominate.  A cycle counts through its
-    weakest slot, infinite depths are decided by comparison."""
-    if isinstance(p1, list) and isinstance(p2, list):
-        n = math.lcm(len(p1), len(p2))
-        ok = all(p1[j % len(p1)] >= p2[j % len(p2)] for j in range(n))
-        return 1 if ok else None
-    if isinstance(p1, list):
-        weakest = min(p1)
-        if weakest == _INF:
-            return 1
-        if weakest == -_INF:
-            return None
-        p1 = (0, 0, weakest)
-    if isinstance(p2, list):
-        strongest = max(p2)
-        if strongest == -_INF:
-            return 1
-        if strongest == _INF:
-            return None
-        p2 = (0, 0, strongest)
-    return first_nonneg(*(x - y for x, y in zip(p1, p2)))
-
-
-def _slotwise_periodic(rules, base, lo):
-    """Pointwise intersection of two bounded tails anchored at lo as one
-    periodic cycle; None when either side varies with the level."""
-    if not all(isinstance(r, (ConstRule, PeriodicRule))
-               or (isinstance(r, AffineRule) and r.a == 0) for r in rules):
-        return None
-    return PeriodicRule([intersect_open(rules[0].at(base, lo - 1 - j, lo),
-                                        rules[1].at(base, lo - 1 - j, lo))
-                         for j in range(math.lcm(*map(_period, rules)))])
-
-
-def _intersect_levels(U, V):
-    f = U.field
-    cutoff = max(U.cutoff, V.cutoff)
-    lo = floor = min(U.lo, V.lo)
-    ru = _reanchored(U.below, U.lo, floor)
-    rv = _reanchored(V.below, V.lo, floor)
-    pu, pv = _profile(ru, floor), _profile(rv, floor)
-    if _is_full(pu):
-        below = rv
-    elif _is_full(pv):
-        below = ru
-    elif isinstance(ru, ConstRule) and isinstance(rv, ConstRule):
-        below = ConstRule(intersect_open(ru.entry, rv.entry))
-    else:
-        below = None
-        if pu is not None and pv is not None:
-            for r, p1, p2 in ((ru, pu, pv), (rv, pv, pu)):
-                d = _dominates(p1, p2)
-                if d is not None:
-                    below, lo = r, lo - d + 1
-                    break
-            else:
-                below = _slotwise_periodic((ru, rv), f.residue(), lo)
-        if below is None:
-            raise UnsupportedOpenError(
-                "no finite intersection of %s and %s tails"
-                % (U.below.name, V.below.name))
-    if cutoff - lo > _MAX_WINDOW:
-        raise UnsupportedOpenError(
-            "intersection window of %d levels exceeds %d"
-            % (cutoff - lo, _MAX_WINDOW))
-    window = {i: intersect_open(U.level(i), V.level(i))
-              for i in range(lo, cutoff)}
-    return LevelsOpen(f, cutoff, window, _reanchored(below, floor, lo))
-
-
-def _reanchored(rule, old_lo, new_lo):
-    if old_lo == new_lo or isinstance(rule, (FullRule, ConstRule, AffineRule)):
-        return rule
-    delta = old_lo - new_lo
-    if isinstance(rule, PeriodicRule):
-        k = len(rule.cycle)
-        r = delta % k
-        return PeriodicRule(rule.cycle[r:] + rule.cycle[:r]) if r else rule
-    if isinstance(rule, QuadraticRule):
-        a, l, c = rule.a, rule.l, rule.c
-        return QuadraticRule(a, l + 2 * a * delta,
-                             a * delta * delta + l * delta + c, rule.scale)
-    return rule
 
 
 # --- serialization ------------------------------------------------------------
@@ -853,9 +741,8 @@ def residue_image(U):
 
 # --- random battery -----------------------------------------------------------
 
-def random_open(rng, field, depthwise=False, budget=2):
-    """Seeded random basic open.  With depthwise=True only shapes whose
-    pairwise intersections stay finitely presented are produced."""
+def random_open(rng, field, budget=2):
+    """Seeded random basic open."""
     if field.dim == 0:
         return rng.choice([FullOpen(field), ZeroOpen(field)])
     if isinstance(field, QpBase):
@@ -870,9 +757,8 @@ def random_open(rng, field, depthwise=False, budget=2):
     window = {}
     for i in rng.sample(range(cutoff - 3, cutoff),
                         k=rng.randint(0, min(3, budget + 1))):
-        window[i] = _random_ballish(rng, base) if depthwise \
-            else random_open(rng, base, depthwise, budget - 1)
-    below = _random_rule(rng, base, depthwise, budget)
+        window[i] = random_open(rng, base, budget - 1)
+    below = _random_rule(rng, base, budget)
     return LevelsOpen(field, cutoff, window, below)
 
 
@@ -882,7 +768,7 @@ def _random_ballish(rng, base):
     return deep_ball(base, rng.randint(-3, 4))
 
 
-def _random_rule(rng, base, depthwise, budget):
+def _random_rule(rng, base, budget):
     ball_legal = isinstance(base, QpBase) or (
         isinstance(base, SeriesExt) and base.residue().dim == 0)
     choices = ["full", "const"]
@@ -896,18 +782,10 @@ def _random_rule(rng, base, depthwise, budget):
     if kind == "full":
         return FullRule()
     if kind == "const":
-        entry = _random_ballish(rng, base) if depthwise \
-            else random_open(rng, base, depthwise, budget - 1)
-        return ConstRule(entry)
+        return ConstRule(random_open(rng, base, budget - 1))
     if kind == "affine":
         return AffineRule(rng.randint(-2, 2), rng.randint(-2, 3))
     if kind == "periodic":
-        if depthwise:
-            # finite slot depths only, so affine tails always close against
-            # the cycle
-            slots = [deep_ball(base, rng.randint(-3, 4))
-                     for _ in range(rng.randint(2, 3))]
-        else:
-            slots = [_random_ballish(rng, base) for _ in range(rng.randint(2, 3))]
-        return PeriodicRule(slots)
+        return PeriodicRule([_random_ballish(rng, base)
+                             for _ in range(rng.randint(2, 3))])
     return QuadraticRule(rng.randint(1, 2), 0, rng.randint(-1, 2))

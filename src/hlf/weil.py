@@ -81,9 +81,6 @@ class MonogenicExt:
             p = out
         return p
 
-    def mul(self, a, b):
-        return self.reduce(a * b)
-
     def components(self, s):
         """Component Elements of a reduced scalar on the theta basis."""
         s = self.reduce(s)

@@ -558,6 +558,53 @@ def test_run_records_a_non_string_topology(tmp_path, capsys):
     assert good["pass"]
 
 
+def test_run_refuses_a_rank_or_chart_that_is_not_an_int(tmp_path, capsys):
+    # a float, bool or numeric string is refused, never truncated
+    p1 = tmp_path / "p1.json"
+    p1.write_text(json.dumps(projective_line(BaseRing(F5UT, 0)).to_data()))
+    val = {"kind": "valuation", "field": "Qp(3)((t))", "elem": "t"}
+    pmap = {"kind": "points-map", "scheme": str(p1), "elem": "u"}
+    code, out, _ = run_job(tmp_path, capsys, [
+        dict(val, id="float", rank=1.9),
+        dict(val, id="bool", rank=True),
+        dict(val, id="string", rank="1"),
+        dict(pmap, id="charts", chart=0.7, to_chart=1),
+        dict(pmap, id="to_chart", chart=0, to_chart=True),
+        _GOOD_TASK])
+    assert code == 2
+    *bad, good = json.loads(out)["tasks"]
+    assert [t["error"] for t in bad] == [
+        "'rank' must be an integer, not 1.9",
+        "'rank' must be an integer, not True",
+        "'rank' must be an integer, not '1'",
+        "'chart' must be an integer, not 0.7",
+        "'to_chart' must be an integer, not True"]
+    assert good["pass"]
+
+
+@pytest.mark.parametrize("kind", ["member", "witness-subgroup"])
+def test_an_open_over_another_field_than_the_given_one_exits_two(
+        kind, tmp_path, capsys):
+    # a field given with the open must agree with the file's own field
+    path = open_file(tmp_path, "U.json", deep_ball(F5UT, 2))
+    elem = ["--elem", "t"] if kind == "member" else []
+    code = main([kind, "--field", "Qp(3)((t))", "--open", path] + elem)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == ("error: the open lives over Fq(5)((u))((t)), not over "
+                       "the given field Qp(3)((t))\n")
+    code, out, _ = run_job(tmp_path, capsys, [
+        {"id": "bad", "kind": kind, "field": "Qp(3)((t))", "open": path,
+         "elem": "t"}, _GOOD_TASK])
+    assert code == 2
+    bad, good = json.loads(out)["tasks"]
+    assert bad["error"].startswith("the open lives over Fq(5)((u))((t))")
+    assert good["pass"]
+    # the same field written another way is no conflict
+    code = main([kind, "--field", " Fq(5)((u))((t)) ", "--open", path] + elem)
+    assert code == 0
+
+
 @pytest.mark.parametrize("bad_id", [[], {}, 1.5, True])
 def test_run_refuses_an_id_that_is_not_a_string_or_int(bad_id, tmp_path,
                                                          capsys):
