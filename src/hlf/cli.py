@@ -98,7 +98,7 @@ def _read_spec(spec):
 def _parse_object(path, text):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON, or an int past the digit limit
         raise ParseError("%s is not valid JSON: %s" % (path, err))
     if not isinstance(data, dict):
         raise ParseError("%s must hold an object, not %s"

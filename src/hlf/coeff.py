@@ -802,17 +802,3 @@ def rational_mod_p(x, p):
     if x.denominator % p == 0:
         raise ZeroElementError("denominator divisible by %d" % p)
     return x.numerator * pow(x.denominator, -1, p) % p
-
-
-def teichmuller_exact(a, p):
-    """Exact rational Teichmuller lift when one exists (residues 0, 1, p-1)."""
-    if isinstance(a, FqElem):
-        a = a.as_int()
-    a %= p
-    if a == 0:
-        return Fraction(0)
-    if a == 1:
-        return Fraction(1)
-    if a == p - 1 and p > 2:
-        return Fraction(-1)
-    return None

@@ -109,7 +109,7 @@ class UnsupportedFieldError(HlfError):
 
 
 class UnsupportedScalarError(HlfError):
-    """scale_open got a scalar outside the monomial-times-coefficient class."""
+    """Weil restriction got a modulus or scalar outside its supported shape."""
 
 
 class UnsupportedOpenError(HlfError):

@@ -87,9 +87,6 @@ class FieldDescriptor:
     def coeff_zero(self):
         return self.coerce_coeff(0)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class FiniteBase(FieldDescriptor):
     orders_by_reversed_exps = True

@@ -34,9 +34,9 @@ are shared.  ball_at and deep_ball return one object per distinct (field,
 depth), the depth's type included, at most _SHARED_MAX of each kept, the
 least recently used dropped first; equal field descriptors share one ball,
 and a ball that is not open raises again on every call.  The levels of the
-rules AffineRule and QuadraticRule (without a scale) are these shared
-balls, so what a ball works out about itself, its staircase floor
-_stairs_from and its subgroup shape, is worked out once per process.
+rules AffineRule and QuadraticRule are these shared balls, so what a ball
+works out about itself, its staircase floor _stairs_from and its subgroup
+shape, is worked out once per process.
 """
 
 from __future__ import annotations
@@ -45,20 +45,17 @@ import math
 import re
 from functools import cached_property, lru_cache
 
-from .elements import Element
 from .errors import (
     FieldMismatchError,
     ParseError,
     UnsupportedFieldError,
     UnsupportedOpenError,
-    UnsupportedScalarError,
     need_int,
-    need_str,
     require,
 )
 from .expansion import digits, in_staircase
 from .fields import MixedExt, QpBase, SeriesExt
-from .valuation import in_integer_ring, monomial_with_valuation, unit_decompose
+from .valuation import in_integer_ring, monomial_with_valuation
 
 
 class Open:
@@ -77,9 +74,6 @@ class Open:
     def __eq__(self, other):
         return (isinstance(other, Open) and self.field == other.field
                 and self.to_data() == other.to_data())
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 class FullOpen(Open):
@@ -193,31 +187,26 @@ class PeriodicRule:
 
 class QuadraticRule:
     """Level i gets the deep ball of depth a*d^2 + l*d + c, d >= 1 the
-    distance below the window floor, optionally translated by a monomial
-    scale.  The superlinear growth is what defeats affine escape routes."""
+    distance below the window floor.  The superlinear growth is what
+    defeats affine escape routes."""
 
     name = "quadratic"
 
-    def __init__(self, a, l, c, scale=None):
+    def __init__(self, a, l, c):
         if a <= 0:
             raise UnsupportedOpenError("quadratic depth needs positive growth")
         self.a = a
         self.l = l
         self.c = c
-        self.scale = scale
 
     def depth(self, d):
         return self.a * d * d + self.l * d + self.c
 
     def at(self, base, i, lo):
-        ball = deep_ball(base, self.depth(lo - i))
-        return _scale(ball, self.scale) if self.scale is not None else ball
+        return deep_ball(base, self.depth(lo - i))
 
     def to_data(self):
-        out = {"rule": "quadratic", "a": self.a, "l": self.l, "c": self.c}
-        if self.scale is not None:
-            out["scale"] = repr(self.scale)
-        return out
+        return {"rule": "quadratic", "a": self.a, "l": self.l, "c": self.c}
 
 
 class LevelsOpen(Open):
@@ -495,15 +484,12 @@ def product_escape_witness(V1, V2, W):
     nv = len(f.params())
     # top-down, the first level rejecting a bottom power gives the witness:
     # a window level, one period below the floor, or the first quadratic
-    # deep ball at depth >= 1 in every component above the bottom once
-    # shifted by the scale
+    # deep ball at depth >= 1 in every component above the bottom
     rule = W.below
     levels = sorted(W.window, reverse=True) \
         + [W.lo - d for d in range(1, _period(rule) + 1)]
     if isinstance(rule, QuadraticRule):
-        v = (0,) if rule.scale is None else rule.scale.val_vector()
-        s = min(v[1:], default=0)
-        levels.append(W.lo - first_nonneg(rule.a, rule.l, rule.c - 1 + s))
+        levels.append(W.lo - first_nonneg(rule.a, rule.l, rule.c - 1))
     for target in levels:
         j = target - i0
         rej = rejection_depth(W.level(target))
@@ -523,74 +509,6 @@ def product_escape_witness(V1, V2, W):
         if w.checked():
             return w
     return None
-
-
-# --- scaling ------------------------------------------------------------------
-
-def scale_open(U, y):
-    """Descriptor of y * U for y a coefficient times parameter monomial:
-    the tested way into _scale, which scaled quadratic rules also use."""
-    parts = unit_decompose(y)
-    if not parts.principal.is_zero():
-        raise UnsupportedScalarError("scaling needs a monomial scalar, got %r" % y)
-    return _scale(U, y)
-
-
-def _down_scalar(field, y):
-    """Push a monomial scalar one dimension down: same coefficient content,
-    top exponent dropped."""
-    parts = unit_decompose(y)
-    base = field.residue()
-    v = y.val_vector()
-    if base.char() > 0:
-        theta = parts.theta_scalar
-    else:
-        theta = parts.theta.num[(0,) * len(field.series_params())]
-    return Element.from_coeff(base, theta) * monomial_with_valuation(base, v[:-1])
-
-
-def _scale(U, y):
-    f = U.field
-    if y.field != f:
-        raise FieldMismatchError("scalar lives over %r" % y.field)
-    if isinstance(U, (FullOpen, ZeroOpen)):
-        return U
-    v = y.val_vector()
-    if isinstance(U, BallOpen):
-        return BallOpen(f, U.depth + v[0])
-    if not isinstance(U, LevelsOpen):
-        raise UnsupportedScalarError("cannot scale %r" % U)
-    e = v[-1]
-    if isinstance(f, MixedExt):
-        # p-adic digits only transport along p shifts; a unit part other
-        # than 1 introduces carries unless the open is negation closed
-        parts = unit_decompose(y)
-        if not (parts.theta - 1).is_zero() and not subgroup_shaped(U):
-            raise UnsupportedScalarError(
-                "unit part %r moves digits of %r by carries" % (parts.theta, U))
-        ydown = monomial_with_valuation(f.residue(), v[:-1])
-    else:
-        ydown = _down_scalar(f, y)
-    window = {i + e: _scale(entry, ydown) for i, entry in U.window.items()}
-    below = _scale_rule(U.below, e, ydown, v)
-    return LevelsOpen(f, U.cutoff + e, window, below)
-
-
-def _scale_rule(rule, e, ydown, v):
-    if isinstance(rule, FullRule):
-        return rule
-    if isinstance(rule, ConstRule):
-        return ConstRule(_scale(rule.entry, ydown))
-    if isinstance(rule, AffineRule):
-        # level i now holds what level i-e held, shifted by the depth of the
-        # pushed-down scalar
-        return AffineRule(rule.a, rule.b - rule.a * e + v[-2])
-    if isinstance(rule, PeriodicRule):
-        return PeriodicRule([_scale(c, ydown) for c in rule.cycle])
-    if isinstance(rule, QuadraticRule):
-        scale = ydown if rule.scale is None else rule.scale * ydown
-        return QuadraticRule(rule.a, rule.l, rule.c, scale)
-    raise UnsupportedScalarError("cannot scale rule %r" % rule)
 
 
 # --- intersection -------------------------------------------------------------
@@ -645,10 +563,16 @@ def _entry_depth(U):
 # --- serialization ------------------------------------------------------------
 
 def _window_level(key):
-    # to_data writes each window level as its decimal string
-    if not (isinstance(key, str) and re.fullmatch(r"-?[0-9]+", key)):
-        raise ParseError("window key %r must be an integer" % (key,))
-    return int(key)
+    # to_data writes each window level as its decimal string; any other
+    # spelling ("01", "-0") could name a level twice
+    if not (isinstance(key, str) and re.fullmatch(r"0|-?[1-9][0-9]*", key)):
+        raise ParseError("window key %r must be an integer in canonical "
+                         "decimal form" % (key,))
+    try:
+        return int(key)
+    except ValueError:
+        raise ParseError("window key of %d digits is past the integer digit "
+                         "limit" % len(key))
 
 
 def open_from_data(field, data):
@@ -691,12 +615,11 @@ def _rule_from_data(base, data):
                              % (cycle,))
         return PeriodicRule([open_from_data(base, d) for d in cycle])
     if r == "quadratic":
-        scale = None
+        # a scaled rule would load as a different open, so it is refused
         if "scale" in data:
-            from .parsing import parse_element
-            scale = parse_element(base, need_str(data, "scale",
-                                                 "rule descriptor"))
-        return QuadraticRule(integer("a"), integer("l"), integer("c"), scale)
+            raise ParseError("quadratic rule descriptor takes no 'scale'; "
+                             "it reads 'a', 'l' and 'c'")
+        return QuadraticRule(integer("a"), integer("l"), integer("c"))
     raise UnsupportedOpenError("unknown rule %r" % r)
 
 

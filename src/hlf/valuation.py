@@ -1,4 +1,4 @@
-"""Rank r valuations, integer ring membership and unit part decomposition.
+"""Rank r valuations, integer ring membership and parameter monomials.
 
 The full vector (v_1, ..., v_n) orders by the top component first; the rank r
 valuation keeps the top r components.  Membership in the rank r integer ring
@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import FqElem, teichmuller_exact
 from .elements import Element
-from .errors import OutOfRangeError, PrecisionExhaustedError, ZeroElementError
-from .expansion import residue
+from .errors import OutOfRangeError
 
 
 def _check_rank(r):
@@ -89,56 +87,3 @@ def valuation_split(field, v):
         else:
             pe = e
     return tuple(exps), pe
-
-
-class UnitParts:
-    """x = theta * monomial * (1 + principal) with theta the multiplicative
-    representative of the iterated residue and v(principal) > 0."""
-
-    def __init__(self, x, theta_scalar, theta, monomial, principal):
-        self.x = x
-        self.theta_scalar = theta_scalar
-        self.theta = theta
-        self.monomial = monomial
-        self.principal = principal
-
-    def recompose(self):
-        """theta * monomial * (1 + principal), the tests' oracle for x."""
-        one = Element.one(self.x.field)
-        return self.theta * self.monomial * (one + self.principal)
-
-    def __repr__(self):
-        return "UnitParts(theta=%r, monomial=%r, principal=%r)" % (
-            self.theta, self.monomial, self.principal)
-
-
-def iterated_residue(x):
-    """Residue all the way down to the coefficient field; x must be a unit of
-    the full integer ring at every stage.  Returns FqElem or Fraction."""
-    y = x
-    while y.field.residue() is not None:
-        y = residue(y)
-    if y.is_zero():
-        return y.field.coeff_zero()
-    return y.num[()] / y.den[()]
-
-
-def unit_decompose(x):
-    """Split a nonzero x as theta * parameter monomial * principal unit."""
-    if x.is_zero():
-        raise ZeroElementError("cannot decompose zero")
-    f = x.field
-    mono = monomial_with_valuation(f, x.val_vector())
-    u = x / mono
-    s = iterated_residue(u)
-    if isinstance(s, FqElem) and f.char() == 0:
-        t = teichmuller_exact(s.as_int(), f.prime())
-        if t is None:
-            raise PrecisionExhaustedError(
-                "no exact multiplicative representative for %r mod %d"
-                % (s, f.prime()))
-        theta = Element.from_coeff(f, t)
-    else:
-        theta = Element.from_coeff(f, s)
-    principal = u / theta - 1
-    return UnitParts(x, s, theta, mono, principal)

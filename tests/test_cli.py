@@ -348,6 +348,19 @@ def _malformed(kind):
                           "chart -1 names no chart among 0..1"),
         "window-key": opened("window key 'x' must be an integer",
                              window={"x": {"kind": "full"}}),
+        # "01" and "1" would name one level twice, the last one read winning
+        "window-key-01": opened(
+            "error: window key '01' must be an integer in canonical "
+            "decimal form\n",
+            window={"1": {"kind": "full"}, "01": {"kind": "zero"}}),
+        "window-key-007": opened(
+            "error: window key '007' must be an integer in canonical "
+            "decimal form\n",
+            window={"007": {"kind": "full"}}),
+        "window-key-minus-0": opened(
+            "error: window key '-0' must be an integer in canonical "
+            "decimal form\n",
+            window={"-0": {"kind": "full"}}),
         "cutoff-string": opened(
             "open descriptor 'cutoff' must be an integer, not '2'", cutoff="2"),
         "affine-a-string": opened(
@@ -360,7 +373,8 @@ def _malformed(kind):
             "rule descriptor 'a' must be an integer, not '1'",
             below={"rule": "quadratic", "a": "1", "l": 0, "c": 0}),
         "scale-int": opened(
-            "rule descriptor 'scale' must be a string, not 5",
+            "error: quadratic rule descriptor takes no 'scale'; it reads "
+            "'a', 'l' and 'c'\n",
             below={"rule": "quadratic", "a": 1, "l": 0, "c": 0, "scale": 5}),
         "window-list": opened(
             "open descriptor 'window' must be an object, not []", window=[]),
@@ -436,6 +450,8 @@ def _malformed(kind):
 
 @pytest.mark.parametrize("kind", ["no-window", "no-vars", "missing-chart",
                                   "chart-5", "chart-minus-1", "window-key",
+                                  "window-key-01", "window-key-007",
+                                  "window-key-minus-0",
                                   "cutoff-string", "affine-a-string",
                                   "affine-a-one", "quadratic-a-string",
                                   "scale-int",
@@ -456,7 +472,29 @@ def test_malformed_files_exit_two(kind, tmp_path, capsys):
     assert main(argv + [str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert fragment in err
+    # a fragment written as the whole line pins the exact text
+    assert err == fragment if fragment.startswith("error: ") else fragment in err
+
+
+#: the longest decimal int() converts (0 where there is no limit)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (DIGIT_LIMIT + 1)
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="int() converts any length here")
+@pytest.mark.parametrize("cutoff, key, message", [
+    (LONG, "0", "is not valid JSON: Exceeds the limit"),
+    ("2", LONG, "window key of %d digits is past the integer digit limit\n"
+                % len(LONG))], ids=["cutoff", "window-key"])
+def test_integers_past_the_digit_limit_exit_two(cutoff, key, message,
+                                                tmp_path, capsys):
+    path = tmp_path / "U.json"
+    path.write_text('{"field": "Fq(5)((u))((t))", "open": {"kind": "levels", '
+                    '"cutoff": %s, "window": {"%s": {"kind": "full"}}, '
+                    '"below": {"rule": "full"}}}' % (cutoff, key))
+    assert main(["member", "--elem", "u*t", "--open", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):

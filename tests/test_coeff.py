@@ -18,7 +18,7 @@ from hlf.coeff import (_SCHOOLBOOK, FqField, _fp_basis_lowest_terms,
                        _fp_coprime, _fp_divmod, _fp_gcd, _fp_lowest_terms,
                        _fp_monic, _fp_mul, _fp_strip, _is_irreducible, _pack,
                        _prime_power, _unpack, _zadd, _zcross, _zmul, padic_val,
-                       rational_mod_p, teichmuller_exact)
+                       rational_mod_p)
 from hlf.errors import FieldMismatchError, UnsupportedFieldError, ZeroElementError
 from hlf.fields import parse_field
 
@@ -223,15 +223,6 @@ def test_padic_val_of_a_large_power_climbs_a_tower(deadline):
     with deadline(1.1):
         assert padic_val(n, 3) == 600000
     assert padic_val(n, 3, 599999) == 599999
-
-
-def test_teichmuller_exact_small_residues():
-    assert teichmuller_exact(0, 5) == 0
-    assert teichmuller_exact(1, 5) == 1
-    assert teichmuller_exact(4, 5) == -1
-    assert teichmuller_exact(2, 5) is None
-    # p = 3 is covered completely
-    assert all(teichmuller_exact(a, 3) is not None for a in range(3))
 
 
 def test_rational_mod_p():

@@ -1,5 +1,5 @@
-"""Basic opens: membership, scaling, the meet of nested deep balls,
-witnesses, serialization."""
+"""Basic opens: membership, the meet of nested deep balls, witnesses,
+serialization."""
 
 import json
 import math
@@ -13,8 +13,7 @@ from conftest import dense
 from hlf import opens as opens_module
 from hlf.checks import _random_element
 from hlf.elements import Element
-from hlf.errors import (UnsupportedFieldError, UnsupportedOpenError,
-                        UnsupportedScalarError)
+from hlf.errors import ParseError, UnsupportedFieldError, UnsupportedOpenError
 from hlf.expansion import digits, expand
 from hlf.fields import QpBase, parse_field
 from hlf.opens import (_SHARED_MAX, AffineRule, BallOpen, ConstRule, FullOpen,
@@ -24,7 +23,7 @@ from hlf.opens import (_SHARED_MAX, AffineRule, BallOpen, ConstRule, FullOpen,
                        first_nonneg,
                        intersect_open,
                        open_from_data, product_escape_witness, random_open,
-                       rejection_depth, residue_image, scale_open,
+                       rejection_depth, residue_image,
                        subgroup_escape_witness, subgroup_shaped)
 from hlf.parsing import parse_element
 from hlf.valuation import in_integer_ring, monomial_with_valuation
@@ -38,17 +37,6 @@ FIELDS = (F5UT, Q3T, Q3M)
 
 def e(field, text):
     return parse_element(field, text)
-
-
-SCALARS = {F5UT: ["u^2", "t^-1", "3*u^-1*t", "u*t^2", "2*t^-2"],
-           Q3T: ["3^2", "t^-1", "3^-1*t", "-t^2"],
-           Q3M: ["3*t", "t^-2", "-3^2", "3^-1*t^3"]}
-ELEMS = {F5UT: ["u", "t", "u^-3*t^2", "1+u", "u^2/(1+t)", "4*u^-1",
-                "t^3/(u - t)", "u^-1*t^-1", "u^4*t^-2"],
-         Q3T: ["3", "t", "3^-2*t", "1+3*t", "t^2/(1-t)", "2", "3^3*t^-1",
-               "3^-1*t^-2"],
-         Q3M: ["t", "3", "t^-1", "1+t", "3*t^-2", "2+t", "3^2*t^-1",
-               "t^4*3^-1"]}
 
 
 def test_deep_ball_membership():
@@ -327,30 +315,6 @@ def test_affine_rule_membership():
     assert U.contains(e(F5UT, "t^3"))
 
 
-def test_scale_property_battery():
-    rng = random.Random(11)
-    checked = 0
-    for f in FIELDS:
-        for _ in range(40):
-            U = random_open(rng, f)
-            for ys in SCALARS[f]:
-                y = e(f, ys)
-                try:
-                    Us = scale_open(U, y)
-                except UnsupportedScalarError:
-                    continue
-                for xs in ELEMS[f]:
-                    x = e(f, xs)
-                    assert Us.contains(y * x) == U.contains(x)
-                    checked += 1
-    assert checked > 2000
-
-
-def test_scale_rejects_non_monomial():
-    with pytest.raises(UnsupportedScalarError):
-        scale_open(deep_ball(F5UT, 1), e(F5UT, "1 + t"))
-
-
 def _sinking_loop(qa, qb, qc, start):
     # the walk from the vertex that first_nonneg replaced in convergence
     n = max(start, math.ceil(Fraction(qb, 2 * qa)))
@@ -414,6 +378,18 @@ def test_json_round_trip_battery():
             V = open_from_data(f, data)
             assert V == U
             assert V.to_data() == U.to_data()
+
+
+def test_a_scaled_quadratic_rule_is_refused():
+    # a quadratic rule is a, l, c; a file that still carries a scale must
+    # not load as the unscaled open
+    data = {"kind": "levels", "cutoff": 0, "window": {},
+            "below": {"rule": "quadratic", "a": 1, "l": 0, "c": 0,
+                      "scale": "u^2"}}
+    with pytest.raises(ParseError) as info:
+        open_from_data(F5UT, data)
+    assert str(info.value) == \
+        "quadratic rule descriptor takes no 'scale'; it reads 'a', 'l' and 'c'"
 
 
 def test_subgroup_escape_witness_pairs():
@@ -494,16 +470,6 @@ def test_product_escape_witness_at_the_first_quadratic_level():
     w = product_escape_witness(full, full,
                                LevelsOpen(F4, 0, {}, QuadraticRule(1, 0, -1)))
     assert w.checked() and repr(w) == "product-escape(v^2, t^-2)"
-    # the scale v^-4*u^2 shifts the v component by -4: depth d^2 - 5 must
-    # reach 5, first at d = 4
-    F5 = parse_field("Fq(3)((w))((v))((u))((t))")
-    base = F5.residue()
-    W = LevelsOpen(F5, 0, {}, QuadraticRule(1, 0, -5,
-                                            e(base, "v^-4*u^2")))
-    assert [rejection_depth(W.level(-d)) is None for d in range(1, 5)] \
-        == [True, True, True, False]
-    w = product_escape_witness(FullOpen(F5), FullOpen(F5), W)
-    assert w.checked() and w.elems[1] == e(F5, "t^-4")
 
 
 def test_product_escape_none_when_cofinally_full():

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hlf.elements import Element
-from hlf.errors import (OutOfRangeError, PrecisionExhaustedError,
-                        ZeroElementError)
+from hlf.errors import OutOfRangeError
 from hlf.fields import parse_field
 from hlf.parsing import parse_element
 from hlf.valuation import (
@@ -13,15 +12,12 @@ from hlf.valuation import (
     in_max_ideal,
     monomial_with_valuation,
     rank_valuation,
-    unit_decompose,
 )
 
 
 F5UT = parse_field("Fq(5)((u))((t))")
-F4U = parse_field("Fq(4;w^2+w+1)((u))((t))")
 Q3T = parse_field("Qp(3)((t))")
 Q3M = parse_field("Qp(3){{t}}")
-Q5T = parse_field("Qp(5)((t))")
 QT = parse_field("Q((t))")
 
 
@@ -74,57 +70,6 @@ def test_monomial_with_prescribed_valuation():
     for f, v in [(F5UT, (-3, 2)), (Q3T, (2, -1)), (Q3M, (-7, 1)), (QT, (4,))]:
         m = monomial_with_valuation(f, v)
         assert m.val_vector() == v
-
-
-def test_unit_decomposition_equal_char():
-    x = parse_element(F5UT, "3*u^2*t^-1 + 3*u^3*t^0")
-    d = unit_decompose(x)
-    assert d.theta == Element.from_coeff(F5UT, 3)
-    assert d.monomial == parse_element(F5UT, "u^2*t^-1")
-    assert d.principal == parse_element(F5UT, "u*t")
-    assert d.recompose() == x
-
-
-def test_unit_decomposition_mixed():
-    x = parse_element(Q3M, "-9*t^-2 - 27*t^-1")
-    d = unit_decompose(x)
-    # iterated residue is 2, with exact multiplicative representative -1
-    assert d.theta == Element.from_coeff(Q3M, -1)
-    assert d.monomial == parse_element(Q3M, "9*t^-2")
-    assert d.principal == parse_element(Q3M, "3*t")
-    assert d.recompose() == x
-
-
-def test_unit_decomposition_rational_base():
-    x = parse_element(QT, "3/2*t^2 + 3/2*t^3")
-    d = unit_decompose(x)
-    assert d.theta == Element.from_coeff(QT, Fraction(3, 2))
-    assert d.recompose() == x
-
-
-def test_unit_decomposition_large_p_limits():
-    ok = parse_element(Q5T, "6*t + 6*t^2")
-    d = unit_decompose(ok)
-    assert d.theta == Element.one(Q5T)
-    assert d.recompose() == ok
-    with pytest.raises(PrecisionExhaustedError):
-        unit_decompose(parse_element(Q5T, "2*t"))
-    with pytest.raises(ZeroElementError):
-        unit_decompose(Element.zero(Q5T))
-
-
-def test_unit_decomposition_battery():
-    rng = random.Random(17)
-    for field in [F5UT, F4U, QT, Q3M]:
-        for _ in range(25):
-            x = _rand(rng, field)
-            if x.is_zero():
-                continue
-            d = unit_decompose(x)
-            assert d.recompose() == x
-            if not d.principal.is_zero():
-                v = d.principal.val_vector()
-                assert tuple(reversed(v)) > (0,) * len(v)
 
 
 def _rand(rng, field, depth=0):
