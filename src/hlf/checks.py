@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from itertools import repeat
 
 from .convergence import (CONVERGES, DIVERGES, converges,
                           product_continuity_check, seq_closed_check_C,
@@ -59,10 +60,18 @@ def _record(checks, name, count, failures):
 
 # --- random material ----------------------------------------------------------
 
-def _random_coeff(rng, field):
-    if field.fq() is not None:
-        return rng.randrange(1, field.char())
-    return Fraction(rng.randrange(1, 10), rng.choice((1, 2)))
+def _random_coeff(rng, field, e=None):
+    """A nonzero coefficient: over F_q a residue int in [1, p), else one
+    Fraction n/d times p^e (e None or 0: no power of p)."""
+    if (fq := field.fq()) is not None:
+        return rng.randrange(1, fq.p)
+    n, d = rng.randrange(1, 10), rng.choice((1, 2))
+    if e:
+        if e > 0:
+            n *= field.prime() ** e
+        else:
+            d *= field.prime() ** -e
+    return Fraction(n, d)
 
 
 def _random_lp(rng, field, count, draw_v):
@@ -72,16 +81,13 @@ def _random_lp(rng, field, count, draw_v):
     later term brings it back.  A term is one entry: the power of p folds
     into the drawn Fraction, and over F_q the coefficient is the field's
     own residue FqElem."""
-    fq, p = field.fq(), field.prime()
+    fq = field.fq()
     out = {}
     for _ in range(count):
         exps, e = valuation_split(field, draw_v())
-        c = _random_coeff(rng, field)
+        c = _random_coeff(rng, field, e)
         if fq is not None:
             c = fq.residues[c]
-        elif e:
-            c = Fraction(c.numerator * p ** e, c.denominator) if e > 0 \
-                else Fraction(c.numerator, c.denominator * p ** -e)
         s = out.get(exps)
         if s is None:
             out[exps] = c
@@ -94,7 +100,8 @@ def _random_lp(rng, field, count, draw_v):
 
 def _random_element(rng, field, span=3, terms=3):
     nv = len(field.params())
-    v = lambda: tuple(rng.randrange(-span, span + 1) for _ in range(nv))
+    v = lambda: tuple(map(rng.randrange, repeat(-span, nv),
+                          repeat(span + 1, nv)))
     out = _random_lp(rng, field, rng.randrange(1, terms + 1), v)
     return Element.make(field, out) if out else Element.one(field)
 

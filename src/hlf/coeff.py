@@ -4,6 +4,9 @@ Finite fields F_q are F_p[w]/(m(w)) with an explicit monic modulus; the
 prime field is the case m = w.  One element class serves both: a prime
 field element holds one reduced int and multiplies as an int, while an
 extension field multiplies through the integer product and reduction.
+The residue table FqField.residues is the one constructor of prime field
+residues: prime field arithmetic returns the table's shared instance for
+the reduced int, zero (coefficients ()) included.
 Polynomials over Z and F_p are int lists, lowest degree first, and one
 kernel (product, remainder, gcd, exact quotient, lowest terms against a
 coprime basis of the denominator) serves the extension arithmetic here and
@@ -480,8 +483,9 @@ class FqField:
 
     @cached_property
     def residues(self):
-        """Residue c mod p -> its FqElem over this prime field, one table
-        shared by every caller (FqElems are immutable)."""
+        """Residue c in [0, p) -> its FqElem over this prime field, one
+        table shared by every caller (FqElems are immutable); arithmetic
+        over this field takes its results from here."""
         return _Residues(self)
 
     def __repr__(self):
@@ -552,6 +556,8 @@ class FqElem:
         return bool(self.coeffs)
 
     def __eq__(self, other):
+        if other.__class__ is FqElem and other.field is self.field:
+            return self.coeffs == other.coeffs
         if isinstance(other, int):
             if self.field.deg == 1:
                 return self.as_int() == other % self.field.p
@@ -569,6 +575,9 @@ class FqElem:
         other = self._check(other)
         if other is NotImplemented:
             return other
+        f = self.field
+        if f.deg == 1:
+            return f.residues[(sum(self.coeffs) + sum(other.coeffs)) % f.p]
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         b = list(other.coeffs) + [0] * (n - len(other.coeffs))
@@ -577,7 +586,10 @@ class FqElem:
     __radd__ = __add__
 
     def __neg__(self):
-        return FqElem(self.field, [-c for c in self.coeffs])
+        f = self.field
+        if f.deg == 1:
+            return f.residues[-sum(self.coeffs) % f.p]
+        return FqElem(f, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._check(other)
@@ -592,23 +604,22 @@ class FqElem:
         other = self._check(other)
         if other is NotImplemented:
             return other
+        f = self.field
+        if f.deg == 1:
+            return f.residues[sum(self.coeffs) * sum(other.coeffs) % f.p]
         if not self.coeffs or not other.coeffs:
-            return self.field.zero()
-        if self.field.deg == 1:
-            return FqElem(self.field, (self.coeffs[0] * other.coeffs[0],))
-        return FqElem(
-            self.field,
-            _poly_mulmod(list(self.coeffs), list(other.coeffs), self.field.modulus, self.field.p),
-        )
+            return f.zero()
+        return FqElem(f, _poly_mulmod(list(self.coeffs), list(other.coeffs),
+                                      f.modulus, f.p))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero in %r" % self.field)
-        p = self.field.p
-        if self.field.deg == 1:
-            return FqElem(self.field, (pow(self.coeffs[0], p - 2, p),))
+        f = self.field
+        if f.deg == 1:
+            return f.residues[pow(self.coeffs[0], f.p - 2, f.p)]
         # the unit group has order q - 1
         return self ** (self.field.q - 2)
 
@@ -637,29 +648,23 @@ class FqElem:
         return _poly_str(self.coeffs, self.field.gen) if self.coeffs else "0"
 
 
-def _fq_reduced(field, coeffs):
-    """An FqElem over field from coefficients already reduced mod p and
-    trimmed, without FqElem.__init__'s second reduction."""
-    x = FqElem.__new__(FqElem)
-    x.field = field
-    x.coeffs = coeffs
-    return x
-
-
 # Residues a table keeps; past that a residue's FqElem is built anew.
 _RESIDUE_MAX = 1 << 12
 
 
 class _Residues(dict):
-    """FqField.residues: filled as residues are asked for, since p may be
-    large, each FqElem built without a second reduction."""
+    """FqField.residues: filled as residues c in [0, p) are asked for, since
+    p may be large, each FqElem built without FqElem.__init__'s second
+    reduction; residue 0 is the canonical zero, with coefficients ()."""
 
     def __init__(self, field):
         super().__init__()
         self.field = field
 
     def __missing__(self, c):
-        x = _fq_reduced(self.field, (c,))
+        x = FqElem.__new__(FqElem)
+        x.field = self.field
+        x.coeffs = (c,) if c else ()
         if len(self) < _RESIDUE_MAX:
             self[c] = x
         return x
@@ -754,7 +759,7 @@ def _is_irreducible(f, p):
 def padic_val(x, p, cap=None):
     """v_p of an exact rational or an int; refuses zero.  For an int, a
     cap stops the count there: min(v_p(x), cap)."""
-    if x == 0:
+    if not x:
         raise ZeroElementError("valuation of zero")
     n, d = x.numerator, x.denominator
     # v_p(n) <= n.bit_length(): a cap that never binds

@@ -21,11 +21,19 @@ valuation is the top component, and the valuation key is computed per
 monomial.  Elements are immutable, so val_vector is computed once each.
 Callers that assemble a sum of monomials build one Laurent polynomial and
 call make once, rather than adding Elements term by term.
+
+A Laurent polynomial is an element with a one-term denominator, and make
+leaves that denominator exactly 1 (the monomial of valuation zero with
+coefficient one).  So a product, sum or comparison of two Laurent
+polynomials combines their numerators only, keeps the shared denominator 1
+and needs no normalization: the result is canonical as it stands, zero
+included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .coeff import FqElem, power
 from .errors import FieldMismatchError, ZeroElementError
@@ -77,7 +85,7 @@ def lp_mul(a, b):
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
+            k = tuple(map(add, ka, kb))
             s = out.get(k)
             s = ca * cb if s is None else s + ca * cb
             if s:
@@ -94,7 +102,7 @@ def lp_scale(a, c):
 
 
 def lp_shift(a, shift):
-    return {tuple(x - y for x, y in zip(k, shift)): c for k, c in a.items()}
+    return {tuple(map(sub, k, shift)): c for k, c in a.items()}
 
 
 def lp_min_monomial(field, a):
@@ -182,15 +190,21 @@ class Element:
         if self._val is None:
             if not self.num:
                 raise ZeroElementError("valuation of zero")
-            exps, c = lp_min_monomial(self.field, self.num)
-            self._val = self.field.monomial_valuation(c, exps)
+            f = self.field
+            if f.orders_by_reversed_exps or len(self.num) == 1:
+                exps, c = lp_min_monomial(f, self.num)
+                self._val = f.monomial_valuation(c, exps)
+            else:
+                # each monomial's valuation once; the least is the answer
+                self._val = min((f.monomial_valuation(c, k)
+                                 for k, c in self.num.items()), key=_vkey)
         return self._val
 
     # --- arithmetic ---
 
     def _coerce(self, other):
         if isinstance(other, Element):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(
                     "elements of %r and %r" % (self.field, other.field))
             return other
@@ -202,6 +216,8 @@ class Element:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if len(self.den) == 1 == len(o.den):
+            return Element(self.field, lp_add(self.num, o.num), self.den)
         if self.den == o.den:
             return Element.make(self.field, lp_add(self.num, o.num), self.den)
         return Element.make(
@@ -228,6 +244,8 @@ class Element:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if len(self.den) == 1 == len(o.den):
+            return Element(self.field, lp_mul(self.num, o.num), self.den)
         return Element.make(self.field, lp_mul(self.num, o.num),
                             lp_mul(self.den, o.den))
 
@@ -257,6 +275,8 @@ class Element:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if len(self.den) == 1 == len(o.den):
+            return self.num == o.num
         return lp_mul(self.num, o.den) == lp_mul(o.num, self.den)
 
     # --- printing ---

@@ -135,9 +135,9 @@ from itertools import compress, repeat
 from math import gcd, lcm
 
 from .coeff import (_PACKED_SPAN, UNKNOWN, FqElem, _fp_basis_lowest_terms,
-                    _fp_lowest_terms, _fp_monic, _fq_reduced, _pack,
-                    _slot_bytes, _unpack, _zadd, _zcross, _zdiv, _zgcd,
-                    _ztrim, padic_val, rational_mod_p)
+                    _fp_lowest_terms, _fp_monic, _pack, _slot_bytes, _unpack,
+                    _zadd, _zcross, _zdiv, _zgcd, _ztrim, padic_val,
+                    rational_mod_p)
 from .elements import Element
 from .errors import (NotIntegralError, PrecisionExhaustedError,
                      UnsupportedFieldError)
@@ -768,9 +768,9 @@ def canonical_fraction(x):
     ints = lambda lp: _int_list({k: c.as_int() for (k,), c in lp.items()})
     (np, ns), (dp, ds) = ints(x.num), ints(x.den)
     np, dp = _fp_lowest_terms(np, dp, fq.p)
-    # in [0, p) already: no second reduction
-    num = {(ns + i,): _fq_reduced(fq, (c,)) for i, c in enumerate(np) if c}
-    den = {(ds + i,): _fq_reduced(fq, (c,)) for i, c in enumerate(dp) if c}
+    # in [0, p) already: read through the residue table
+    num = {(ns + i,): fq.residues[c] for i, c in enumerate(np) if c}
+    den = {(ds + i,): fq.residues[c] for i, c in enumerate(dp) if c}
     return Element.make(f, num, den)
 
 

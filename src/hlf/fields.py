@@ -32,6 +32,9 @@ class FieldDescriptor:
     #: and is reached only between equal exponents.  False over Qp{{t}},
     #: where it outranks the exponent of t, and over towers above it
     orders_by_reversed_exps = False
+    #: index in params() of the p-adic component of a valuation vector, the
+    #: one parameter that is no series parameter; None when there is none
+    padic_slot = None
 
     def residue(self):
         """Descriptor of the first residue field, or None at dimension 0."""
@@ -139,6 +142,7 @@ class QpBase(FieldDescriptor):
     dim = 1
     # no series parameter: a Laurent polynomial has one monomial at most
     orders_by_reversed_exps = True
+    padic_slot = 0
 
     def __init__(self, p):
         if _prime_power(p)[1] != 1:
@@ -188,6 +192,7 @@ class SeriesExt(FieldDescriptor):
         self._params = base.params() + (param,)
         self._series = base.series_params() + (param,)
         self.orders_by_reversed_exps = base.orders_by_reversed_exps
+        self.padic_slot = base.padic_slot
         # descriptors are immutable and key per-field caches: hash once
         self._hash = hash(("ser", param, base))
 
@@ -231,6 +236,7 @@ class MixedExt(FieldDescriptor):
     field F_p((param)).  Only allowed directly over a QpBase."""
 
     dim = 2
+    padic_slot = 1
 
     def __init__(self, base, param):
         if not isinstance(base, QpBase):

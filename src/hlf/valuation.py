@@ -79,11 +79,7 @@ def valuation_split(field, v):
     names = field.params()
     if len(v) != len(names):
         raise ValueError("expected %d components, got %d" % (len(names), len(v)))
-    sp = field.series_params()
-    exps, pe = [], None
-    for name, e in zip(names, v):
-        if name in sp:
-            exps.append(e)
-        else:
-            pe = e
-    return tuple(exps), pe
+    k = field.padic_slot
+    if k is None:
+        return tuple(v), None
+    return tuple(v[:k]) + tuple(v[k + 1:]), v[k]

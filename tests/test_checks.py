@@ -1,6 +1,7 @@
 """The seeded suites run green and reproduce themselves."""
 
 import functools
+import hashlib
 import random
 import types
 from collections import Counter
@@ -243,3 +244,29 @@ def test_random_material_matches_the_reference_generator(text):
             # no FqElem of another field object
             if fq is not None:
                 assert all(c.field is fq for c in got.num.values())
+
+
+# sha256 of the reprs of 200 _random_element draws from random.Random(0),
+# joined by newlines; the draws feed every suite, so a change here is a
+# change to every seeded report
+RANDOM_ELEMENT_SHA256 = {
+    "Fq(5)((u))((t))":
+        "1c1dabd285c9d2a2c435cf51c43c9537d7eaf7c1bb8841d2c33a421abd3d8282",
+    "Qp(3)((t))":
+        "4a0c5bbe2ae0c341e86e0a96c033d7cb34fa6814961939141625794b23b95d13",
+    "Qp(3){{t}}":
+        "6dda9ddc257f9434b5b2cf3d994fee3af60982c2c847a3507bb126805f1a82db",
+    "Q((t))":
+        "3e145a86e14a493322c09a531115e665cfc1fac788673ecde6e49a835ddf192a",
+    "Fq(4;w^2+w+1)((t))":
+        "5ed2c5b082b806b81e4004ef82086b53272b27ba53b6394456c10e5d911a92ea",
+}
+
+
+@pytest.mark.parametrize("text", sorted(RANDOM_ELEMENT_SHA256))
+def test_random_element_draws_are_pinned(text):
+    field, rng = parse_field(text), random.Random(0)
+    text_out = "\n".join(repr(checks._random_element(rng, field))
+                         for _ in range(200))
+    assert hashlib.sha256(text_out.encode()).hexdigest() \
+        == RANDOM_ELEMENT_SHA256[text]

@@ -63,13 +63,20 @@ def test_f4_is_a_field_exhaustively():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_prime_fields_match_integer_arithmetic_mod_p(p):
-    # oracle: plain ints reduced mod p, the inverse found by search
-    F = FqField(p)
+    # oracle: plain ints reduced mod p, the inverse found by search; every
+    # result is the residue table's own instance, zero with coefficients ()
+    F, G = FqField(p), FqField(p)  # G equal to F, another object
     inv = {a: next(b for b in range(1, p) if a * b % p == 1) for a in range(1, p)}
+
+    def residue(z, n):
+        return z is F.residues[n] and z.coeffs == ((n,) if n else ())
+
     for a in range(p):
         x = F(a)
         assert x.as_int() == a and repr(x) == str(a) and bool(x) == (a != 0)
-        assert -x == F(-a % p)
+        assert -x == F(-a % p) and residue(-x, -a % p)
+        if a:
+            assert residue(x.inverse(), inv[a])
         assert x == a + p and a - p == x and x != a + 1 and a + 1 != x
         assert hash(x) == hash(F(a + 3 * p)) == hash(F(a - p))
         for k in range(-3, 4):
@@ -84,15 +91,24 @@ def test_prime_fields_match_integer_arithmetic_mod_p(p):
         for b in range(p):
             y = F(b)
             assert (x == y) == (a == b) and (x != y) == (a != b)
-            for lhs, rhs in ((x, y), (x, b), (a, y)):
-                assert (lhs + rhs).as_int() == (a + b) % p
-                assert (lhs - rhs).as_int() == (a - b) % p
-                assert (lhs * rhs).as_int() == a * b % p
+            assert (x == G(b)) == (a == b)
+            for lhs, rhs in ((x, y), (x, b), (a, y), (x, G(b))):
+                assert residue(lhs + rhs, (a + b) % p)
+                assert residue(lhs - rhs, (a - b) % p)
+                assert residue(lhs * rhs, a * b % p)
                 if b:
-                    assert (lhs / rhs).as_int() == a * inv[b] % p
+                    assert residue(lhs / rhs, a * inv[b] % p)
                 else:
                     with pytest.raises(ZeroDivisionError):
                         lhs / rhs
+
+
+def test_the_residue_table_holds_the_canonical_zero():
+    F = FqField(5)
+    z = F.residues[0]
+    assert z.coeffs == () and not z and z.is_zero()
+    assert z == F.zero() and z == 0 and F.zero() == z
+    assert F.residues[0] is z and F.residues[3].coeffs == (3,)
 
 
 def test_irreducible_counts_match_gauss():

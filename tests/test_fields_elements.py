@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlf.checks import _random_element
 from hlf.elements import Element
 from hlf.errors import (
     FieldMismatchError,
@@ -286,3 +287,78 @@ def test_valuation_ultrametric(xs, ys):
         return
     lo = min(tuple(reversed(x.val_vector())), tuple(reversed(y.val_vector())))
     assert tuple(reversed((x + y).val_vector())) >= lo
+
+
+# --- the arithmetic kernel against plain dicts and tuples ---------------------
+
+def _ref_mul(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _ref_val(field, a):
+    # each monomial's vector over params() by name, the p-adic slot
+    # counted one p at a time; the least in inverse lexicographic order
+    sp, p = field.series_params(), field.prime()
+
+    def vp(c):
+        c, v = Fraction(c), 0
+        while c.numerator % p == 0:
+            c, v = c / p, v + 1
+        while c.denominator % p == 0:
+            c, v = c * p, v - 1
+        return v
+
+    vecs = [tuple(k[sp.index(n)] if n in sp else vp(c)
+                  for n in field.params()) for k, c in a.items()]
+    return min(vecs, key=lambda v: v[::-1])
+
+
+@pytest.mark.parametrize("text", ["Fq(5)((u))((t))", "Qp(3)((t))",
+                                  "Qp(3){{t}}", "Q((t))",
+                                  "Fq(4;w^2+w+1)((t))"])
+def test_element_arithmetic_matches_plain_dict_arithmetic(text):
+    f = parse_field(text)
+    one = {(0,) * len(f.series_params()): f.coeff_one()}
+    rng = random.Random("kernel:" + text)
+    laurent = [_random_element(rng, f) for _ in range(40)]
+    # quotients take the general path with a many-term denominator
+    pool = laurent + [x / (y + Element.one(f))
+                      for x, y in zip(laurent[:10], laurent[10:20])]
+    pool.append(Element.zero(f))
+    for x in pool:
+        assert len(x.den) > 1 or x.den == one
+        if not x.is_zero():
+            assert x.val_vector() == tuple(
+                a - b for a, b in zip(_ref_val(f, x.num), _ref_val(f, x.den)))
+        neg = -x
+        assert neg.num == {k: -c for k, c in x.num.items()} and neg.den == x.den
+    pairs = list(zip(pool, pool[::-1])) + list(zip(pool, pool[3:] + pool[:3]))
+    for x, y in pairs:
+        xn, yn = _ref_mul(x.num, y.den), _ref_mul(y.num, x.den)
+        want_sum = Element.make(f, _ref_add(xn, yn), _ref_mul(x.den, y.den))
+        yneg = {k: -c for k, c in yn.items()}
+        want_diff = Element.make(f, _ref_add(xn, yneg), _ref_mul(x.den, y.den))
+        want_prod = Element.make(f, _ref_mul(x.num, y.num),
+                                 _ref_mul(x.den, y.den))
+        for got, want in ((x + y, want_sum), (x - y, want_diff),
+                          (x * y, want_prod)):
+            assert got.num == want.num and got.den == want.den, (x, y)
+            assert repr(got) == repr(want)
+            assert len(got.den) > 1 or got.den == one
+            if got.is_zero():
+                assert repr(got) == "0" and got.den == one
+        assert (x == y) == (xn == yn) and (x == x) is True
+        zero = x - x
+        assert zero.is_zero() and zero.num == {} and zero.den == one
