@@ -463,7 +463,6 @@ class _Slices:
         self.floor_all = min(all_b)
         self.period_base = None
         self.period = None
-        self._fams = {}
         self._powers = {}
         self._streams = {}
         self._collides = {}
@@ -482,10 +481,7 @@ class _Slices:
             self.start = max(self.start, math.ceil(Fraction(1 - sb, sa)))
             self.moving.append((sa, self.floor_all + sb))
             self.s = None
-            self.s_transient = s
             s = None
-        else:
-            self.s_transient = None
         if s is None:
             if not self.mixed:
                 self.tail = "zero"
@@ -560,14 +556,9 @@ class _Slices:
         return self._powers[k]
 
     def level_family(self, i):
-        if i in self._fams:
-            return self._fams[i]
         if self.mixed:
-            fam = self._mixed_family(i)
-        else:
-            fam = self._series_family(i)
-        self._fams[i] = fam
-        return fam
+            return self._mixed_family(i)
+        return self._series_family(i)
 
     def _series_family(self, i):
         terms = [self._lower(t) for t in self.const

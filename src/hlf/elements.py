@@ -133,10 +133,10 @@ class Element:
         afterwards, and no element's num or den is ever changed in place."""
         zero = (0,) * len(field.series_params())
         if den is None:
-            den = {zero: field.coeff_one()}
-        elif not den:
+            return cls(field, num, {zero: field.coeff_one()})
+        if not den:
             raise ZeroDivisionError("zero denominator over %r" % field)
-        elif num:
+        if num:
             exps0, c0 = lp_min_monomial(field, den)
             if any(exps0):
                 num, den = lp_shift(num, exps0), lp_shift(den, exps0)

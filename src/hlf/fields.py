@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .coeff import FqField, _prime_power, padic_val
 from .errors import ParseError, UnsupportedFieldError
+from .parsing import NAME, parse_element
 
 
 class FieldDescriptor:
@@ -86,9 +87,6 @@ class FieldDescriptor:
         except AttributeError:
             self._one = self.coerce_coeff(1)
             return self._one
-
-    def coeff_zero(self):
-        return self.coerce_coeff(0)
 
 
 class FiniteBase(FieldDescriptor):
@@ -286,8 +284,9 @@ class MixedExt(FieldDescriptor):
 
 # --- descriptor strings ------------------------------------------------------
 
-_BASE_RE = re.compile(r"^(Fq\((\d+)(;([^)]*))?\)|Qp\((\d+)\)|Q)")
-_EXT_RE = re.compile(r"^(\(\((\w+)\)\)|\{\{(\w+)\}\})")
+_BASE_RE = re.compile(
+    r"^(Fq\((\d+)(;(.*?))?\)(?=\(\(|\{\{|$)|Qp\((\d+)\)|Q)")
+_EXT_RE = re.compile(r"^(\(\((%s)\)\)|\{\{(%s)\}\})" % (NAME, NAME))
 
 
 def parse_field(text):
@@ -312,38 +311,42 @@ def parse_field(text):
         base = RationalBase()
     pos = m.end()
     field = base
+    fq = base.fq()
+    gen = fq.gen if fq is not None and fq.deg > 1 else None
     while pos < len(s):
         m = _EXT_RE.match(s[pos:])
         if not m:
             raise ParseError("expected ((param)) or {{param}}", text, pos)
-        if m.group(2):
-            field = SeriesExt(field, m.group(2))
-        else:
-            field = MixedExt(field, m.group(3))
+        param = m.group(2) or m.group(3)
+        if param in ("n", gen):
+            raise ParseError("parameter %r clashes with n or the F_q generator"
+                             % param, text, pos)
+        field = (SeriesExt if m.group(2) else MixedExt)(field, param)
         pos += m.end()
     return field
 
 
 def _fq_from_text(q, modtext, fulltext):
+    """F_q; a modulus is an element of F_p((g)) in the element grammar,
+    g its one symbol, and must be a polynomial in g."""
     if modtext is None:
         return FqField(q)
-    # modulus like w^2+w+1; single generator symbol, integer coefficients
-    gens = sorted(set(re.findall(r"[a-zA-Z]\w*", modtext)))
-    if len(gens) != 1:
+    names = set(re.findall(NAME, modtext))
+    if len(names) != 1:
         raise ParseError("modulus needs exactly one symbol", fulltext)
-    gen = gens[0]
-    p, deg_needed = _prime_power(q)
-    coeffs = [0] * (deg_needed + 1)
-    for term in re.findall(r"[+-]?[^+-]+", modtext.replace(" ", "")):
-        sign = -1 if term.startswith("-") else 1
-        body = term.lstrip("+-")
-        if "*" in body:
-            c, _, mono = body.partition("*")
-        else:
-            c, mono = ("1", body) if body.startswith(gen) else (body, None)
-        e = 0 if mono is None else 1 if mono == gen else int(mono[len(gen) + 1:])
-        if e > deg_needed:
-            raise ParseError("modulus term %r is past degree %d"
-                             % (term, deg_needed), fulltext)
-        coeffs[e] += sign * int(c)
-    return FqField(q, modulus=tuple(c % p for c in coeffs), gen=gen)
+    gen = names.pop()
+    p, deg = _prime_power(q)
+    try:
+        x = parse_element(SeriesExt(FiniteBase(FqField(p)), gen), modtext)
+    except ParseError as err:
+        raise ParseError("modulus %r: %s" % (modtext, err), fulltext) from None
+    if len(x.den) > 1 or any(e < 0 for (e,) in x.num):
+        raise ParseError("modulus %r is no polynomial in %s"
+                         % (modtext, gen), fulltext)
+    coeffs = [0] * (deg + 1)
+    for (e,), c in x.num.items():
+        if e > deg:
+            raise ParseError("modulus term '%s^%d' is past degree %d"
+                             % (gen, e, deg), fulltext)
+        coeffs[e] = c.coeffs[0]
+    return FqField(q, modulus=tuple(coeffs), gen=gen)

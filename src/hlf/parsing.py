@@ -1,4 +1,5 @@
-"""Expression grammar shared by elements, sequence families and polynomials.
+"""The one expression grammar: elements, families, polynomials, rational
+maps and the F_q modulus all read through it.
 
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
@@ -6,18 +7,16 @@
 
 Exponents are signed integers or parenthesized affine expressions in n, e.g.
 t^-1, u^(n), t^(2*n+1); on a parenthesized expression only integers.  What a
-name means (series parameter, finite field generator, scheme variable) is
-decided by the handler, so the one grammar serves every consumer; element
-parsing rejects any n-dependence.
+name (NAME) means, series parameter, finite field generator or scheme
+variable, is decided by the handler; element parsing rejects any n-dependence.
 
-Element parsing keeps a product, quotient, power or negation of monomials
-as one term node, a coefficient and an exponent tuple: monomial *, / and
-^ are exact and need no normalization.  The Element is made only at a sum
-or a difference, at an operand that is already an Element, and at the end,
-so each sum still goes through Element.__add__, whose shortcut for equal
-denominators relies on normalized ones.  The result is the Element that
-factor-by-factor Element arithmetic gives, with the same entries in the
-same order.
+Element and family parsing keep a product, quotient, power or negation of
+monomials as one TermNode, whose monomial *, / and ^ are exact and need no
+normalization.  whole() makes the value only at a sum or a difference, at
+an operand that is already a value, and at the end, so each sum of elements
+still goes through Element.__add__, whose shortcut for equal denominators
+relies on normalized ones.  The result is the one that factor-by-factor
+arithmetic gives, with the same entries in the same order.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ from operator import add, sub
 from .elements import Element
 from .errors import ParseError, UnknownParameterError
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-zA-Z_]\w*)|(\^|\*|/|\+|-|\(|\)|,))")
+NAME = r"[a-zA-Z_]\w*"
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(%s)|(\^|\*|/|\+|-|\(|\)|,))" % NAME)
 
 
 def tokenize(text):
@@ -200,7 +200,50 @@ class ExprParser:
         raise ParseError("bad affine exponent term", self.text, pos)
 
 
-class _Monomial:
+class TermNode:
+    """A parse node that stands for one term of the value it builds.  A
+    subclass keeps the monomial fast paths: mul and div against a node of
+    its own class, ** and unary minus; whole() builds the value, and a sum,
+    a difference or an operand of another kind goes through it."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if other.__class__ is self.__class__:
+            return self.mul(other)
+        return self.whole() * other
+
+    def __truediv__(self, other):
+        if other.__class__ is self.__class__:
+            return self.div(other)
+        return self.whole() / other
+
+    def __add__(self, other):
+        return self.whole() + whole(other)
+
+    def __sub__(self, other):
+        return self.whole() - whole(other)
+
+    def __rmul__(self, other):
+        return other * self.whole()
+
+    def __rtruediv__(self, other):
+        return other / self.whole()
+
+    def __radd__(self, other):
+        return other + self.whole()
+
+    def __rsub__(self, other):
+        return other - self.whole()
+
+
+def whole(node):
+    """The value a parse node stands for: a term node's whole(), any other
+    node as it is."""
+    return node.whole() if isinstance(node, TermNode) else node
+
+
+class _Monomial(TermNode):
     """coeff * prod params^exps while parsing an element, exps aligned
     with the field's series parameters."""
 
@@ -211,22 +254,18 @@ class _Monomial:
         self.coeff = coeff
         self.exps = exps
 
-    def element(self):
+    def whole(self):
         c = self.coeff
         return Element.make(self.field, {self.exps: c} if c else {})
 
     def __neg__(self):
         return _Monomial(self.field, -self.coeff, self.exps)
 
-    def __mul__(self, other):
-        if other.__class__ is not _Monomial:
-            return self.element() * other
+    def mul(self, other):
         return _Monomial(self.field, self.coeff * other.coeff,
                          tuple(map(add, self.exps, other.exps)))
 
-    def __truediv__(self, other):
-        if other.__class__ is not _Monomial:
-            return self.element() / other
+    def div(self, other):
         if not other.coeff:
             raise ZeroDivisionError("inverse of zero")
         return _Monomial(self.field, self.coeff / other.coeff,
@@ -236,29 +275,6 @@ class _Monomial:
         # a zero coefficient raises ZeroDivisionError on a negative k
         return _Monomial(self.field, self.coeff ** k,
                          tuple(e * k for e in self.exps))
-
-    def __add__(self, other):
-        return self.element() + as_element(other)
-
-    def __sub__(self, other):
-        return self.element() - as_element(other)
-
-    def __rmul__(self, other):
-        return other * self.element()
-
-    def __rtruediv__(self, other):
-        return other / self.element()
-
-    def __radd__(self, other):
-        return other + self.element()
-
-    def __rsub__(self, other):
-        return other - self.element()
-
-
-def as_element(node):
-    """The Element of an element parse node."""
-    return node.element() if node.__class__ is _Monomial else node
 
 
 class ElementHandler:
@@ -276,7 +292,7 @@ class ElementHandler:
     def int_power(self, base, a, b, pos):
         if a != 0:
             raise ParseError("n is only allowed in sequence exponents", pos=pos)
-        return self._ipow(self.const(base), b, pos)
+        return self.node_power(self.const(base), b, pos)
 
     def powered(self, name, a, b, pos):
         if a != 0:
@@ -288,14 +304,11 @@ class ElementHandler:
                              tuple(b if v == name else 0 for v in sp))
         fq = f.fq()
         if fq is not None and fq.deg > 1 and name == fq.gen:
-            return self._ipow(_Monomial(f, fq.generator(), self.const_exps),
-                              b, pos)
+            return self.node_power(
+                _Monomial(f, fq.generator(), self.const_exps), b, pos)
         raise UnknownParameterError("unknown symbol %r" % name, pos=pos)
 
     def node_power(self, node, b, pos):
-        return self._ipow(node, b, pos)
-
-    def _ipow(self, node, b, pos):
         try:
             return node ** b
         except ZeroDivisionError:
@@ -303,4 +316,4 @@ class ElementHandler:
 
 
 def parse_element(field, text):
-    return as_element(ExprParser(text, ElementHandler(field)).parse())
+    return whole(ExprParser(text, ElementHandler(field)).parse())

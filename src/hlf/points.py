@@ -12,6 +12,10 @@ componentwise verdict is the verdict.
 Points and point families move along one Morphism: a chart transfer is
 the overlap's unit test and then its Morphism, and base_change is the
 Morphism onto the base-changed presentation.
+
+Generators, units and chart maps read through one handler, RatHandler:
+parse_rat keeps the quotient, and parse_poly divides out a constant
+denominator and refuses any other.
 """
 
 from itertools import product
@@ -24,7 +28,7 @@ from .errors import (ArityMismatchError, FieldMismatchError, ParseError,
                      need_list_of_str, need_str, require)
 from .expansion import residue
 from .fields import parse_field
-from .parsing import ElementHandler, ExprParser, as_element
+from .parsing import ElementHandler, ExprParser, whole
 from .sequences import SeqFamily
 from .valuation import in_integer_ring, rank_valuation
 
@@ -165,12 +169,6 @@ class Poly:
     def scale(self, c):
         return Poly(self.field, {k: v * c for k, v in self.terms.items()})
 
-    def __truediv__(self, other):
-        # only a constant divides; a zero one raises ZeroDivisionError
-        if not other.is_const():
-            raise ParseError("division by a polynomial in the variables")
-        return self.scale(other.const_value().inverse())
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -232,47 +230,6 @@ class Poly:
 
     def __repr__(self):
         return self.text()
-
-
-class PolyHandler:
-    """Names resolve to declared variables first, then through the element
-    handler, so coefficients may use the full Laurent grammar."""
-
-    def __init__(self, field, variables):
-        self.field = field
-        self.vars = set(variables)
-        self.elem = ElementHandler(field)
-
-    def _const(self, x):
-        return Poly.const(self.field, as_element(x))
-
-    def const(self, k):
-        return self._const(self.elem.const(k))
-
-    def int_power(self, base, a, b, pos):
-        return self._const(self.elem.int_power(base, a, b, pos))
-
-    def powered(self, name, a, b, pos):
-        if name not in self.vars:
-            return self._const(self.elem.powered(name, a, b, pos))
-        if a != 0:
-            raise ParseError("n is only allowed in sequence exponents", pos=pos)
-        if b < 0:
-            raise ParseError("negative power of variable %r" % name, pos=pos)
-        if b == 0:
-            return self._const(Element.one(self.field))
-        return Poly.var(self.field, name, b)
-
-    def node_power(self, node, b, pos):
-        if node.is_const():
-            return self._const(self.elem.node_power(node.const_value(), b, pos))
-        if b < 0:
-            raise ParseError("negative power of a polynomial", pos=pos)
-        return node ** b
-
-
-def parse_poly(field, variables, text):
-    return ExprParser(text, PolyHandler(field, variables)).parse()
 
 
 class RatMap:
@@ -339,22 +296,34 @@ class RatMap:
 
 
 class RatHandler:
-    """Same grammar as PolyHandler with division and negative variable
-    powers allowed; nodes are polynomial quotients."""
+    """Names resolve to declared variables first, then through the element
+    handler, so coefficients may use the full Laurent grammar; nodes are
+    polynomial quotients, so division and negative variable powers are
+    allowed."""
 
     def __init__(self, field, variables):
-        self.ph = PolyHandler(field, variables)
+        self.field = field
+        self.vars = set(variables)
+        self.elem = ElementHandler(field)
+
+    def _const(self, x):
+        return RatMap.of(Poly.const(self.field, whole(x)))
 
     def const(self, k):
-        return RatMap.of(self.ph.const(k))
+        return self._const(self.elem.const(k))
 
     def int_power(self, base, a, b, pos):
-        return RatMap.of(self.ph.int_power(base, a, b, pos))
+        return self._const(self.elem.int_power(base, a, b, pos))
 
     def powered(self, name, a, b, pos):
-        if name in self.ph.vars and b < 0:
-            return self.powered(name, a, -b, pos) ** -1
-        return RatMap.of(self.ph.powered(name, a, b, pos))
+        if name not in self.vars:
+            return self._const(self.elem.powered(name, a, b, pos))
+        if a != 0:
+            raise ParseError("n is only allowed in sequence exponents", pos=pos)
+        if b == 0:
+            return self._const(Element.one(self.field))
+        x = RatMap.of(Poly.var(self.field, name, abs(b)))
+        return x ** -1 if b < 0 else x
 
     def node_power(self, node, b, pos):
         if b < 0 and node.num.is_zero():
@@ -364,6 +333,16 @@ class RatHandler:
 
 def parse_rat(field, variables, text):
     return ExprParser(text, RatHandler(field, variables)).parse()
+
+
+def parse_poly(field, variables, text):
+    """parse_rat, refused unless the denominator is a constant, which then
+    divides out."""
+    r = parse_rat(field, variables, text)
+    if not r.den.is_const():
+        raise ParseError("division by a polynomial in the variables")
+    c = r.den.const_value()
+    return r.num if c.is_one() else r.num.scale(c.inverse())
 
 
 # --- presentations and points -------------------------------------------------

@@ -30,7 +30,7 @@ from .coeff import padic_val, power
 from .elements import Element, exps_key
 from .errors import (FieldMismatchError, ParseError, UnsupportedFamilyError,
                      ZeroElementError)
-from .parsing import ExprParser
+from .parsing import ExprParser, TermNode, whole
 
 
 class AffineForm:
@@ -314,12 +314,11 @@ def _pair_crossing(f1, f2):
     return 0
 
 
-class _TermNode:
+class _TermNode(TermNode):
     """A product, quotient, power or negation of monomials while parsing a
     family: num over den, one Term each, num with a zero coefficient for
-    the zero family.  A sum or a family operand makes the SeqFamily that
-    the family operations would have built; there num is dropped if
-    zero."""
+    the zero family.  whole() makes the SeqFamily that the family
+    operations would have built; there num is dropped if zero."""
 
     __slots__ = ("field", "num", "den")
 
@@ -328,21 +327,17 @@ class _TermNode:
         self.num = num
         self.den = den or Term(field.coeff_one())
 
-    def family(self):
+    def whole(self):
         return SeqFamily(self.field, [self.num], [self.den])
 
     def __neg__(self):
         return _TermNode(self.field, -self.num, self.den)
 
-    def __mul__(self, other):
-        if other.__class__ is not _TermNode:
-            return self.family() * other
+    def mul(self, other):
         return _TermNode(self.field, self.num.mul(other.num),
                          self.den.mul(other.den))
 
-    def __truediv__(self, other):
-        if other.__class__ is not _TermNode:
-            return self.family() / other
+    def div(self, other):
         if not other.num.coeff:
             raise ZeroElementError("division by the zero family")
         return _TermNode(self.field, self.num.mul(other.den),
@@ -358,34 +353,12 @@ class _TermNode:
         return _TermNode(self.field, _term_power(num, k, one),
                          _term_power(den, k, one))
 
-    def __add__(self, other):
-        return self.family() + _family(other)
-
-    def __sub__(self, other):
-        return self.family() - _family(other)
-
-    def __rmul__(self, other):
-        return other * self.family()
-
-    def __rtruediv__(self, other):
-        return other / self.family()
-
-    def __radd__(self, other):
-        return other + self.family()
-
-    def __rsub__(self, other):
-        return other - self.family()
-
 
 def _term_power(t, k, one):
     """t**k for an int k >= 0, the coefficient by coeff.power from one."""
     return Term(power(t.coeff, k, one),
                 {name: AffineForm(f.a * k, f.b * k)
                  for name, f in t.exps.items()}, t.pa * k)
-
-
-def _family(node):
-    return node.family() if node.__class__ is _TermNode else node
 
 
 class FamilyHandler:
@@ -428,4 +401,4 @@ class FamilyHandler:
 
 
 def parse_family(field, text):
-    return _family(ExprParser(text, FamilyHandler(field)).parse())
+    return whole(ExprParser(text, FamilyHandler(field)).parse())

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import same_element
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -337,7 +338,11 @@ def test_element_arithmetic_matches_plain_dict_arithmetic(text):
     pool = laurent + [x / (y + Element.one(f))
                       for x, y in zip(laurent[:10], laurent[10:20])]
     pool.append(Element.zero(f))
-    for x in pool:
+    # make without a denominator: zero as 0/1, and one as num == den
+    made = [Element.make(f, {}), Element.make(f, dict(one))]
+    for got, want in zip(made, (Element.zero(f), Element.one(f))):
+        assert same_element(got, want)
+    for x in pool + made:
         assert len(x.den) > 1 or x.den == one
         if not x.is_zero():
             assert x.val_vector() == tuple(
@@ -345,6 +350,7 @@ def test_element_arithmetic_matches_plain_dict_arithmetic(text):
         neg = -x
         assert neg.num == {k: -c for k, c in x.num.items()} and neg.den == x.den
     pairs = list(zip(pool, pool[::-1])) + list(zip(pool, pool[3:] + pool[:3]))
+    pairs += [(m, x) for m in made for x in laurent[:10]]
     for x, y in pairs:
         xn, yn = _ref_mul(x.num, y.den), _ref_mul(y.num, x.den)
         want_sum = Element.make(f, _ref_add(xn, yn), _ref_mul(x.den, y.den))
