@@ -304,31 +304,20 @@ def converges(family, limit=None, topology="higher"):
         else:
             g = family - SeqFamily.constant(
                 family.field, family.field.coerce_coeff(limit))
-    if topology == "valuation":
-        return _valuation_verdict(g)
-    if topology != "higher":
+    if topology not in ("higher", "valuation"):
         raise ValueError("topology is 'higher' or 'valuation'")
-    return _higher_verdict(g)
+    return _higher_verdict(g, topology)
 
 
-def _valuation_verdict(g):
-    f = g.field
-    if g.is_zero():
-        return Verdict(CONVERGES, certificate=ZeroCert())
-    if f.dim == 0:
-        return _diverge(g, ZeroOpen(f), g.crossing_bound() + 1,
-                        "nonzero over a discrete field")
-    start = g.crossing_bound() + 1
-    top = g.val_form()[-1]
-    if top.a > 0:
-        return Verdict(CONVERGES,
-                       certificate=SlopeCert(f, top.a, top.b, start - 1))
-    c = top(start) + 1
-    return _diverge(g, RankOneBall(f, c), start,
-                    "top valuation stays below %d" % c)
-
-
-def _higher_verdict(g):
+def _higher_verdict(g, topology="higher"):
+    """The verdict on G_n -> 0 in the higher or the valuation topology.
+    Where balls of the top valuation are a neighborhood base of zero, over
+    a rank one field or in the valuation topology, the slope of the top
+    form decides alone: a positive slope converges, and otherwise G_n
+    stays outside the ball one past its top valuation at start, a level
+    open in the higher topology and a RankOneBall in the valuation one.
+    Higher rank in the higher topology goes on to the sinking and level
+    routes."""
     f = g.field
     if g.is_zero():
         return Verdict(CONVERGES, certificate=ZeroCert())
@@ -339,17 +328,17 @@ def _higher_verdict(g):
     start = n_cross + 1
     vf = g.val_form()
     top = vf[-1]
-    if f.dim == 1:
-        # rank one: balls generate the topology, so the slope decides
-        if top.a > 0:
-            return Verdict(CONVERGES,
-                           certificate=SlopeCert(f, top.a, top.b, n_cross))
-        c = top(start) + 1
-        return _diverge(g, ball_at(f, c), start,
-                        "valuation stays below %d" % c)
     if top.a > 0:
         return Verdict(CONVERGES,
                        certificate=SlopeCert(f, top.a, top.b, n_cross))
+    if topology == "valuation":
+        c = top(start) + 1
+        return _diverge(g, RankOneBall(f, c), start,
+                        "top valuation stays below %d" % c)
+    if f.dim == 1:
+        c = top(start) + 1
+        return _diverge(g, ball_at(f, c), start,
+                        "valuation stays below %d" % c)
     if top.a < 0:
         return _sinking_verdict(g, vf, start)
     return _level_verdict(g, vf, n_cross)
@@ -691,20 +680,27 @@ def unit_converges(family, to, route="ratio"):
         return _decomposition_verdict(family / target - one)
     if route != "ratio":
         raise ValueError("route is 'ratio' or 'decomposition'")
-    fwd = _higher_verdict(family / target - one)
+    fwd = _labelled("direct ratio", _higher_verdict(family / target - one))
     if fwd.kind == DIVERGES:
-        fwd.witness.note = "direct ratio: " + fwd.witness.note
         return fwd
-    bwd = _higher_verdict(target / family - one)
+    bwd = _labelled("inverse ratio", _higher_verdict(target / family - one))
     if bwd.kind == DIVERGES:
-        bwd.witness.note = "inverse ratio: " + bwd.witness.note
         return bwd
-    if fwd.kind == UNKNOWN:
-        return Verdict(UNKNOWN, reason="direct ratio: %s" % fwd.reason)
-    if bwd.kind == UNKNOWN:
-        return Verdict(UNKNOWN, reason="inverse ratio: %s" % bwd.reason)
+    for v in (fwd, bwd):
+        if v.kind == UNKNOWN:
+            return v
     return Verdict(CONVERGES,
                    certificate=PairCert(fwd.certificate, bwd.certificate))
+
+
+def _labelled(label, v):
+    """v with the sub-decision it came from named in front of its witness
+    note or its reason."""
+    if v.kind == DIVERGES:
+        v.witness.note = "%s: %s" % (label, v.witness.note)
+    elif v.kind == UNKNOWN:
+        v.reason = "%s: %s" % (label, v.reason)
+    return v
 
 
 def _decomposition_verdict(h):
@@ -724,13 +720,7 @@ def _decomposition_verdict(h):
                         "ratio is not eventually a principal unit, so a "
                         "discrete summand of the decomposition stays off "
                         "the identity")
-    sub = _higher_verdict(h)
-    if sub.kind == DIVERGES:
-        sub.witness.note = "principal part: " + sub.witness.note
-        return sub
-    if sub.kind == UNKNOWN:
-        return Verdict(UNKNOWN, reason="principal part: %s" % sub.reason)
-    return Verdict(CONVERGES, certificate=sub.certificate)
+    return _labelled("principal part", _higher_verdict(h))
 
 
 # --- continuity and closedness probes -----------------------------------------

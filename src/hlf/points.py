@@ -22,7 +22,7 @@ from itertools import product
 
 from .coeff import power
 from .convergence import CONVERGES, DIVERGES, UNKNOWN, converges
-from .elements import Element
+from .elements import Element, lp_add, lp_neg, lp_scale
 from .errors import (ArityMismatchError, FieldMismatchError, ParseError,
                      TargetViolationError, UnsupportedFieldError, need_list,
                      need_list_of_str, need_str, require)
@@ -142,13 +142,10 @@ class Poly:
         return {name for key in self.terms for name, _ in key}
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms[key] + c if key in terms else c
-        return Poly(self.field, terms)
+        return Poly(self.field, lp_add(self.terms, other.terms))
 
     def __neg__(self):
-        return Poly(self.field, {k: -c for k, c in self.terms.items()})
+        return Poly(self.field, lp_neg(self.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -167,14 +164,12 @@ class Poly:
         return power(self, k, Poly.const(self.field, Element.one(self.field)))
 
     def scale(self, c):
-        return Poly(self.field, {k: v * c for k, v in self.terms.items()})
+        return Poly(self.field, lp_scale(self.terms, c))
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
+        return self.terms == other.terms
 
     def evaluate(self, env, lift=None):
         """Value at env, a mapping from variable names.  lift carries the
@@ -222,7 +217,7 @@ class Poly:
                 cs = "(%s)" % cs
             if not vs:
                 parts.append(cs)
-            elif c == Element.one(self.field):
+            elif c.is_one():
                 parts.append(vs)
             else:
                 parts.append("%s*%s" % (cs, vs))

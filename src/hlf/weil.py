@@ -3,6 +3,9 @@
 With m monic of degree d the extension is a free R-module on the powers
 of theta, so an S-point in a variables becomes an R-point in a*d
 components and each S-generator splits into d component generators.  The
+extension keeps theta^d = sum of low[k]*theta^k for k < d; a scalar is
+reduced by one division by the monic modulus, and the components, the
+restricted generators and the theta twist all read that one rule.  The
 two readings carry the same convergent sequences: encode and decode are
 mutually inverse R-linear substitutions, so verdicts must agree, and the
 tests twist by theta before comparing to make that agreement exercise
@@ -17,15 +20,11 @@ from .points import (AffinePresentation, NO, Point, PointVerdict, Poly, YES,
 from .sequences import SeqFamily
 
 
-def _theta_degree(p, theta):
-    return max((e for e in p.split_var(theta)), default=0)
-
-
 class MonogenicExt:
-    """Scalars are polynomials in theta of degree under d; theta^d
-    rewrites through the modulus.  The leading coefficient must be a unit
-    of the base ring, otherwise the module is not free on the powers of
-    theta and there is nothing to restrict along."""
+    """Scalars are polynomials in theta of degree under d, and theta^d is
+    sum of low[k]*theta^k.  The leading coefficient must be a unit of the
+    base ring, otherwise the module is not free on the powers of theta and
+    there is nothing to restrict along."""
 
     def __init__(self, ring, theta, modulus):
         self.ring = ring
@@ -34,10 +33,11 @@ class MonogenicExt:
             modulus = parse_poly(ring.field, (theta,), modulus)
         if modulus.vars_used() - {theta}:
             raise UnsupportedScalarError("modulus must involve %s alone" % theta)
-        d = _theta_degree(modulus, theta)
+        parts = modulus.split_var(theta)
+        d = max(parts, default=0)
         if d < 1:
             raise UnsupportedScalarError("modulus must have positive degree")
-        lead = modulus.split_var(theta)[d].const_value()
+        lead = parts[d].const_value()
         if not ring.is_unit(lead):
             raise NotFreeError(
                 "leading coefficient %r is not a unit, the quotient is not "
@@ -46,56 +46,51 @@ class MonogenicExt:
             modulus = modulus.scale(lead.inverse())
         self.modulus = modulus
         self.deg = d
-        self.tail = Poly.var(ring.field, theta, d) - modulus
+        parts = modulus.split_var(theta)
+        self.low = tuple(-parts.get(k, Poly(ring.field)).const_value()
+                         for k in range(d))
 
     def scalar(self, coeffs):
-        """theta-polynomial with the given component Elements."""
+        """theta-polynomial with the given components, Elements or
+        polynomials in the other variables."""
         if len(coeffs) != self.deg:
             raise ArityMismatchError("expected %d components, got %d"
                                      % (self.deg, len(coeffs)))
         f = self.ring.field
         out = Poly(f)
         for k, c in enumerate(coeffs):
-            term = Poly.const(f, c)
+            if isinstance(c, Element):
+                c = Poly.const(f, c)
             if k:
-                term = term * Poly.var(f, self.theta, k)
-            out = out + term
+                c = c * Poly.var(f, self.theta, k)
+            out = out + c
         return out
 
+    def split(self, p):
+        """The d theta-components of p mod the modulus, polynomials in the
+        other variables: one top-down synthetic division, each theta^e with
+        e >= d folded into the d powers below it."""
+        d = self.deg
+        parts = p.split_var(self.theta)
+        comps = [parts.get(e, Poly(self.ring.field))
+                 for e in range(max(d, max(parts, default=0) + 1))]
+        for e in range(len(comps) - 1, d - 1, -1):
+            if not comps[e].is_zero():
+                for k, c in enumerate(self.low):
+                    comps[e - d + k] = comps[e - d + k] + comps[e].scale(c)
+        return comps[:d]
+
     def reduce(self, p):
-        """Rewrite until the theta degree drops under d; other variables
-        ride along untouched."""
-        f = self.ring.field
-        while _theta_degree(p, self.theta) >= self.deg:
-            out = Poly(f)
-            for e, comp in p.split_var(self.theta).items():
-                if e < self.deg:
-                    part = comp
-                    if e:
-                        part = part * Poly.var(f, self.theta, e)
-                else:
-                    part = comp * self.tail
-                    if e > self.deg:
-                        part = part * Poly.var(f, self.theta, e - self.deg)
-                out = out + part
-            p = out
-        return p
+        """p with its theta degree under d; other variables ride along."""
+        return self.scalar(self.split(p))
 
     def components(self, s):
-        """Component Elements of a reduced scalar on the theta basis."""
-        s = self.reduce(s)
-        comps = s.split_var(self.theta)
-        out = []
-        for k in range(self.deg):
-            c = comps.get(k)
-            if c is None:
-                out.append(Element.zero(self.ring.field))
-            elif not c.is_const():
-                raise UnsupportedScalarError("scalar %r carries a variable"
-                                             % (s,))
-            else:
-                out.append(c.const_value())
-        return tuple(out)
+        """Component Elements of a scalar on the theta basis."""
+        comps = self.split(s)
+        if not all(c.is_const() for c in comps):
+            raise UnsupportedScalarError("scalar %r carries a variable"
+                                         % (self.scalar(comps),))
+        return tuple(c.const_value() for c in comps)
 
     def contains(self, s):
         return all(self.ring.contains(c) for c in self.components(s))
@@ -163,30 +158,19 @@ class WeilRestriction:
     encoding both ways."""
 
     def __init__(self, Y):
-        ext = Y.ext
-        names = []
-        for v in Y.variables:
-            names.extend("%s%d" % (v, k) for k in range(ext.deg))
+        ext, d = Y.ext, Y.ext.deg
+        names = ["%s%d" % (v, k) for v in Y.variables for k in range(d)]
         if len(set(names)) != len(names) or set(names) & set(Y.variables):
             raise ArityMismatchError("component names collide")
         f = ext.ring.field
-        subst = {}
-        for v in Y.variables:
-            s = Poly(f)
-            for k in range(ext.deg):
-                term = Poly.var(f, "%s%d" % (v, k))
-                if k:
-                    term = term * Poly.var(f, ext.theta, k)
-                s = s + term
-            subst[v] = s
-        gens = []
-        for g in Y.gens:
-            comps = ext.reduce(g.substitute(subst)).split_var(ext.theta)
-            gens.extend(comps.get(k, Poly(f)) for k in range(ext.deg))
+        subst = {v: ext.scalar([Poly.var(f, n)
+                                for n in names[i * d:(i + 1) * d]])
+                 for i, v in enumerate(Y.variables)}
+        gens = [c for g in Y.gens for c in ext.split(g.substitute(subst))
+                if not c.is_zero()]
         self.source = Y
         self.ext = ext
-        self.presentation = AffinePresentation(
-            ext.ring, names, [g for g in gens if not g.is_zero()])
+        self.presentation = AffinePresentation(ext.ring, names, gens)
 
     def encode(self, coords):
         """S-coordinates to the R-point of the restriction."""
@@ -224,12 +208,11 @@ class SExtFamily:
 
 def _twist(ext, comps, lift):
     """Multiply a component vector by theta: shift up, fold the overflow
-    through the tail of the modulus."""
-    tail = ext.components(ext.tail)
+    through theta^d = sum of low[k]*theta^k."""
     top = comps[-1]
-    out = [top * lift(tail[0])]
+    out = [top * lift(ext.low[0])]
     for k in range(1, ext.deg):
-        out.append(comps[k - 1] + top * lift(tail[k]))
+        out.append(comps[k - 1] + top * lift(ext.low[k]))
     return out
 
 

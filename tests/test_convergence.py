@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from hlf.cli import main
 from hlf.convergence import (CONVERGES, DIVERGES, UNKNOWN, RankOneBall,
                              converges, unit_converges)
 from hlf.fields import parse_field
@@ -241,6 +242,87 @@ def test_inversion_is_not_sequentially_continuous():
     assert v.witness.target.cutoff == 1
     inv = parse_family(F5UT, "1") / fam - parse_family(F5UT, "1")
     assert_avoided(inv, v.witness)
+
+
+# --- the verdict texts, pinned --------------------------------------------------
+
+_SAMPLES = [[1, True], [2, True], [3, True], [5, True], [8, True]]
+_CONST_ZERO = {"rule": "const", "open": {"kind": "zero"}}
+
+
+def _escape_at(i, cutoff):
+    """The level open a lifted "level i digit escapes" witness avoids."""
+    inner = {"kind": "levels", "cutoff": cutoff, "window": {},
+             "below": _CONST_ZERO}
+    return {"kind": "levels", "cutoff": i + 1, "window": {str(i): inner},
+            "below": {"rule": "full"}}
+
+
+def _diverges(target, note):
+    return {"verdict": DIVERGES, "witness": {
+        "target": target, "start": 1, "samples": _SAMPLES, "note": note}}
+
+
+# (argv of the CLI, the verdict's to_data(), the CLI answer lines): the
+# rank one slope decision under both topologies, and the three nested
+# verdict labels
+VERDICT_TEXTS = [
+    (["converge", "--field", "Fq(5)((u))((t))", "--seq", "t^(-1)*u^(n)",
+      "--topology", "valuation"],
+     _diverges({"kind": "rank-one-ball", "depth": 0},
+               "top valuation stays below 0"),
+     "DIVERGES\nwitness: avoids v_top>=0 past n=1 "
+     "(top valuation stays below 0)"),
+    (["converge", "--field", "Fq(5)((t))", "--seq", "t^(-n)"],
+     _diverges({"kind": "levels", "cutoff": 0, "window": {},
+                "below": _CONST_ZERO}, "valuation stays below 0"),
+     "DIVERGES\nwitness: avoids levels(cutoff=0, below=const) past n=1 "
+     "(valuation stays below 0)"),
+    (["converge", "--field", "Qp(3)", "--seq", "3^(-n)"],
+     _diverges({"kind": "ball", "depth": 0}, "valuation stays below 0"),
+     "DIVERGES\nwitness: avoids p^0*Zp past n=1 (valuation stays below 0)"),
+    (["units", "--field", "Qp(3){{t}}", "--seq", "2 + t^(n)", "--limit", "2"],
+     {"verdict": UNKNOWN,
+      "reason": "inverse ratio: denominator with a unit tail along p"},
+     "UNKNOWN\nreason: inverse ratio: denominator with a unit tail along p"),
+    (["units", "--field", "Fq(5)((u))((t))", "--seq", "t^(n)*u + t^(n)",
+      "--limit", "u + 1"],
+     _diverges(_escape_at(0, 1), "direct ratio: level 0 digit escapes"),
+     "DIVERGES\nwitness: avoids levels(cutoff=1, 0:levels(cutoff=1, "
+     "below=const), below=full) past n=1 (direct ratio: level 0 digit "
+     "escapes)"),
+    (["units", "--field", "Fq(5)((u))((t))", "--seq", "1 + t^(-1)*u^(n)",
+      "--limit", "1"],
+     _diverges(_escape_at(0, 1), "inverse ratio: level 0 digit escapes"),
+     "DIVERGES\nwitness: avoids levels(cutoff=1, 0:levels(cutoff=1, "
+     "below=const), below=full) past n=1 (inverse ratio: level 0 digit "
+     "escapes)"),
+    (["units", "--field", "Fq(5)((u))((t))", "--seq", "1 + u^(-n)*t",
+      "--limit", "1", "--topology", "parshin"],
+     _diverges(_escape_at(1, 0), "principal part: level 1 digit escapes"),
+     "DIVERGES\nwitness: avoids levels(cutoff=2, 1:levels(cutoff=0, "
+     "below=const), below=full) past n=1 (principal part: level 1 digit "
+     "escapes)"),
+]
+
+
+@pytest.mark.parametrize("argv,data,lines", VERDICT_TEXTS,
+                         ids=[" ".join(c[0][:5:4]) for c in VERDICT_TEXTS])
+def test_verdict_texts_are_pinned(argv, data, lines, capsys):
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    F = parse_field(opts["--field"])
+    fam = parse_family(F, opts["--seq"])
+    topo = opts.get("--topology", "higher")
+    if argv[0] == "converge":
+        v = converges(fam, topology=topo)
+    else:
+        v = unit_converges(fam, parse_element(F, opts["--limit"]),
+                           route="decomposition" if topo == "parshin"
+                           else "ratio")
+    assert v.to_data() == data
+    assert v.kind != DIVERGES or v.witness.checked()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == lines + "\n"
 
 
 # --- honest abstention --------------------------------------------------------

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
+from hlf.checks import _random_element
 from hlf.convergence import CONVERGES, DIVERGES
 from hlf.errors import (ArityMismatchError, NotFreeError,
                         UnsupportedScalarError)
 from hlf.fields import parse_field
 from hlf.parsing import parse_element
 from hlf.points import (AffinePresentation, BaseRing, NO, Point,
-                        PointSeqFamily, YES, member_points, parse_poly,
+                        PointSeqFamily, Poly, YES, member_points, parse_poly,
                         point_seq_converges)
 from hlf.sequences import parse_family
 from hlf.weil import (MonogenicExt, ScalarExtPresentation, SExtFamily,
@@ -57,8 +58,8 @@ def test_encode_decode_are_mutually_inverse():
 
 
 def test_restricted_ideal_resubstitutes_to_zero():
-    """Summing the component generators against powers of theta recovers
-    the substituted source generator, exactly."""
+    """The restricted generators are the nonzero theta-components of the
+    substituted source generators, in order."""
     cases = [sqrt_theta()[1],
              ScalarExtPresentation(
                  MonogenicExt(R, "w", "w^3 - t*w - u"), ("Y", "Z"),
@@ -73,17 +74,12 @@ def test_restricted_ideal_resubstitutes_to_zero():
             subst[v] = parse_poly(F, W.presentation.variables + (ext.theta,),
                                   text)
         gens = iter(W.presentation.gens)
-        from hlf.points import Poly
         for g in Y.gens:
-            reduced = ext.reduce(g.substitute(subst))
-            comps = reduced.split_var(ext.theta)
-            recon = Poly(F)
+            comps = ext.reduce(g.substitute(subst)).split_var(ext.theta)
             for k in range(ext.deg):
-                part = comps.get(k, Poly(F))
-                if k:
-                    part = part * Poly.var(F, ext.theta, k)
-                recon = recon + part
-            assert (recon - reduced).is_zero()
+                if k in comps:
+                    assert next(gens) == comps[k]
+        assert next(gens, None) is None
 
 
 def test_membership_matches_across_the_restriction():
@@ -163,6 +159,64 @@ def test_degenerate_moduli_are_refused():
         ScalarExtPresentation(MonogenicExt(R, "theta", "theta^2 - u"),
                               ("Y",), []).ext.components(
             parse_poly(F, ("Y", "theta"), "Y*theta"))
+
+
+# moduli of degree 2 and 3, the last with a unit leading coefficient
+# other than 1; u stands for the field's own second parameter or for 3
+DIVISION_MODULI = [("theta", "theta^2 - u"), ("w", "w^3 - t*w - u"),
+                   ("theta", "2*theta^2 - u")]
+DIVISION_FIELDS = [("Fq(5)((u))((t))", "u"), ("Qp(3)((t))", "3"),
+                   ("Qp(3){{t}}", "3")]
+
+
+def _reference_reduce(ext, p):
+    """Rewrite one term of theta degree e >= d at a time, subtracting its
+    multiple of the modulus, until no such term is left."""
+    theta, d = ext.theta, ext.deg
+    f = ext.ring.field
+    while True:
+        high = [(key, c) for key, c in p.terms.items()
+                if dict(key).get(theta, 0) >= d]
+        if not high:
+            return p
+        key, c = high[0]
+        e = dict(key)[theta]
+        rest = tuple((n, k) for n, k in key if n != theta)
+        mult = Poly(f, {rest: c})
+        if e > d:
+            mult = mult * Poly.var(f, theta, e - d)
+        p = p - mult * ext.modulus
+
+
+def _random_theta_poly(rng, f, theta, top):
+    out = Poly(f)
+    for _ in range(rng.randint(1, 6)):
+        exps = {"Y": rng.randint(0, 2), "Z": rng.randint(0, 1),
+                theta: rng.randint(0, top)}
+        key = tuple(sorted((n, k) for n, k in exps.items() if k))
+        out = out + Poly(f, {key: _random_element(rng, f, span=2, terms=2)})
+    return out
+
+
+@pytest.mark.parametrize("field,u", DIVISION_FIELDS)
+@pytest.mark.parametrize("theta,modulus", DIVISION_MODULI)
+def test_reduction_matches_termwise_rewriting(field, u, theta, modulus):
+    f = parse_field(field)
+    ext = MonogenicExt(BaseRing(f, 0), theta, modulus.replace("u", u))
+    d = ext.deg
+    rng = random.Random("%s|%s" % (field, modulus))
+    for _ in range(25):
+        p = _random_theta_poly(rng, f, theta, 3 * d)
+        want = _reference_reduce(ext, p)
+        assert ext.reduce(p) == want
+        parts = want.split_var(theta)
+        assert all(e < d for e in parts)
+        assert ext.split(p) == [parts.get(k, Poly(f)) for k in range(d)]
+    s = parse_poly(f, ("Y", theta), "Y*%s^%d + 1" % (theta, d))
+    with pytest.raises(UnsupportedScalarError) as err:
+        ext.components(s)
+    assert str(err.value) == "scalar %r carries a variable" \
+        % (_reference_reduce(ext, s),)
 
 
 def test_scalar_extension_serialization_round_trip():
