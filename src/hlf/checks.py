@@ -29,7 +29,7 @@ from itertools import repeat
 from .convergence import (CONVERGES, DIVERGES, converges,
                           product_continuity_check, seq_closed_check_C,
                           unit_converges)
-from .elements import Element
+from .elements import Element, lp_sum
 from .errors import (OutOfRangeError, UnsupportedFamilyError,
                      UnsupportedOpenError)
 from .expansion import lift, residue
@@ -76,26 +76,16 @@ def _random_coeff(rng, field, e=None):
 
 def _random_lp(rng, field, count, draw_v):
     """`count` terms, each a random coefficient times the monomial of
-    valuation draw_v(), summed into one Laurent polynomial under lp_add's
-    rules: a key that cancels is deleted, and comes back at the end when a
-    later term brings it back.  A term is one entry: the power of p folds
-    into the drawn Fraction, and over F_q the coefficient is the field's
-    own residue FqElem."""
+    valuation draw_v(), summed into one Laurent polynomial by lp_sum.  A
+    term is one entry: the power of p folds into the drawn Fraction, and
+    over F_q the coefficient is the field's own residue FqElem."""
     fq = field.fq()
-    out = {}
+    terms = []
     for _ in range(count):
         exps, e = valuation_split(field, draw_v())
         c = _random_coeff(rng, field, e)
-        if fq is not None:
-            c = fq.residues[c]
-        s = out.get(exps)
-        if s is None:
-            out[exps] = c
-        elif s := s + c:
-            out[exps] = s
-        else:
-            del out[exps]
-    return out
+        terms.append((exps, c if fq is None else fq.residues[c]))
+    return lp_sum(terms)
 
 
 def _random_element(rng, field, span=3, terms=3):

@@ -17,15 +17,22 @@ field, one per persistent level, which recurse one rank down.
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from .coeff import padic_val, rational_mod_p
 from .elements import Element
-from .errors import UnsupportedFamilyError, UnsupportedOpenError
+from .errors import (PrecisionExhaustedError, UnsupportedFamilyError,
+                     UnsupportedOpenError)
 from .fields import MixedExt
 from .opens import (BallOpen, FullOpen, FullRule, LevelsOpen, QuadraticRule,
                     ZeroOpen, ball_at, first_nonneg)
 from .sequences import _ZERO_FORM, SeqFamily, Term
 from .valuation import in_max_ideal, rank_valuation
+
+# The most p-adic digits a coefficient's stream, or the joint period of the
+# constant terms' streams over a mixed top, may take to repeat: a level
+# verdict decides every level of one period.
+_DIGIT_PERIOD_MAX = 4096
 
 CONVERGES = "CONVERGES"
 DIVERGES = "DIVERGES"
@@ -297,16 +304,19 @@ def converges(family, limit=None, topology="higher"):
 
     g = family
     if limit is not None:
-        if isinstance(limit, SeqFamily):
-            g = family - limit
-        elif isinstance(limit, Element):
-            g = family - SeqFamily.of_element(limit)
-        else:
-            g = family - SeqFamily.constant(
-                family.field, family.field.coerce_coeff(limit))
+        g = family - _as_family(family.field, limit)
     if topology not in ("higher", "valuation"):
         raise ValueError("topology is 'higher' or 'valuation'")
     return _higher_verdict(g, topology)
+
+
+def _as_family(field, x):
+    """x, a family, an Element or a coefficient, as a family over field."""
+    if isinstance(x, SeqFamily):
+        return x
+    if isinstance(x, Element):
+        return SeqFamily.of_element(x)
+    return SeqFamily.constant(field, field.coerce_coeff(x))
 
 
 def _higher_verdict(g, topology="higher"):
@@ -432,7 +442,11 @@ class _Slices:
     s spreads products P*(-s)^k upward; when its top form is constant the
     products persist and the analysis of their slopes decides whether the
     tail of levels stays certifiable.  Over a mixed top, levels are p
-    digit slices and every coefficient contributes its carry stream."""
+    digit slices and every coefficient contributes its carry stream.
+
+    One ladder holds the sources of every level: rung 0 is the constant
+    terms of P and rung k is rung k-1 times -s, built when a level first
+    reaches it.  Rung k starts at level floor_const + k*s_step."""
 
     def __init__(self, field, num, flat, s, n_cross):
         self.field = field
@@ -452,10 +466,10 @@ class _Slices:
         self.floor_all = min(all_b)
         self.period_base = None
         self.period = None
-        self._powers = {}
+        self.s_step = 0
+        self._rungs = [self.const]
         self._streams = {}
         self._collides = {}
-        self._sources = {}
         self._setup_tail()
 
     # -- tail shape ------------------------------------------------------
@@ -469,63 +483,47 @@ class _Slices:
             sb = _top_form(s, self.field).b
             self.start = max(self.start, math.ceil(Fraction(1 - sb, sa)))
             self.moving.append((sa, self.floor_all + sb))
-            self.s = None
-            s = None
+            self.s = s = None
         if s is None:
             if not self.mixed:
                 self.tail = "zero"
                 self.cap = self.max_const + 1
                 return
             streams = [self._stream(t.coeff) for t in self.const]
-            pre = max(len(p) for p, _ in streams)
-            cyc = 1
-            for _, c in streams:
-                cyc = math.lcm(cyc, len(c))
-            self.period_base = self.max_const + pre
-            self.period = cyc
+            self.period_base = self.max_const + max(len(p) for p, _ in streams)
+            self.period = math.lcm(*(len(c) for _, c in streams))
+            if self.period > _DIGIT_PERIOD_MAX:
+                raise PrecisionExhaustedError(
+                    "the p-adic digits of %s repeat together only every %d "
+                    "levels, past the bound %d" % (
+                        ", ".join(str(t.coeff) for t in self.const),
+                        self.period, _DIGIT_PERIOD_MAX))
             self.tail = "periodic"
-            self.cap = self.period_base + cyc
+            self.cap = self.period_base + self.period
             return
-        sb = _top_form(s, self.field).b
-        self.s_step = sb
-        if self.mixed:
-            tname = self.field.series_params()[0]
-            ws = s.exps.get(tname)
-            wa = ws.a if ws is not None else 0
-            pjs = [self._res_top(t) for t in self.const]
-            if wa >= 0 and all(pj.a > 0 for pj in pjs):
-                self.tail = "open"
-                self.cap = self.max_const + sb + 1
-            else:
-                self.tail = None
-                k1 = 1
-                if wa < 0:
-                    k1 = max(math.ceil(Fraction(pj.a + 1, -wa)) for pj in pjs)
-                deep = 0
-                for t in self.const:
-                    e = padic_val(t.coeff, self.field.prime())
-                    pre, cyc = self._stream(t.coeff)
-                    deep = max(deep, e + len(pre) + len(cyc))
-                self.cap = deep + sb * (k1 + 2) + 1
-            return
+        self.s_step = sb = _top_form(s, self.field).b
         w = self._res_top(s)
         pjs = [self._res_top(t) for t in self.const]
-        if w.a > 0:
+        if w.a < 0:
+            k1 = max(math.ceil(Fraction(pj.a + 1, -w.a)) for pj in pjs)
+        else:
+            k1 = 1 if self.mixed else 0
+        if w.a > 0 and not self.mixed:
             k0 = max([0] + [math.ceil(Fraction(-pj.a, w.a)) + 1
                             for pj in pjs if pj.a <= 0])
             self.tail = "open"
             self.cap = self.max_const + sb * (k0 + 1) + 1
-        elif w.a == 0:
-            if all(pj.a > 0 for pj in pjs):
-                self.tail = "open"
-                self.cap = self.max_const + sb + 1
-            else:
-                self.tail = None
-                self.cap = self.max_const + 2 * sb + 1
+        elif w.a >= 0 and all(pj.a > 0 for pj in pjs):
+            self.tail = "open"
+            self.cap = self.max_const + sb + 1
         else:
-            k1 = max(math.ceil(Fraction(pj.a + 1, -w.a)) for pj in pjs)
             self.tail = None
-            self.cap = self.max_const + sb * (k1 + 2) + 1
+            deep = self.max_const
+            if self.mixed:
+                deep = max(0, *(padic_val(t.coeff, self.field.prime())
+                                + sum(map(len, self._stream(t.coeff)))
+                                for t in self.const))
+            self.cap = deep + sb * (k1 + 2) + 1
 
     def _res_top(self, t):
         return self._lower(t).val_forms(self.R)[-1]
@@ -536,67 +534,40 @@ class _Slices:
         exps = {k: fm for k, fm in t.exps.items() if k != self.top}
         return Term(t.coeff, exps, t.pa)
 
-    def _s_power(self, k):
-        if k not in self._powers:
-            prev = self._s_power(k - 1) if k > 1 else None
-            neg = Term(-self.s.coeff, self.s.exps, self.s.pa)
-            base = self._lower(neg) if not self.mixed else neg
-            self._powers[k] = base if prev is None else prev.mul(base)
-        return self._powers[k]
+    def _sources(self, i):
+        """The terms of every rung that reaches level i."""
+        k = 0
+        while self.floor_const + k * self.s_step <= i:
+            if k == len(self._rungs):
+                self._rungs.append([t.mul(self.s, neg=True)
+                                    for t in self._rungs[-1]])
+            yield from self._rungs[k]
+            if self.s is None:
+                return
+            k += 1
 
     def level_family(self, i):
+        """The level i piece of every source: over a series top the lowered
+        term at top exponent i, over a mixed top the p digit at i - v_p."""
+        terms, den = [], None
         if self.mixed:
-            return self._mixed_family(i)
-        return self._series_family(i)
-
-    def _series_family(self, i):
-        terms = [self._lower(t) for t in self.const
-                 if _top_form(t, self.field).b == i]
-        if self.s is not None:
-            k = 1
-            while self.floor_const + k * self.s_step <= i:
-                want = i - k * self.s_step
-                sk = self._s_power(k)
-                terms.extend(self._lower(t).mul(sk) for t in self.const
-                             if _top_form(t, self.field).b == want)
-                k += 1
-        den = None
+            p = self.field.prime()
+            for t in self._sources(i):
+                e = padic_val(t.coeff, p)
+                d = self._digit(t.coeff, i - e) if e <= i else 0
+                if d:
+                    terms.append(Term(self.R.coerce_coeff(d), t.exps))
+        else:
+            terms = [self._lower(t) for t in self._sources(i)
+                     if _top_form(t, self.field).b == i]
         if self.flat:
             den = [Term(self.field.coeff_one())]
             den.extend(self._lower(t) for t in self.flat)
         return SeqFamily(self.R, terms, den)
 
-    def _mixed_sources(self, i):
-        """Coefficient carriers present at level i or below: the constant
-        terms and, under a climbing tail, their products with powers of it."""
-        key = i
-        if key in self._sources:
-            return self._sources[key]
-        out = [(t.coeff, t.exps) for t in self.const]
-        if self.s is not None:
-            k = 1
-            while self.floor_const + k * self.s_step <= i:
-                sk = self._s_power(k)
-                for t in self.const:
-                    prod = t.mul(sk)
-                    out.append((prod.coeff, prod.exps))
-                k += 1
-        self._sources[key] = out
-        return out
-
-    def _mixed_family(self, i):
-        p = self.field.prime()
-        terms = []
-        for coeff, exps in self._mixed_sources(i):
-            e = padic_val(coeff, p)
-            if e > i:
-                continue
-            d = self._digit(coeff, i - e)
-            if d:
-                terms.append(Term(self.R.coerce_coeff(d), exps))
-        return SeqFamily(self.R, terms)
-
     def _stream(self, c):
+        """The p-adic digits of c's unit part as (prefix, cycle), walked
+        until the remainder repeats, at most _DIGIT_PERIOD_MAX steps."""
         if c in self._streams:
             return self._streams[c]
         p = self.field.prime()
@@ -604,6 +575,10 @@ class _Slices:
         seen = {}
         digs = []
         while u not in seen:
+            if len(digs) == _DIGIT_PERIOD_MAX:
+                raise PrecisionExhaustedError(
+                    "the p-adic digits of %s do not repeat within %d levels"
+                    % (c, _DIGIT_PERIOD_MAX))
             seen[u] = len(digs)
             d = rational_mod_p(u, p)
             digs.append(d)
@@ -638,17 +613,11 @@ class _Slices:
             return self._collides[i]
         p = self.field.prime()
         tname = self.field.series_params()[0]
-        forms = []
-        for coeff, exps in self._mixed_sources(i):
-            if padic_val(coeff, p) <= i:
-                forms.append(exps.get(tname))
+        forms = [t.exps.get(tname) or _ZERO_FORM for t in self._sources(i)
+                 if padic_val(t.coeff, p) <= i]
         n0 = self.start
-        for a in range(len(forms)):
-            for b in range(a + 1, len(forms)):
-                f1 = forms[a] or _ZERO_FORM
-                f2 = forms[b] or _ZERO_FORM
-                if f1.a == f2.a:
-                    continue
+        for f1, f2 in combinations(forms, 2):
+            if f1.a != f2.a:
                 cross = Fraction(f2.b - f1.b, f1.a - f2.a)
                 n0 = max(n0, math.floor(cross) + 1)
         self._collides[i] = n0
@@ -669,12 +638,7 @@ def unit_converges(family, to, route="ratio"):
     in the subspace topology.  The two routes agree on unit families."""
 
     f = family.field
-    if isinstance(to, SeqFamily):
-        target = to
-    elif isinstance(to, Element):
-        target = SeqFamily.of_element(to)
-    else:
-        target = SeqFamily.constant(f, f.coerce_coeff(to))
+    target = _as_family(f, to)
     one = SeqFamily.constant(f, f.coeff_one())
     if route == "decomposition":
         return _decomposition_verdict(family / target - one)

@@ -65,9 +65,12 @@ def exps_key(field, exps):
     return tuple(exps.get(v, 0) for v in sp)
 
 
-def lp_add(a, b):
-    out = dict(a)
-    for k, c in b.items():
+def lp_sum(pairs, out=None):
+    """The (exps, coeff) pairs summed into one Laurent polynomial, or into
+    out in place: a key that cancels is deleted, and comes back at the end
+    if a later pair brings it back."""
+    out = {} if out is None else out
+    for k, c in pairs:
         s = out.get(k)
         s = c if s is None else s + c
         if s:
@@ -75,6 +78,10 @@ def lp_add(a, b):
         elif k in out:
             del out[k]
     return out
+
+
+def lp_add(a, b):
+    return lp_sum(b.items(), dict(a))
 
 
 def lp_neg(a):

@@ -30,13 +30,14 @@ and divergence certificates expressible at any dimension.
 
 Opens are immutable values: nothing changes an open after __init__, and
 two opens are equal when their fields and to_data() agree.  So the balls
-are shared.  ball_at and deep_ball return one object per distinct (field,
-depth), the depth's type included, at most _SHARED_MAX of each kept, the
-least recently used dropped first; equal field descriptors share one ball,
-and a ball that is not open raises again on every call.  The levels of the
-rules AffineRule and QuadraticRule are these shared balls, so what a ball
-works out about itself, its staircase floor _stairs_from and its subgroup
-shape, is worked out once per process.
+are shared.  ball_at is the deep ball at dimension one, the only place
+where the valuation ball is open, and deep_ball returns one object per
+distinct (field, depth), the depth's type included, at most _SHARED_MAX
+kept, the least recently used dropped first; equal field descriptors share
+one ball, and a ball that is not open raises again on every call.  The
+levels of the rules AffineRule and QuadraticRule are these shared balls,
+so what a ball works out about itself, its staircase floor _stairs_from
+and its subgroup shape, is worked out once per process.
 """
 
 from __future__ import annotations
@@ -311,19 +312,18 @@ class LevelsOpen(Open):
 
 # --- constructors -------------------------------------------------------------
 
-# How many balls of each constructor stay shared: seven battery-100 passes
-# of every check suite ask for 216 distinct (field, depth) deep balls.
-_SHARED_MAX = 512
-
-
-@lru_cache(maxsize=_SHARED_MAX, typed=True)
 def ball_at(field, depth):
-    """The valuation ball of the top rank one valuation, where it is open."""
-    if isinstance(field, QpBase):
-        return BallOpen(field, depth)
-    if isinstance(field, SeriesExt) and field.residue().dim == 0:
-        return LevelsOpen(field, depth, {}, ConstRule(ZeroOpen(field.residue())))
-    raise UnsupportedFieldError("the valuation ball is not open over %r" % field)
+    """The valuation ball of the top rank one valuation, where it is open:
+    at dimension one, where it is the deep ball."""
+    if field.dim != 1:
+        raise UnsupportedFieldError(
+            "the valuation ball is not open over %r" % field)
+    return deep_ball(field, depth)
+
+
+# How many balls stay shared: seven battery-100 passes of every check suite
+# ask for 216 distinct (field, depth) deep balls and 72 valuation balls.
+_SHARED_MAX = 512
 
 
 @lru_cache(maxsize=_SHARED_MAX, typed=True)

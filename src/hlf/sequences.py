@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 
 from .coeff import padic_val, power
-from .elements import Element, exps_key
+from .elements import Element, exps_key, lp_sum
 from .errors import (FieldMismatchError, ParseError, UnsupportedFamilyError,
                      ZeroElementError)
 from .parsing import ExprParser, TermNode, whole
@@ -157,22 +157,6 @@ def _merge(terms):
     return tuple(t for t in out.values() if t.coeff)
 
 
-def _sum_at(side, field, n):
-    """The terms of side at n summed into one Laurent polynomial, entries
-    in the order lp_add gives them: one that cancels is deleted, and comes
-    back at the end if a later term brings it back."""
-    out = {}
-    for t in side:
-        k, c = t.at(field, n)
-        s = out.get(k)
-        s = c if s is None else s + c
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
-
-
 class SeqFamily:
     """num(n) / den(n); den must not be the zero family."""
 
@@ -193,10 +177,11 @@ class SeqFamily:
         """F_n as one exact element: the terms of each side, evaluated at n,
         sum into one Laurent polynomial, and Element.make normalizes the
         quotient once.  ZeroElementError when the denominator vanishes."""
-        den = _sum_at(self.den, self.field, n)
+        f = self.field
+        den = lp_sum([t.at(f, n) for t in self.den])
         if not den:
             raise ZeroElementError("denominator vanishes at n=%d" % n)
-        return Element.make(self.field, _sum_at(self.num, self.field, n), den)
+        return Element.make(f, lp_sum([t.at(f, n) for t in self.num]), den)
 
     # -- eventual valuation ----------------------------------------------
 

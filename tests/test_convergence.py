@@ -1,11 +1,13 @@
 """Convergence verdicts: certificates enter, witnesses avoid, unknowns abstain."""
 
+import hashlib
 import json
 import random
 
 import pytest
 
 from hlf.cli import main
+from hlf.errors import HlfError, PrecisionExhaustedError
 from hlf.convergence import (CONVERGES, DIVERGES, UNKNOWN, RankOneBall,
                              converges, unit_converges)
 from hlf.fields import parse_field
@@ -325,6 +327,39 @@ def test_verdict_texts_are_pinned(argv, data, lines, capsys):
     assert capsys.readouterr().out == lines + "\n"
 
 
+# --- the digit period along p is bounded --------------------------------------
+
+
+def test_a_long_digit_period_is_refused(deadline, capsys):
+    # 3 has order 998244352 mod 998244353, so the digits of the coefficient
+    # repeat only after that many levels; the walk stops at the bound
+    with deadline(2):
+        assert main(["converge", "--field", "Qp(3){{t}}",
+                     "--seq", "1/998244353*t^(n)"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the p-adic digits of 1/998244353 do not repeat within 4096 "
+        "levels\n")
+
+
+def test_the_digit_period_bound_is_exact():
+    # 3 has order 4096 mod 2^14.  The digits of -1/2^14 repeat from the
+    # first, so 4096 of them are walked and decided; those of 1/2^14 repeat
+    # after one more, and the walk is refused
+    v = converges(parse_family(Q3M, "-t^(n)/16384"))
+    assert v.kind == CONVERGES and v.certificate.slices.period == 4096
+    with pytest.raises(PrecisionExhaustedError,
+                       match="of 1/16384 do not repeat within 4096 levels"):
+        converges(parse_family(Q3M, "t^(n)/16384"))
+
+
+def test_a_long_joint_digit_period_is_refused():
+    # 1/4096 repeats every 1024 digits and 1/11 every 5: together every 5120
+    with pytest.raises(PrecisionExhaustedError, match=(
+            "of 1/4096, 1/11 repeat together only every 5120 levels, past "
+            "the bound 4096")):
+        converges(parse_family(Q3M, "t^(n)/4096 + t^(2*n)/11"))
+
+
 # --- honest abstention --------------------------------------------------------
 
 
@@ -393,6 +428,55 @@ def test_certificate_enters_random_opens(field, text):
         n0 = cert.entry_index(U)
         for n in (n0, n0 + 1, n0 + 3, n0 + 6):
             assert U.contains(fam.evaluate(n))
+
+
+# the field, its lower letter and its other letter in a drawn term: over
+# Qp(3){{t}} either letter may be the lower one
+LEVEL_DRAWS = [("Fq(5)((u))((t))", "u", "t"), ("Qp(3)((t))", "3", "t"),
+               ("Qp(3){{t}}", "3", "t"), ("Qp(3){{t}}", "t", "3")]
+# sha256 over 2000 seeded families: each text, its verdict's to_data() and
+# its entry indices into three seeded opens, the last a deep ball
+LEVEL_VERDICTS_SHA256 = \
+    "98819435dd8bded6112cea33abde8a10937ac06258dad8a65bec8ba502a89bc5"
+
+
+def _level_term(rng, lower, other):
+    # the other letter's slope is mostly 0, so most families reach the
+    # level route and its tails
+    return "%s %d*%s^(%d*n%+d)*%s^(%d*n%+d)" % (
+        rng.choice("+-"), rng.choice((1, 2, 4)), lower, rng.randint(-2, 2),
+        rng.randint(-2, 2), other, rng.choice((0, 0, 0, 1, -1)),
+        rng.randint(-2, 3))
+
+
+def test_level_verdicts_are_pinned(deadline):
+    rng = random.Random(0)
+    fields = {text: parse_field(text) for text, _, _ in LEVEL_DRAWS}
+    h = hashlib.sha256()
+    with deadline(20):
+        for _ in range(2000):
+            text, lower, other = rng.choice(LEVEL_DRAWS)
+            F = fields[text]
+            num = " ".join(_level_term(rng, lower, other)
+                           for _ in range(rng.randint(1, 2)))
+            seq = "0 " + num
+            if rng.random() < 0.8:
+                seq = "(%s)/(1 %s)" % (seq, " ".join(
+                    _level_term(rng, lower, other)
+                    for _ in range(rng.choice((1, 1, 2)))))
+            opens = [random_open(rng, F), random_open(rng, F),
+                     deep_ball(F, rng.randint(2, 9))]
+            out = [text, seq]
+            try:
+                v = converges(parse_family(F, seq))
+                out.append(v.to_data())
+                if v.kind == CONVERGES:
+                    out += [v.certificate.entry_index(U) for U in opens]
+                    out.append(v.to_data())
+            except HlfError as e:
+                out.append("%s: %s" % (type(e).__name__, e))
+            h.update(json.dumps(out, sort_keys=True, default=str).encode())
+    assert h.hexdigest() == LEVEL_VERDICTS_SHA256
 
 
 # --- multiplication, mirror sums, unit routes ---------------------------------
