@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from itertools import repeat
+from operator import add
 
 from .convergence import (CONVERGES, DIVERGES, converges,
                           product_continuity_check, seq_closed_check_C,
@@ -43,8 +43,7 @@ from .points import (AffinePresentation, BaseRing, Point, PointSeqFamily,
                      PointVerdict, RingMorphism, YES, base_change,
                      member_points, point_seq_converges, product_presentation)
 from .sequences import AffineForm, SeqFamily, Term, parse_family
-from .valuation import (monomial_with_valuation, rank_valuation,
-                        valuation_split)
+from .valuation import monomial_with_valuation, rank_valuation
 from .weil import (MonogenicExt, ScalarExtPresentation, SExtFamily,
                    sext_converges, weil_restrict)
 
@@ -60,48 +59,68 @@ def _record(checks, name, count, failures):
 
 # --- random material ----------------------------------------------------------
 
-def _random_coeff(rng, field, e=None):
-    """A nonzero coefficient: over F_q a residue int in [1, p), else one
-    Fraction n/d times p^e (e None or 0: no power of p)."""
-    if (fq := field.fq()) is not None:
-        return rng.randrange(1, fq.p)
-    n, d = rng.randrange(1, 10), rng.choice((1, 2))
-    if e:
-        if e > 0:
-            n *= field.prime() ** e
-        else:
-            d *= field.prime() ** -e
-    return Fraction(n, d)
+def _random_lp(rng, field, count, lows, widths):
+    """`count` terms summed into one Laurent polynomial by lp_sum.  Each
+    term draws its valuation vector, slot i in [lows[i], lows[i] +
+    widths[i]), then a nonzero coefficient: over F_q a residue in [1, p),
+    the field's own FqElem, else n/d with n in [1, 10) and d in (1, 2),
+    times the power of p that the p-adic slot drew.
 
-
-def _random_lp(rng, field, count, draw_v):
-    """`count` terms, each a random coefficient times the monomial of
-    valuation draw_v(), summed into one Laurent polynomial by lp_sum.  A
-    term is one entry: the power of p folds into the drawn Fraction, and
-    over F_q the coefficient is the field's own residue FqElem."""
-    fq = field.fq()
+    Every value below m is getrandbits(m.bit_length()), drawn again while
+    it is >= m: the rule by which Random.randrange and Random.choice use
+    the generator, so the values, their order and the generator's final
+    state are theirs.  A width of one still reads bits until it gets 0."""
+    bits = rng.getrandbits
+    slots = [(lo, w, w.bit_length()) for lo, w in zip(lows, widths)]
+    fq, k, p = field.fq(), field.padic_slot, field.prime()
+    if fq is not None:
+        residues, cw = fq.residues, fq.p - 1
+        cb = cw.bit_length()
     terms = []
     for _ in range(count):
-        exps, e = valuation_split(field, draw_v())
-        c = _random_coeff(rng, field, e)
-        terms.append((exps, c if fq is None else fq.residues[c]))
+        v = []
+        for lo, w, b in slots:
+            r = bits(b)
+            while r >= w:
+                r = bits(b)
+            v.append(lo + r)
+        if fq is not None:
+            r = bits(cb)
+            while r >= cw:
+                r = bits(cb)
+            terms.append((tuple(v), residues[1 + r]))
+            continue
+        # n = randrange(1, 10), d = choice((1, 2))
+        n = bits(4)
+        while n >= 9:
+            n = bits(4)
+        d = bits(2)
+        while d >= 2:
+            d = bits(2)
+        n, d = n + 1, d + 1
+        if k is not None:
+            e = v.pop(k)
+            if e > 0:
+                n *= p ** e
+            elif e < 0:
+                d *= p ** -e
+        terms.append((tuple(v), Fraction(n, d)))
     return lp_sum(terms)
 
 
 def _random_element(rng, field, span=3, terms=3):
     nv = len(field.params())
-    v = lambda: tuple(map(rng.randrange, repeat(-span, nv),
-                          repeat(span + 1, nv)))
-    out = _random_lp(rng, field, rng.randrange(1, terms + 1), v)
+    out = _random_lp(rng, field, rng.randrange(1, terms + 1),
+                     (-span,) * nv, (2 * span + 1,) * nv)
     return Element.make(field, out) if out else Element.one(field)
 
 
 def _random_integral(rng, field):
     # nonnegative top valuation, lower slots unrestricted
     nv = len(field.params())
-    v = lambda: tuple(rng.randrange(-2, 3) for _ in range(nv - 1)) \
-        + (rng.randrange(0, 3),)
-    return Element.make(field, _random_lp(rng, field, rng.randrange(1, 3), v))
+    return Element.make(field, _random_lp(
+        rng, field, rng.randrange(1, 3), (-2,) * (nv - 1) + (0,),
+        (5,) * (nv - 1) + (3,)))
 
 
 def _sample_open_member(rng, U):
@@ -179,15 +198,15 @@ def _axiom_checks(rng, battery):
             x, y = _random_element(rng, f), _random_element(rng, f)
             vx, vy = rank_valuation(x), rank_valuation(y)
             got = rank_valuation(x * y)
-            want = tuple(a + b for a, b in zip(vx, vy))
+            want = tuple(map(add, vx, vy))
             if got != want:
                 add_fail.append("%s: v(xy)=%r but v(x)+v(y)=%r"
                                 % (text, got, want))
             s = x + y
             if s.is_zero():
                 continue
-            kx, ky = tuple(reversed(vx)), tuple(reversed(vy))
-            ks = tuple(reversed(rank_valuation(s)))
+            kx, ky = vx[::-1], vy[::-1]
+            ks = rank_valuation(s)[::-1]
             if ks < min(kx, ky) or (kx != ky and ks != min(kx, ky)):
                 ultra_fail.append("%s: v(x+y)=%r against %r and %r"
                                   % (text, ks, kx, ky))

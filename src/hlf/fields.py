@@ -74,8 +74,13 @@ class FieldDescriptor:
             return self._fq
 
     def monomial_valuation(self, coeff, exps):
-        """Rank-dim valuation vector (v_1, ..., v_n) of coeff * prod vars^exps."""
-        raise NotImplementedError
+        """Rank-dim valuation vector (v_1, ..., v_n) of coeff * prod
+        vars^exps: the exponent tuple, with v_p(coeff) inserted at the
+        p-adic slot when there is one (valuation_split inverts this)."""
+        k = self.padic_slot
+        if k is None:
+            return exps
+        return exps[:k] + (padic_val(coeff, self.prime()),) + exps[k:]
 
     def coerce_coeff(self, c):
         raise NotImplementedError
@@ -98,9 +103,6 @@ class FiniteBase(FieldDescriptor):
     def char(self):
         return self.field.p
 
-    def monomial_valuation(self, coeff, exps):
-        return ()
-
     def coerce_coeff(self, c):
         return self.field(c)
 
@@ -119,9 +121,6 @@ class RationalBase(FieldDescriptor):
     but carry no canonical choice of topology data beyond the level rules."""
 
     orders_by_reversed_exps = True
-
-    def monomial_valuation(self, coeff, exps):
-        return ()
 
     def coerce_coeff(self, c):
         return Fraction(c)
@@ -159,9 +158,6 @@ class QpBase(FieldDescriptor):
 
     def prime(self):
         return self.p
-
-    def monomial_valuation(self, coeff, exps):
-        return (padic_val(coeff, self.p),)
 
     def coerce_coeff(self, c):
         return Fraction(c)
@@ -208,9 +204,6 @@ class SeriesExt(FieldDescriptor):
 
     def char(self):
         return self.base.char()
-
-    def monomial_valuation(self, coeff, exps):
-        return self.base.monomial_valuation(coeff, exps[:-1]) + (exps[-1],)
 
     def coerce_coeff(self, c):
         return self.base.coerce_coeff(c)
@@ -261,9 +254,6 @@ class MixedExt(FieldDescriptor):
 
     def prime(self):
         return self.base.p
-
-    def monomial_valuation(self, coeff, exps):
-        return (exps[0], padic_val(coeff, self.base.p))
 
     def coerce_coeff(self, c):
         return Fraction(c)

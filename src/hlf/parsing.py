@@ -22,12 +22,35 @@ arithmetic gives, with the same entries in the same order.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from operator import add, sub
 
 from .elements import Element
-from .errors import ParseError, UnknownParameterError
+from .errors import ParseError, PrecisionExhaustedError, UnknownParameterError
 
 NAME = r"[a-zA-Z_]\w*"
+
+#: Bits a power c^k of a rational coefficient in the grammar may reach,
+#: estimated as |k| times the larger bit length of c's numerator and
+#: denominator; the largest power the tests and the check suites read,
+#: 3^30000, is 60,000 by that estimate.
+LITERAL_POWER_BITS = 1 << 20
+
+
+def check_literal_power(c, k):
+    """Refuses c**k for a rational c whose estimated size passes
+    LITERAL_POWER_BITS; 0, 1 and -1 never grow, nor does a finite field
+    coefficient."""
+    if not isinstance(c, (int, Fraction)):
+        return
+    bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+    if bits > 1 and abs(k) * bits > LITERAL_POWER_BITS:
+        base = str(c) if c.denominator == 1 and c > 0 else "(%s)" % c
+        raise PrecisionExhaustedError(
+            "literal power %s^%d would hold ~%d bits, past the bound of %d"
+            % (base, k, abs(k) * bits, LITERAL_POWER_BITS))
+
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(%s)|(\^|\*|/|\+|-|\(|\)|,))" % NAME)
 
 
@@ -273,6 +296,7 @@ class _Monomial(TermNode):
 
     def __pow__(self, k):
         # a zero coefficient raises ZeroDivisionError on a negative k
+        check_literal_power(self.coeff, k)
         return _Monomial(self.field, self.coeff ** k,
                          tuple(e * k for e in self.exps))
 

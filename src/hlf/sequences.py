@@ -30,7 +30,7 @@ from .coeff import padic_val, power
 from .elements import Element, exps_key, lp_sum
 from .errors import (FieldMismatchError, ParseError, UnsupportedFamilyError,
                      ZeroElementError)
-from .parsing import ExprParser, TermNode, whole
+from .parsing import ExprParser, TermNode, check_literal_power, whole
 
 
 class AffineForm:
@@ -341,6 +341,7 @@ class _TermNode(TermNode):
 
 def _term_power(t, k, one):
     """t**k for an int k >= 0, the coefficient by coeff.power from one."""
+    check_literal_power(t.coeff, k)
     return Term(power(t.coeff, k, one),
                 {name: AffineForm(f.a * k, f.b * k)
                  for name, f in t.exps.items()}, t.pa * k)
@@ -364,6 +365,7 @@ class FamilyHandler:
             raise UnsupportedFamilyError(
                 "only %s^(...) may carry an n-dependent exponent here"
                 % (p if p is not None else "a prime"))
+        check_literal_power(p, b)
         coeff = self.field.coerce_coeff(1) * Fraction(p) ** b
         return _TermNode(self.field, Term(coeff, {}, a))
 

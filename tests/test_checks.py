@@ -212,7 +212,9 @@ def _ref_random_integral(rng, field):
 
 MATERIAL_FIELDS = ("Fq(5)((u))((t))", "Qp(3)((t))", "Qp(3){{t}}", "Q((t))",
                    "Fq(4;w^2+w+1)((u))((t))", "Fq(5)((u))", "Fq(3)((t))",
-                   "Qp(3)")
+                   "Qp(3)",
+                   # the coefficient lies in [1, 2): a draw of width one
+                   "Fq(2)((t))")
 # the variants the suites and tests draw
 MATERIAL_BUILDS = (
     ("element", lambda rng, f: checks._random_element(rng, f),
@@ -221,6 +223,9 @@ MATERIAL_BUILDS = (
      lambda rng, f: _ref_random_element(rng, f, span=2, terms=2)),
     ("span4", lambda rng, f: checks._random_element(rng, f, span=4),
      lambda rng, f: _ref_random_element(rng, f, span=4)),
+    # every valuation slot of width one
+    ("span0", lambda rng, f: checks._random_element(rng, f, span=0),
+     lambda rng, f: _ref_random_element(rng, f, span=0)),
     ("integral", checks._random_integral, _ref_random_integral),
     # enough terms on few keys that a key cancels and comes back
     ("crowded", lambda rng, f: checks._random_element(rng, f, span=1, terms=6),

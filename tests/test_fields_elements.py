@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlf.checks import _random_element
+from hlf.coeff import padic_val
 from hlf.elements import Element
 from hlf.errors import (
     FieldMismatchError,
@@ -15,7 +16,8 @@ from hlf.errors import (
     UnsupportedFieldError,
     ZeroElementError,
 )
-from hlf.fields import FiniteBase, QpBase, RationalBase, parse_field
+from hlf.fields import (FiniteBase, MixedExt, QpBase, RationalBase,
+                        parse_field)
 from hlf.parsing import parse_element
 
 
@@ -147,6 +149,42 @@ def test_val_vector_equal_char_over_qp():
     assert parse_element(Q3T, "3*t").val_vector() == (1, 1)
     with pytest.raises(ZeroElementError):
         Element.zero(Q3T).val_vector()
+
+
+def _ref_monomial_valuation(field, coeff, exps):
+    """The rule each descriptor class carried: () at a finite or rational
+    base, (v_p,) at Qp, (e_t, v_p) at Qp{{t}}, and the base's vector plus
+    the top exponent for each ((.))."""
+    if isinstance(field, (FiniteBase, RationalBase)):
+        return ()
+    if isinstance(field, QpBase):
+        return (padic_val(coeff, field.p),)
+    if isinstance(field, MixedExt):
+        return (exps[0], padic_val(coeff, field.base.p))
+    return _ref_monomial_valuation(field.base, coeff, exps[:-1]) \
+        + (exps[-1],)
+
+
+@pytest.mark.parametrize("text", [
+    "Fq(7)", "Q", "Qp(5)", "Q((t))", "Fq(4;w^2+w+1)((u))((t))",
+    "Qp(3)((t))", "Qp(3)((t))((s))", "Qp(3){{t}}", "Qp(3){{t}}((s))"])
+def test_monomial_valuation_is_the_per_class_rule(text):
+    field, rng = parse_field(text), random.Random("mv:" + text)
+    fq, p = field.fq(), field.prime()
+    for _ in range(2000):
+        if fq is not None:
+            coeff = field.coerce_coeff(
+                [rng.randrange(fq.p) for _ in range(fq.deg)]) \
+                or field.coeff_one()
+        else:
+            coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6),
+                             rng.randint(1, 10 ** 6))
+            if p is not None:
+                coeff *= Fraction(p) ** rng.randint(-40, 40)
+        exps = tuple(rng.randint(-50, 50) for _ in field.series_params())
+        want = _ref_monomial_valuation(field, coeff, exps)
+        assert field.monomial_valuation(coeff, exps) == want
+        assert len(want) == len(field.params())
 
 
 # --- element arithmetic ------------------------------------------------------

@@ -9,7 +9,7 @@ import re
 import pytest
 
 from hlf.cli import main
-from hlf.errors import ParseError
+from hlf.errors import ParseError, PrecisionExhaustedError
 from hlf.fields import parse_field
 from hlf.parsing import parse_element
 from hlf.points import (AffinePresentation, BaseRing, ChartedScheme,
@@ -234,3 +234,45 @@ def test_a_syntax_error_is_a_parse_error_everywhere(reader, broken):
     _READERS[reader](_WHOLE[reader])
     with pytest.raises(ParseError):
         _READERS[reader](_BROKEN[broken] % _WHOLE[reader])
+
+
+# --- literal powers ---------------------------------------------------------------
+
+_POWER_REFUSED = ("error: literal power 3^10000000 would hold ~20000000 "
+                  "bits, past the bound of 1048576\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["val", "--field", "Qp(3)((t))", "--elem", "3^10000000"],
+    ["val", "--field", "Qp(3)((t))", "--elem", "(3)^10000000"],
+    ["val", "--field", "Qp(3){{t}}", "--elem", "t*3^10000000"],
+    ["converge", "--field", "Qp(3)((t))", "--seq", "3^(n+10000000)"],
+    ["converge", "--field", "Qp(3){{t}}", "--seq", "(3)^10000000*t^(n)"],
+    ["converge", "--field", "Q((t))", "--seq", "t^(n)*3^10000000"],
+], ids=lambda argv: argv[-1])
+def test_a_huge_literal_power_is_refused(argv, deadline, capsys):
+    with deadline(2):
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", _POWER_REFUSED)
+
+
+def test_the_literal_power_bound_is_exact():
+    # 2 has two bits: 2^(2^19) is at the bound, one more power past it
+    assert parse_element(parse_field("Q((t))"), "2^524288").num \
+        == {(0,): 2 ** 524288}
+    with pytest.raises(PrecisionExhaustedError, match=r"^literal power "
+                       r"\(1/2\)\^524289 would hold ~1048578 bits"):
+        parse_element(parse_field("Q((t))"), "(1/2)^524289")
+
+
+@pytest.mark.parametrize("field, text, val", [
+    # the zero run of ROADMAP item 13 at a = 3*10^5
+    ("Qp(3){{t}}", "3^-300000 + t*3^300000", "(0, -300000)\n"),
+    ("Qp(3)((t))", "3^300000", "(300000, 0)\n"),
+    # units and finite field coefficients do not grow
+    ("Qp(3)((t))", "(-1)^10000001*t", "(0, 1)\n"),
+    ("Fq(4;w^2+w+1)((t))", "w^10000000*t^10000000", "(10000000,)\n"),
+])
+def test_literal_powers_within_the_bound_parse(field, text, val, capsys):
+    assert main(["val", "--field", field, "--elem", text]) == 0
+    assert capsys.readouterr().out == val
