@@ -629,18 +629,18 @@ def _weil_checks(rng, battery):
     from .points import parse_poly
     for pres, Wp in ((Y, W), (Y3, weil_restrict(Y3))):
         ext = pres.ext
+        names = Wp.presentation.variables + (ext.theta,)
         subst = {}
         for vname in pres.variables:
             text = " + ".join("%s%d*%s^%d" % (vname, k, ext.theta, k)
                               for k in range(ext.deg))
-            subst[vname] = parse_poly(
-                F, Wp.presentation.variables + (ext.theta,), text)
+            subst[vname] = parse_poly(F, names, text)
         # the restricted generators are the nonzero theta-components of
         # the substituted source generators, in order
         rest = list(Wp.presentation.gens)
         for g in pres.gens:
             count += 1
-            comps = ext.reduce(g.substitute(subst)).split_var(ext.theta)
+            comps = ext.reduce(g.substitute(subst, names)).split_var(ext.theta)
             want = [comps[k] for k in range(ext.deg) if k in comps]
             if rest[:len(want)] != want:
                 fails.append("restriction of %s is not its components"

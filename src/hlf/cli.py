@@ -391,21 +391,9 @@ def _cmd_single(kind):
     return run
 
 
-def _seed_of(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("HLF_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ParseError("HLF_SEED must be an integer, not %r" % env)
-
-
 def _cmd_check(args):
     from . import checks
-    seed = _seed_of(args)
+    seed = args.seed
     t0 = time.time()
     suites, spent = [], []
     for name in [args.suite] if args.suite else checks.SUITES:
@@ -516,7 +504,7 @@ def _build_parser():
 
     pc = sub.add_parser("check")
     pc.add_argument("suite", nargs="?", choices=_SUITES)
-    pc.add_argument("--seed", type=int)
+    pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--battery-size", dest="battery_size", type=int,
                     default=100)
     pc.add_argument("--json", action="store_true")

@@ -32,11 +32,13 @@ included.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from operator import add, sub
 
 from .coeff import FqElem, power
-from .errors import FieldMismatchError, ZeroElementError
+from .errors import (FieldMismatchError, PrecisionExhaustedError,
+                     ZeroElementError)
 
 
 def _vkey(v):
@@ -299,9 +301,15 @@ def _coeff_str(c):
     if isinstance(c, FqElem):
         s = repr(c)
         return "(%s)" % s if ("+" in s or "^" in s or "*" in s) else s
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return "%d/%d" % (c.numerator, c.denominator)
-    return str(int(c))
+    try:
+        if isinstance(c, Fraction) and c.denominator != 1:
+            return "%d/%d" % (c.numerator, c.denominator)
+        return str(int(c))
+    except ValueError:  # more digits than the interpreter prints
+        bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+        raise PrecisionExhaustedError(
+            "a coefficient of %d bits is past the %d digits an integer "
+            "prints" % (bits, sys.get_int_max_str_digits())) from None
 
 
 def _lp_str(field, a):

@@ -45,7 +45,10 @@ def check_literal_power(c, k):
         return
     bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
     if bits > 1 and abs(k) * bits > LITERAL_POWER_BITS:
-        base = str(c) if c.denominator == 1 and c > 0 else "(%s)" % c
+        try:
+            base = str(c) if c.denominator == 1 and c > 0 else "(%s)" % c
+        except ValueError:  # more digits than the interpreter prints
+            base = "(a %d-bit number)" % bits
         raise PrecisionExhaustedError(
             "literal power %s^%d would hold ~%d bits, past the bound of %d"
             % (base, k, abs(k) * bits, LITERAL_POWER_BITS))

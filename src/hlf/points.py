@@ -22,13 +22,13 @@ from itertools import product
 
 from .coeff import power
 from .convergence import CONVERGES, DIVERGES, UNKNOWN, converges
-from .elements import Element, lp_add, lp_neg, lp_scale
+from .elements import Element, lp_add, lp_mul, lp_neg, lp_scale
 from .errors import (ArityMismatchError, FieldMismatchError, ParseError,
                      TargetViolationError, UnsupportedFieldError, need_list,
                      need_list_of_str, need_str, require)
 from .expansion import residue
 from .fields import parse_field
-from .parsing import ElementHandler, ExprParser, whole
+from .parsing import ElementHandler, ExprParser, check_literal_power, whole
 from .sequences import SeqFamily
 from .valuation import in_integer_ring, rank_valuation
 
@@ -102,116 +102,124 @@ def parse_base_ring(text):
 
 # --- exact polynomials --------------------------------------------------------
 
-def _key_mul(k1, k2):
-    exps = dict(k1)
-    for name, e in k2:
-        exps[name] = exps.get(name, 0) + e
-    return tuple(sorted((n, e) for n, e in exps.items() if e))
-
-
 class Poly:
-    """Polynomial in named variables with Element coefficients.  Terms are
-    keyed by sorted (name, exponent) tuples; the coefficient field is
-    exact, so zero tests and equality are termwise."""
+    """Polynomial in the variables names with Element coefficients: each
+    term keyed by its exponent tuple over names, combined by the lp_* rules.
+    The coefficient field is exact, so zero tests and equality are
+    termwise, and no term is ever stored with a zero coefficient."""
 
-    def __init__(self, field, terms=None):
+    def __init__(self, field, names, terms=None):
         self.field = field
-        self.terms = {}
-        for key, c in (terms or {}).items():
-            if not c.is_zero():
-                self.terms[key] = c
+        self.names = tuple(names)
+        self.terms = {} if terms is None else terms
 
     @classmethod
-    def const(cls, field, c):
-        return cls(field, {(): c})
+    def const(cls, field, names, c):
+        return cls(field, names, {(0,) * len(names): c} if c else {})
 
     @classmethod
-    def var(cls, field, name, e=1):
-        return cls(field, {((name, e),): Element.one(field)})
+    def var(cls, field, names, name, e=1):
+        if name not in names:
+            raise ArityMismatchError("%s is not among the variables %s"
+                                     % (name, ", ".join(names)))
+        return cls(field, names, {tuple(e if n == name else 0 for n in names):
+                                  Element.one(field)})
 
     def is_zero(self):
         return not self.terms
 
     def is_const(self):
-        return all(not key for key in self.terms)
+        return not any(any(key) for key in self.terms)
 
     def const_value(self):
-        return self.terms.get((), Element.zero(self.field))
+        return self.terms.get((0,) * len(self.names), Element.zero(self.field))
 
-    def vars_used(self):
-        return {name for key in self.terms for name, _ in key}
+    def over(self, names):
+        """The same polynomial keyed over names, which must include every
+        variable it uses."""
+        extra = {n for key in self.terms for n, e in zip(self.names, key)
+                 if e and n not in names}
+        if extra:
+            raise ArityMismatchError("generator uses undeclared %s"
+                                     % ", ".join(sorted(extra)))
+        return Poly(self.field, names, {
+            tuple(dict(zip(self.names, key)).get(n, 0) for n in names): c
+            for key, c in self.terms.items()})
 
     def __add__(self, other):
-        return Poly(self.field, lp_add(self.terms, other.terms))
+        return Poly(self.field, self.names, lp_add(self.terms, other.terms))
 
     def __neg__(self):
-        return Poly(self.field, lp_neg(self.terms))
+        return Poly(self.field, self.names, lp_neg(self.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        terms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = _key_mul(k1, k2)
-                c = c1 * c2
-                terms[key] = terms[key] + c if key in terms else c
-        return Poly(self.field, terms)
+        return Poly(self.field, self.names, lp_mul(self.terms, other.terms))
 
     def __pow__(self, k):
         # no inverse, so a negative k is refused
-        return power(self, k, Poly.const(self.field, Element.one(self.field)))
+        return power(self, k, Poly.const(self.field, self.names,
+                                         Element.one(self.field)))
 
     def scale(self, c):
-        return Poly(self.field, lp_scale(self.terms, c))
+        return Poly(self.field, self.names, lp_scale(self.terms, c))
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.names == other.names and self.terms == other.terms
 
-    def evaluate(self, env, lift=None):
-        """Value at env, a mapping from variable names.  lift carries the
+    def evaluate(self, xs, lift=None):
+        """Value at xs, one value per name in order.  lift carries the
         Element coefficients into the value domain; identity by default.
         Sums start at the first term and products at the first factor: 0 + v
         and 1*v would be equal values with the same entries."""
         lift = lift or (lambda c: c)
         total = None
         for key, c in self.terms.items():
-            v = None if key and c.is_one() else lift(c)
-            for name, e in key:
-                x = env[name] if e == 1 else env[name] ** e
-                v = x if v is None else v * x
+            v = None if c.is_one() and any(key) else lift(c)
+            for x, e in zip(xs, key):
+                if e:
+                    x = x if e == 1 else x ** e
+                    v = x if v is None else v * x
             total = v if total is None else total + v
         return lift(Element.zero(self.field)) if total is None else total
 
-    def substitute(self, repl):
-        """Plug polynomials in for variables; unmapped names stay."""
-        env = {n: repl.get(n, Poly.var(self.field, n))
-               for n in self.vars_used()}
-        return self.evaluate(env, lambda c: Poly.const(self.field, c))
+    def substitute(self, repl, names):
+        """Polynomials over names plugged in for the variables repl maps;
+        every other variable stays, and must be among names."""
+        field = self.field
+        return self.evaluate(
+            [repl[n] if n in repl else Poly.var(field, names, n)
+             for n in self.names], lambda c: Poly.const(field, names, c))
 
     def map_coeffs(self, fn, field):
-        return Poly(field, {k: fn(c) for k, c in self.terms.items()})
+        """fn on every coefficient, the terms it sends to 0 dropped."""
+        return Poly(field, self.names, {k: v for k, c in self.terms.items()
+                                        if (v := fn(c))})
 
     def split_var(self, name):
-        """Components by the exponent of one variable, that variable
-        removed from the keys."""
+        """Components by the exponent of one variable, its slot cut from
+        the keys."""
+        i = self.names.index(name)
         out = {}
         for key, c in self.terms.items():
-            e = dict(key).get(name, 0)
-            rest = tuple((n, d) for n, d in key if n != name)
-            out.setdefault(e, {})[rest] = c
-        return {e: Poly(self.field, terms) for e, terms in out.items()}
+            out.setdefault(key[i], {})[key[:i] + key[i + 1:]] = c
+        rest = self.names[:i] + self.names[i + 1:]
+        return {e: Poly(self.field, rest, terms) for e, terms in out.items()}
 
     def text(self):
+        """Terms by number of variables, then by sorted (name, exponent)."""
         if not self.terms:
             return "0"
+        terms = {tuple(sorted((n, e) for n, e in zip(self.names, key) if e)):
+                 c for key, c in self.terms.items()}
         parts = []
-        for key in sorted(self.terms, key=lambda k: (len(k), k)):
-            c = self.terms[key]
-            vs = "*".join(n if e == 1 else "%s^%d" % (n, e) for n, e in key)
+        for pairs in sorted(terms, key=lambda k: (len(k), k)):
+            c = terms[pairs]
+            vs = "*".join(n if e == 1 else "%s^%d" % (n, e) for n, e in pairs)
             cs = repr(c)
             if any(ch in cs for ch in " +-/") and not cs.startswith("("):
                 cs = "(%s)" % cs
@@ -242,7 +250,7 @@ class RatMap:
     @classmethod
     def of(cls, p):
         """p over 1."""
-        return cls(p, Poly.const(p.field, Element.one(p.field)))
+        return cls(p, Poly.const(p.field, p.names, Element.one(p.field)))
 
     def __add__(self, other):
         return RatMap(self.num * other.den + other.num * self.den,
@@ -263,7 +271,7 @@ class RatMap:
         return RatMap(self.num * other.den, self.den * other.num)
 
     def __pow__(self, k):
-        one = RatMap.of(Poly.const(self.num.field, Element.one(self.num.field)))
+        one = RatMap.of(self.num ** 0)
         return power(one / self if k < 0 else self, abs(k), one)
 
     def __eq__(self, other):
@@ -271,15 +279,12 @@ class RatMap:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def evaluate(self, env, lift=None):
-        num = self.num.evaluate(env, lift)
-        return num if self._over_one() else num / self.den.evaluate(env, lift)
+    def evaluate(self, xs, lift=None):
+        num = self.num.evaluate(xs, lift)
+        return num if self._over_one() else num / self.den.evaluate(xs, lift)
 
     def _over_one(self):
         return self.den.is_const() and self.den.const_value().is_one()
-
-    def vars_used(self):
-        return self.num.vars_used() | self.den.vars_used()
 
     def text(self):
         if self._over_one():
@@ -298,11 +303,11 @@ class RatHandler:
 
     def __init__(self, field, variables):
         self.field = field
-        self.vars = set(variables)
+        self.names = tuple(variables)
         self.elem = ElementHandler(field)
 
     def _const(self, x):
-        return RatMap.of(Poly.const(self.field, whole(x)))
+        return RatMap.of(Poly.const(self.field, self.names, whole(x)))
 
     def const(self, k):
         return self._const(self.elem.const(k))
@@ -311,18 +316,22 @@ class RatHandler:
         return self._const(self.elem.int_power(base, a, b, pos))
 
     def powered(self, name, a, b, pos):
-        if name not in self.vars:
+        if name not in self.names:
             return self._const(self.elem.powered(name, a, b, pos))
         if a != 0:
             raise ParseError("n is only allowed in sequence exponents", pos=pos)
         if b == 0:
             return self._const(Element.one(self.field))
-        x = RatMap.of(Poly.var(self.field, name, abs(b)))
+        x = RatMap.of(Poly.var(self.field, self.names, name, abs(b)))
         return x ** -1 if b < 0 else x
 
     def node_power(self, node, b, pos):
         if b < 0 and node.num.is_zero():
             raise ParseError("negative power of zero", pos=pos)
+        for p in (node.num, node.den):
+            cs = [k for c in p.terms.values() for k in c.num.values()]
+            if len(cs) == 1:  # one monomial: its power builds cs[0]^b
+                check_literal_power(cs[0], b)
         return node ** b
 
 
@@ -350,22 +359,17 @@ class AffinePresentation:
         self.ring = ring
         self.variables = tuple(variables)
         self.gens = [parse_poly(ring.field, self.variables, g)
-                     if isinstance(g, str) else g for g in gens]
-        for g in self.gens:
-            extra = g.vars_used() - set(self.variables)
-            if extra:
-                raise ArityMismatchError("generator uses undeclared %s"
-                                         % ", ".join(sorted(extra)))
+                     if isinstance(g, str) else g.over(self.variables)
+                     for g in gens]
 
     @property
     def arity(self):
         return len(self.variables)
 
-    def env(self, coords):
+    def check_arity(self, coords):
         if len(coords) != self.arity:
             raise ArityMismatchError("expected %d coordinates, got %d"
                                      % (self.arity, len(coords)))
-        return dict(zip(self.variables, coords))
 
     def to_data(self):
         return {"ring": self.ring.describe(),
@@ -404,11 +408,11 @@ def member_points(X, coords):
     """YES when every generator vanishes exactly and every coordinate lies
     in the base ring; membership is decidable on fractions, so NO is the
     only other answer."""
-    env = X.env(coords)
+    X.check_arity(coords)
     if not all(X.ring.contains(c) for c in coords):
         return NO
     for g in X.gens:
-        if not g.evaluate(env).is_zero():
+        if not g.evaluate(coords).is_zero():
             return NO
     return YES
 
@@ -419,7 +423,8 @@ def in_principal_open(X, f, x):
     components, units being exactly the complement of the maximal ideal."""
     if isinstance(f, str):
         f = parse_poly(X.ring.field, X.variables, f)
-    return X.ring.is_unit(f.evaluate(X.env(x.coords)))
+    X.check_arity(x.coords)
+    return X.ring.is_unit(f.evaluate(x.coords))
 
 
 # --- point sequence families --------------------------------------------------
@@ -494,10 +499,8 @@ def point_seq_converges(X, f):
                                  % (X.arity, len(f.families)))
     if member_points(X, f.limit.coords) != YES:
         raise TargetViolationError("limit point misses the presentation")
-    env = dict(zip(X.variables, f.families))
-    field = X.ring.field
     for g in X.gens:
-        val = g.evaluate(env, lift=lambda c: SeqFamily.of_element(c))
+        val = g.evaluate(f.families, SeqFamily.of_element)
         if not val.is_zero():
             raise TargetViolationError(
                 "family leaves the scheme: %s does not vanish" % g.text())
@@ -562,9 +565,8 @@ class Morphism:
         coords = tuple(self.coeff(c) for c in x.coords)
         if member_points(self.source, x.coords) != YES:
             raise TargetViolationError("source point misses the presentation")
-        env = dict(zip(self.source.variables, coords))
         try:
-            coords = tuple(m.evaluate(env) for m in self.maps)
+            coords = tuple(m.evaluate(coords) for m in self.maps)
         except ZeroDivisionError:
             raise TargetViolationError("%s undefined at %r"
                                        % (self.name, x)) from None
@@ -579,8 +581,7 @@ class Morphism:
             raise UnsupportedFieldError(
                 "families push forward along inclusions only")
         lim = self.point(f.limit)
-        env = dict(zip(self.source.variables, f.families))
-        return PointSeqFamily([m.evaluate(env, SeqFamily.of_element)
+        return PointSeqFamily([m.evaluate(f.families, SeqFamily.of_element)
                                for m in self.maps], lim)
 
 
@@ -591,7 +592,8 @@ def base_change(sigma, X):
     XS = AffinePresentation(sigma.target, X.variables,
                             [g.map_coeffs(sigma.apply, field) for g in X.gens])
     return Morphism(X, XS, sigma.apply,
-                    [RatMap.of(Poly.var(field, v)) for v in X.variables], 0,
+                    [RatMap.of(Poly.var(field, X.variables, v))
+                     for v in X.variables], 0,
                     "base change", "image {coords!r} misses the base change")
 
 
@@ -626,7 +628,7 @@ class ChartedScheme:
         cocycle at once.  The chart generators are ignored, which is
         sufficient but refuses a gluing that holds only modulo them."""
         field = self.ring.field
-        maps = {(i, i): tuple(RatMap.of(Poly.var(field, v))
+        maps = {(i, i): tuple(RatMap.of(Poly.var(field, c.variables, v))
                               for v in c.variables)
                 for i, c in enumerate(self.charts)}
         for (i, j), ov in self.overlaps.items():
@@ -641,10 +643,10 @@ class ChartedScheme:
         for (i, j), (j2, k) in product(sorted(self.overlaps), repeat=2):
             if j2 != j or (i, k) not in maps:
                 continue
-            env = dict(zip(self.charts[j].variables, maps[(i, j)]))
+            names = self.charts[i].variables
             try:
-                composite = tuple(m.evaluate(env, lambda c: RatMap.of(
-                    Poly.const(field, c))) for m in maps[(j, k)])
+                composite = tuple(m.evaluate(maps[(i, j)], lambda c: RatMap.of(
+                    Poly.const(field, names, c))) for m in maps[(j, k)])
             except ZeroDivisionError:
                 raise TargetViolationError(
                     "transitions %d-%d-%d: the composite's denominator "

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .elements import Element
 from .errors import OutOfRangeError
+from .parsing import check_literal_power
 
 
 def _check_rank(r):
@@ -69,6 +70,7 @@ def monomial_parts(field, v):
     exps, e = valuation_split(field, v)
     if e is None:
         return exps, field.coeff_one()
+    check_literal_power(field.prime(), e)
     return exps, Fraction(field.prime()) ** e
 
 

@@ -29,15 +29,11 @@ class MonogenicExt:
     def __init__(self, ring, theta, modulus):
         self.ring = ring
         self.theta = theta
-        if isinstance(modulus, str):
-            modulus = parse_poly(ring.field, (theta,), modulus)
-        if modulus.vars_used() - {theta}:
-            raise UnsupportedScalarError("modulus must involve %s alone" % theta)
-        parts = modulus.split_var(theta)
-        d = max(parts, default=0)
+        modulus = parse_poly(ring.field, (theta,), modulus)
+        d = max((e for e, in modulus.terms), default=0)
         if d < 1:
             raise UnsupportedScalarError("modulus must have positive degree")
-        lead = parts[d].const_value()
+        lead = modulus.terms[(d,)]
         if not ring.is_unit(lead):
             raise NotFreeError(
                 "leading coefficient %r is not a unit, the quotient is not "
@@ -46,25 +42,21 @@ class MonogenicExt:
             modulus = modulus.scale(lead.inverse())
         self.modulus = modulus
         self.deg = d
-        parts = modulus.split_var(theta)
-        self.low = tuple(-parts.get(k, Poly(ring.field)).const_value()
-                         for k in range(d))
+        zero = Element.zero(ring.field)
+        self.low = tuple(-modulus.terms.get((k,), zero) for k in range(d))
 
     def scalar(self, coeffs):
         """theta-polynomial with the given components, Elements or
-        polynomials in the other variables."""
+        polynomials over one tuple of other variables, theta the last."""
         if len(coeffs) != self.deg:
             raise ArityMismatchError("expected %d components, got %d"
                                      % (self.deg, len(coeffs)))
         f = self.ring.field
-        out = Poly(f)
-        for k, c in enumerate(coeffs):
-            if isinstance(c, Element):
-                c = Poly.const(f, c)
-            if k:
-                c = c * Poly.var(f, self.theta, k)
-            out = out + c
-        return out
+        polys = [Poly.const(f, (), c) if isinstance(c, Element) else c
+                 for c in coeffs]
+        return Poly(f, polys[0].names + (self.theta,),
+                    {key + (k,): c for k, p in enumerate(polys)
+                     for key, c in p.terms.items()})
 
     def split(self, p):
         """The d theta-components of p mod the modulus, polynomials in the
@@ -72,7 +64,8 @@ class MonogenicExt:
         e >= d folded into the d powers below it."""
         d = self.deg
         parts = p.split_var(self.theta)
-        comps = [parts.get(e, Poly(self.ring.field))
+        zero = Poly(self.ring.field, [n for n in p.names if n != self.theta])
+        comps = [parts.get(e, zero)
                  for e in range(max(d, max(parts, default=0) + 1))]
         for e in range(len(comps) - 1, d - 1, -1):
             if not comps[e].is_zero():
@@ -115,7 +108,7 @@ class ScalarExtPresentation:
                                      % ext.theta)
         allowed = self.variables + (ext.theta,)
         self.gens = [parse_poly(ext.ring.field, allowed, g)
-                     if isinstance(g, str) else g for g in gens]
+                     if isinstance(g, str) else g.over(allowed) for g in gens]
 
     @property
     def arity(self):
@@ -130,8 +123,9 @@ class ScalarExtPresentation:
         if not all(self.ext.contains(c) for c in coords):
             return NO
         subst = dict(zip(self.variables, (self.ext.reduce(c) for c in coords)))
+        theta = (self.ext.theta,)
         for g in self.gens:
-            if not self.ext.reduce(g.substitute(subst)).is_zero():
+            if not self.ext.reduce(g.substitute(subst, theta)).is_zero():
                 return NO
         return YES
 
@@ -159,14 +153,15 @@ class WeilRestriction:
 
     def __init__(self, Y):
         ext, d = Y.ext, Y.ext.deg
-        names = ["%s%d" % (v, k) for v in Y.variables for k in range(d)]
-        if len(set(names)) != len(names) or set(names) & set(Y.variables):
+        names = tuple("%s%d" % (v, k) for v in Y.variables for k in range(d))
+        if len({*names, *Y.variables, ext.theta}) < len(names) + Y.arity + 1:
             raise ArityMismatchError("component names collide")
         f = ext.ring.field
-        subst = {v: ext.scalar([Poly.var(f, n)
+        subst = {v: ext.scalar([Poly.var(f, names, n)
                                 for n in names[i * d:(i + 1) * d]])
                  for i, v in enumerate(Y.variables)}
-        gens = [c for g in Y.gens for c in ext.split(g.substitute(subst))
+        gens = [c for g in Y.gens
+                for c in ext.split(g.substitute(subst, names + (ext.theta,)))
                 if not c.is_zero()]
         self.source = Y
         self.ext = ext

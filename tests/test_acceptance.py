@@ -340,11 +340,11 @@ def test_criterion_10_weil_restriction():
         assert S.reduce(W.decode(x)[0] - s).is_zero()
 
     from hlf.points import parse_poly
-    subst = {"Y": parse_poly(F, W.presentation.variables + ("theta",),
-                             "Y0 + Y1*theta")}
+    names = W.presentation.variables + ("theta",)
+    subst = {"Y": parse_poly(F, names, "Y0 + Y1*theta")}
     want = []
     for g in Y.gens:
-        comps = S.reduce(g.substitute(subst)).split_var("theta")
+        comps = S.reduce(g.substitute(subst, names)).split_var("theta")
         want.extend(comps[k] for k in range(S.deg) if k in comps)
     assert W.presentation.gens == want
 

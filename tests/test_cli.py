@@ -497,6 +497,42 @@ def test_integers_past_the_digit_limit_exit_two(cutoff, key, message,
     assert err.startswith("error:") and message in err
 
 
+_PRINT_REFUSED = ("error: a coefficient of 15850 bits is past the %d "
+                  "digits an integer prints\n" % DIGIT_LIMIT)
+_P_POWER_REFUSED = ("error: literal power 3^-%d would hold ~%d bits, past "
+                    "the bound of 1048576\n")
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="int() prints any length here")
+@pytest.mark.parametrize("kind, err", [
+    ("points-map", _PRINT_REFUSED), ("weil", _PRINT_REFUSED),
+    ("subgroup:4", _PRINT_REFUSED),
+    ("subgroup:6", _P_POWER_REFUSED % (10 ** 6, 2 * 10 ** 6)),
+    ("subgroup:8", _P_POWER_REFUSED % (10 ** 8, 2 * 10 ** 8))])
+def test_a_coefficient_too_big_to_print_exits_two(kind, err, tmp_path,
+                                                  capsys, deadline):
+    """3^10000 has 4772 digits: it is built, but printing it is refused,
+    and p^c for a subgroup cutoff c past the bound is never built."""
+    def put(data):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+    if kind == "points-map":
+        argv = ["points-map", "--scheme", put(dict(P1_DATA, ring="Qp(3)((t))")),
+                "--elem", "3^10000", "--chart", "0", "--to-chart", "1"]
+    elif kind == "weil":
+        argv = ["weil", "--scheme", put(dict(
+            SEXT_DATA, ring="Qp(3)((t))", modulus="theta^2 - t",
+            gens=["Y^2 - 3^10000*theta"]))]
+    else:
+        argv = ["witness-subgroup", "--field", "Qp(3){{t}}", "--open", put(
+            {"kind": "levels", "cutoff": 10 ** int(kind[-1]), "window": {},
+             "below": {"rule": "full"}})]
+    with deadline(2):
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 def test_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     path = tmp_path / "X.json"
     path.write_bytes(b'{"ring": "Fq(5)((u))", "vars": ["\xe9"]}')

@@ -3,8 +3,10 @@ series parameters, presentation polynomials and rational maps, elements
 and families share its tokens and its syntax errors."""
 
 import hashlib
+import json
 import random
 import re
+import sys
 
 import pytest
 
@@ -256,6 +258,27 @@ def test_a_huge_literal_power_is_refused(argv, deadline, capsys):
     assert capsys.readouterr() == ("", _POWER_REFUSED)
 
 
+@pytest.mark.parametrize("gen", ["(3)^10000000*X", "(3*X)^10000000",
+                                 "(X/3)^10000000", "((3)^-1)^-10000000"])
+def test_a_huge_constant_power_in_a_scheme_file_is_refused(gen, tmp_path,
+                                                           deadline, capsys):
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps({"ring": "Qp(3)((t))", "vars": ["X"],
+                                "gens": [gen]}))
+    with deadline(2):
+        assert main(["points-member", "--scheme", str(path),
+                     "--elem", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: literal power ")
+
+
+def test_constant_powers_within_the_bound_parse_in_presentations():
+    assert parse_poly(Q3T, ("X",), "(3)^2*X").text() == "9*X"
+    assert parse_poly(Q3T, ("X",), "(X + 3)^3").text() \
+        == "27 + 27*X + 9*X^2 + X^3"
+    assert parse_rat(Q3T, ("X",), "(X/3)^-2").text() == "(9)/(X^2)"
+
+
 def test_the_literal_power_bound_is_exact():
     # 2 has two bits: 2^(2^19) is at the bound, one more power past it
     assert parse_element(parse_field("Q((t))"), "2^524288").num \
@@ -263,6 +286,16 @@ def test_the_literal_power_bound_is_exact():
     with pytest.raises(PrecisionExhaustedError, match=r"^literal power "
                        r"\(1/2\)\^524289 would hold ~1048578 bits"):
         parse_element(parse_field("Q((t))"), "(1/2)^524289")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() prints any length here")
+def test_a_base_too_long_to_print_is_named_by_its_size():
+    # 3^9100 has 4342 digits
+    with pytest.raises(PrecisionExhaustedError, match=re.escape(
+            "literal power (a %d-bit number)^1000 would hold"
+            % (3 ** 9100).bit_length())):
+        parse_element(Q3T, "(3^9100)^1000")
 
 
 @pytest.mark.parametrize("field, text, val", [

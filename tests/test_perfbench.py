@@ -39,3 +39,17 @@ def test_every_traced_name_resolves():
                 if attr not in vars(cls)]
     assert not missing, "perfbench/tracing.py wraps missing names: %s" \
         % ", ".join(missing)
+
+
+def test_the_weil_answers_match_the_benchmark_first_lines(tmp_path, capsys):
+    # the smoke run checks only the Weil schemes its query stream draws
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    from hlf.cli import main
+    files = workloads.write_query_files(str(tmp_path))
+    for name, first in sorted(workloads.WEIL_FIRST_LINES.items()):
+        assert name in workloads.WEIL_SCHEMES
+        assert main(["weil", "--scheme", files[name]]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == first, name

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import same_element
+from conftest import SparsePoly, same_element
 
 from hlf.checks import _CONV_POOL
 from hlf.convergence import CONVERGES, DIVERGES, UNKNOWN, converges, unit_converges
@@ -104,7 +104,18 @@ def test_generators_must_use_declared_variables():
     with pytest.raises(ParseError):
         parse_poly(F, ("X",), "X^(n)")
     p = parse_poly(F, ("X",), "u^-1*X^2 - t")
-    assert p.evaluate({"X": e("t")}) == e("u^-1*t^2 - t")
+    assert p.evaluate((e("t"),)) == e("u^-1*t^2 - t")
+    # a generator built over other variables is re-keyed, or refused
+    q = parse_poly(F, ("W", "X"), "X*W - 1")
+    with pytest.raises(ArityMismatchError,
+                       match="^generator uses undeclared W$"):
+        AffinePresentation(R, ("X",), [q])
+    assert AffinePresentation(R, ("X", "W"), [q]).gens \
+        == [parse_poly(F, ("X", "W"), "X*W - 1")]
+    with pytest.raises(ArityMismatchError):
+        Poly.var(F, ("X",), "W")
+    with pytest.raises(ArityMismatchError):
+        q.substitute({"X": Poly.var(F, ("X",), "X")}, ("X",))
 
 
 def test_polynomial_powers():
@@ -118,21 +129,12 @@ def test_polynomial_powers():
         p ** -1
 
 
-def _ref_split_var(p, name):
-    # each term added to its component one at a time
-    out = {}
-    for key, c in p.terms.items():
-        e = dict(key).get(name, 0)
-        rest = tuple((n, d) for n, d in key if n != name)
-        comp = out.setdefault(e, Poly(p.field))
-        out[e] = comp + Poly(p.field, {rest: c})
-    return {e: q for e, q in out.items() if not q.is_zero()}
-
-
-def _random_poly(rng, field, variables):
+def _random_poly(rng, field, variables, used=None):
+    """A random polynomial over variables in the names of used, all of
+    them by default."""
     text = " + ".join(
         "%d*%s" % (rng.randint(1, 9), "*".join(
-            "%s^%d" % (v, rng.randint(0, 3)) for v in variables
+            "%s^%d" % (v, rng.randint(0, 3)) for v in used or variables
             if rng.random() < 0.7) or "1")
         for _ in range(rng.randint(1, 12)))
     return parse_poly(field, variables, text)
@@ -151,26 +153,16 @@ def test_split_var_matches_the_term_by_term_split(monkeypatch):
     for _ in range(60):
         p = _random_poly(rng, F, variables)
         name = rng.choice(variables)
-        want = _ref_split_var(p, name)
+        want = SparsePoly.of(p).split_var(name)
         built.clear()
         got = p.split_var(name)
         # one Poly per component, each built once
         assert len(built) == len(got)
         assert list(got) == list(want)
         for e in got:
-            assert list(got[e].terms) == list(want[e].terms)
-            assert got[e] == want[e]
-
-
-def _ref_evaluate(p, env, lift=lambda c: c):
-    # the sum from zero, every variable raised to its power
-    total = lift(Element.zero(p.field))
-    for key, c in p.terms.items():
-        v = lift(c)
-        for name, d in key:
-            v = v * env[name] ** d
-        total = total + v
-    return total
+            assert got[e].names == tuple(v for v in variables if v != name)
+            assert list(SparsePoly.of(got[e]).terms) == list(want[e].terms)
+            assert SparsePoly.of(got[e]) == want[e]
 
 
 def test_evaluation_matches_the_sum_from_zero():
@@ -181,16 +173,44 @@ def test_evaluation_matches_the_sum_from_zero():
                 ("1 + t", "t^-1", "2*t^2 - 1/3", "(1 + t)/(1 - t^3)", "0")]
         for _ in range(40):
             p = _random_poly(rng, field, variables)
-            env = {v: rng.choice(pool) for v in variables}
-            assert same_element(p.evaluate(env), _ref_evaluate(p, env))
-            repl = {"X": _random_poly(rng, field, ("Y", "theta"))}
-            lift = lambda c: Poly.const(field, c)
-            penv = {v: repl.get(v, Poly.var(field, v)) for v in p.vars_used()}
-            got, want = p.evaluate(penv, lift), _ref_evaluate(p, penv, lift)
+            values = [rng.choice(pool) for _ in variables]
+            assert same_element(p.evaluate(values), SparsePoly.of(p).evaluate(
+                dict(zip(variables, values))))
+            r = _random_poly(rng, field, variables, ("Y", "theta"))
+            got = SparsePoly.of(p.substitute({"X": r}, variables))
+            want = SparsePoly.of(p).substitute({"X": SparsePoly.of(r)})
             assert list(got.terms) == list(want.terms)
             assert all(same_element(got.terms[k], want.terms[k])
                        for k in got.terms)
-        assert same_element(Poly(field).evaluate({}), Element.zero(field))
+        assert same_element(Poly(field, ()).evaluate(()), Element.zero(field))
+
+
+@pytest.mark.parametrize("text", ["Fq(5)((u))((t))", "Qp(3)((t))",
+                                  "Qp(3){{t}}"])
+def test_poly_rules_match_the_sparse_oracle_in_any_variable_order(text):
+    """Products, sums, splits, substitutions and texts agree with the
+    sorted-pair oracle whatever order the variables are declared in."""
+    field = parse_field(text)
+    rng = random.Random("variable order:" + text)
+    for variables in (("Y", "X", "theta"), ("theta", "Y", "X")):
+        target = ("Z", variables[0])
+        for _ in range(25):
+            p, q = (_random_poly(rng, field, variables) for _ in range(2))
+            sp, sq = SparsePoly.of(p), SparsePoly.of(q)
+            for got, want in ((p * q, sp * sq), (p + q, sp + sq),
+                              (p - q, sp - sq), (p ** 2, sp ** 2)):
+                assert got.names == variables
+                assert SparsePoly.of(got) == want
+                assert got.text() == want.text()
+            name = rng.choice(variables)
+            assert {k: SparsePoly.of(c) for k, c in
+                    p.split_var(name).items()} == sp.split_var(name)
+            # two variables mapped into target, the third kept as it is
+            r1, r2 = (_random_poly(rng, field, target) for _ in range(2))
+            got = p.substitute(dict(zip(variables[1:], (r1, r2))), target)
+            assert got.names == target
+            assert SparsePoly.of(got) == sp.substitute(dict(zip(
+                variables[1:], (SparsePoly.of(r1), SparsePoly.of(r2)))))
 
 
 def test_evaluation_at_first_powers_multiplies_no_power(monkeypatch):
@@ -204,7 +224,7 @@ def test_evaluation_at_first_powers_multiplies_no_power(monkeypatch):
         powers.append(k)
         return pow_(self, k)
     monkeypatch.setattr(Element, "__pow__", counted)
-    assert p.evaluate({"X": x, "Y": y}) == want
+    assert p.evaluate((x, y)) == want
     assert powers == [2]
 
 
@@ -442,7 +462,7 @@ def test_polynomial_maps_carry_convergent_families_to_convergent_ones():
                 continue
             image = phi.family(psf)
             assert image.limit.coords == tuple(
-                m.evaluate(dict(zip(A2.variables, psf.limit.coords)))
+                m.evaluate(psf.limit.coords)
                 for m in phi.maps)
             kind = point_seq_converges(A2, image).kind
             assert kind != DIVERGES, (text, maps, f1, f2)
@@ -539,8 +559,12 @@ def test_residue_map_carries_generators_along():
     V = AffinePresentation(O1, ("X",), ["X^2 - u"])
     VF = base_change(sig, V).target
     FU = sig.target.field
-    assert VF.gens[0].evaluate({"X": parse_element(FU, "u^3")}) \
+    assert VF.gens[0].evaluate((parse_element(FU, "u^3"),)) \
         == parse_element(FU, "u^6 - u")
+    # coefficients the residue map sends to 0 are dropped, not kept as 0
+    X2 = AffinePresentation(O1, ("X",), ["X^2 - t + u*X"])
+    assert base_change(sig, X2).target.gens \
+        == [parse_poly(FU, ("X",), "X^2 + u*X")]
     W = AffinePresentation(O1, ("X",), ["X^2 - u^2"])
     img = base_change(sig, W).point(Point((e("-u"),)))
     assert img.coords[0] == parse_element(FU, "-u")

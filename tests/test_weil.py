@@ -2,9 +2,11 @@ import json
 import random
 
 import pytest
+from conftest import SparsePoly
 
 from hlf.checks import _random_element
 from hlf.convergence import CONVERGES, DIVERGES
+from hlf.elements import Element
 from hlf.errors import (ArityMismatchError, NotFreeError,
                         UnsupportedScalarError)
 from hlf.fields import parse_field
@@ -43,6 +45,13 @@ def test_restriction_of_the_square_root_scheme():
     assert W.presentation.gens == want
 
 
+def test_a_component_name_that_is_theta_collides():
+    # Y's components Y0, Y1 would share a slot with the generator Y0
+    S = MonogenicExt(R, "Y0", "Y0^2 - u")
+    with pytest.raises(ArityMismatchError, match="^component names collide$"):
+        weil_restrict(ScalarExtPresentation(S, ("Y",), ["Y^2 - Y0"]))
+
+
 def test_encode_decode_are_mutually_inverse():
     S, Y = sqrt_theta()
     W = weil_restrict(Y)
@@ -67,15 +76,15 @@ def test_restricted_ideal_resubstitutes_to_zero():
     for Y in cases:
         ext = Y.ext
         W = weil_restrict(Y)
+        names = W.presentation.variables + (ext.theta,)
         subst = {}
         for v in Y.variables:
             text = " + ".join("%s%d*%s^%d" % (v, k, ext.theta, k)
                               for k in range(ext.deg))
-            subst[v] = parse_poly(F, W.presentation.variables + (ext.theta,),
-                                  text)
+            subst[v] = parse_poly(F, names, text)
         gens = iter(W.presentation.gens)
         for g in Y.gens:
-            comps = ext.reduce(g.substitute(subst)).split_var(ext.theta)
+            comps = ext.reduce(g.substitute(subst, names)).split_var(ext.theta)
             for k in range(ext.deg):
                 if k in comps:
                     assert next(gens) == comps[k]
@@ -170,10 +179,12 @@ DIVISION_FIELDS = [("Fq(5)((u))((t))", "u"), ("Qp(3)((t))", "3"),
 
 
 def _reference_reduce(ext, p):
-    """Rewrite one term of theta degree e >= d at a time, subtracting its
-    multiple of the modulus, until no such term is left."""
+    """The SparsePoly oracle of p, rewritten one term of theta degree
+    e >= d at a time, its multiple of the modulus subtracted, until no such
+    term is left."""
     theta, d = ext.theta, ext.deg
     f = ext.ring.field
+    p, modulus = SparsePoly.of(p), SparsePoly.of(ext.modulus)
     while True:
         high = [(key, c) for key, c in p.terms.items()
                 if dict(key).get(theta, 0) >= d]
@@ -182,20 +193,25 @@ def _reference_reduce(ext, p):
         key, c = high[0]
         e = dict(key)[theta]
         rest = tuple((n, k) for n, k in key if n != theta)
-        mult = Poly(f, {rest: c})
+        mult = SparsePoly(f, {rest: c})
         if e > d:
-            mult = mult * Poly.var(f, theta, e - d)
-        p = p - mult * ext.modulus
+            mult = mult * SparsePoly.var(f, theta, e - d)
+        p = p - mult * modulus
 
 
-def _random_theta_poly(rng, f, theta, top):
-    out = Poly(f)
+def _random_theta_poly(rng, f, names, theta, top):
+    """A Poly over names, each term written straight into its exponent
+    tuple."""
+    terms = {}
     for _ in range(rng.randint(1, 6)):
         exps = {"Y": rng.randint(0, 2), "Z": rng.randint(0, 1),
                 theta: rng.randint(0, top)}
-        key = tuple(sorted((n, k) for n, k in exps.items() if k))
-        out = out + Poly(f, {key: _random_element(rng, f, span=2, terms=2)})
-    return out
+        c = _random_element(rng, f, span=2, terms=2)
+        key = tuple(exps[n] for n in names)
+        c = terms.pop(key) + c if key in terms else c
+        if not c.is_zero():
+            terms[key] = c
+    return Poly(f, names, terms)
 
 
 @pytest.mark.parametrize("field,u", DIVISION_FIELDS)
@@ -205,13 +221,17 @@ def test_reduction_matches_termwise_rewriting(field, u, theta, modulus):
     ext = MonogenicExt(BaseRing(f, 0), theta, modulus.replace("u", u))
     d = ext.deg
     rng = random.Random("%s|%s" % (field, modulus))
+    names = ("Z", theta, "Y")
     for _ in range(25):
-        p = _random_theta_poly(rng, f, theta, 3 * d)
+        p = _random_theta_poly(rng, f, names, theta, 3 * d)
         want = _reference_reduce(ext, p)
-        assert ext.reduce(p) == want
+        got = ext.reduce(p)
+        assert got.names == ("Z", "Y", theta)
+        assert SparsePoly.of(got) == want
         parts = want.split_var(theta)
         assert all(e < d for e in parts)
-        assert ext.split(p) == [parts.get(k, Poly(f)) for k in range(d)]
+        assert [SparsePoly.of(c) for c in ext.split(p)] \
+            == [parts.get(k, SparsePoly(f, {})) for k in range(d)]
     s = parse_poly(f, ("Y", theta), "Y*%s^%d + 1" % (theta, d))
     with pytest.raises(UnsupportedScalarError) as err:
         ext.components(s)
